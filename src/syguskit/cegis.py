@@ -231,15 +231,5 @@ def count_wrong(p: SynthProblem, funcs: Mapping[str, FunDef],
     return wrong
 
 
-def is_consistent(p: SynthProblem, funcs: Mapping[str, FunDef],
-                  E: ExampleSet) -> bool:
-    defs = dict(p.defined_funs)
-    defs.update(funcs)
-    for point in E:
-        if any(falsified(c, point, defs) for c in p.constraints):
-            return False
-    return True
-
-
 def describe_point(point: Mapping[str, Value]) -> str:
     return "(" + " ".join(f"{k}={print_sexpr(v)}" for k, v in point.items()) + ")"

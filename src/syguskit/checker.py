@@ -426,27 +426,9 @@ class FeatureSet:
     track: Track
 
 
-def _application_tuples(p: SynthProblem) -> dict[str, set[tuple[Term, ...]]]:
-    apps: dict[str, set[tuple[Term, ...]]] = {n: set() for n in p.unknowns}
-
-    def walk(t: Term):
-        if isinstance(t, Apply):
-            if t.op in apps:
-                apps[t.op].add(t.args)
-            for a in t.args:
-                walk(a)
-        elif hasattr(t, "bindings"):
-            for _, d in t.bindings:
-                walk(d)
-            walk(t.body)
-
-    for c in p.constraints:
-        walk(c)
-    return apps
-
-
 def classify_features(p: SynthProblem) -> FeatureSet:
-    apps = _application_tuples(p)
+    from .cegis import unknown_invocations  # cegis imports this module
+    apps = unknown_invocations(p)
     single = all(len(tuples) <= 1 for tuples in apps.values())
     return FeatureSet(
         invocation=Invocation.SINGLE if single else Invocation.MULTIPLE,

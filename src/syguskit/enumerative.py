@@ -19,14 +19,14 @@ from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Solved,
-                    SolveOutcome, TimedOut, base_constant_pool,
-                    has_nested_unknown_args, induced_bindings, is_consistent,
-                    make_solution, pool_with_examples, unknown_invocations)
+                    SolveOutcome, TimedOut, base_constant_pool, count_wrong,
+                    has_nested_unknown_args, induced_bindings, make_solution,
+                    pool_with_examples, unknown_invocations)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy, falsified)
 from .frontend import SynthProblem
-from .grammar import (Enumerator, TApp, THole, TLet, TLit, TNT, TVar,
-                      Template, _divisor_child, template_min_size)
+from .grammar import (Enumerator, THole, TLet, TLit, TNT, TVar,
+                      Template, assemble, compositions, walk_splits)
 from .terms import (Apply, DivisionByZero, FunDef, Let, Lit, Term, Value, Var,
                     evaluate)
 
@@ -125,9 +125,6 @@ class Bank:
                 self.terms[nt][s] = kept
             self.built_to = s
 
-    def start_terms(self, size: int) -> list[tuple[Term, tuple]]:
-        return self.terms[self.g.start].get(size, [])
-
     def _leaf_sig(self, value_fn) -> tuple:
         return tuple(value_fn(b) for b in self.bindings)
 
@@ -147,53 +144,26 @@ class Bank:
                     yield Lit(v), self._leaf_sig(lambda b, v=v: v)
         elif isinstance(tpl, TNT):
             yield from self.terms[tpl.nt].get(size, [])
-        elif isinstance(tpl, TApp):
-            parts = [(c, _divisor_child(tpl.op, i))
-                     for i, c in enumerate(tpl.children)]
-            for combo in self._inst_seq(parts, size - 1, let_env):
-                yield (Apply(tpl.op, tuple(t for t, _ in combo)),
-                       _apply_pointwise(tpl.op, [s for _, s in combo],
-                                        self.defs))
         else:
-            yield from self._inst_let(tpl, size, let_env)
+            slots, splits = self.g.split_plan(tpl, size)
+            is_let = isinstance(tpl, TLet)
 
-    def _inst_let(self, tpl: TLet, size: int, let_env):
-        names = [n for n, _ in tpl.bindings]
-        defs = [(d, False) for _, d in tpl.bindings]
-        budget = size - 1 - len(tpl.bindings)
-        for dcombo_budget in range(len(defs), budget):
-            for dcombo in self._inst_seq(defs, dcombo_budget, let_env):
-                inner = dict(let_env)
-                inner.update({n: s for n, (_, s) in zip(names, dcombo)})
-                for body, bsig in self._inst(tpl.body, budget - dcombo_budget,
-                                             False, inner):
-                    term = Let(tuple(zip(names, (t for t, _ in dcombo))), body)
-                    yield term, bsig
+            def inst(i, s, chosen):
+                env = let_env
+                if is_let and i == len(tpl.bindings):
+                    # the body sees each bound name's signature
+                    env = dict(let_env)
+                    env.update((n, sig) for (n, _), (_, sig)
+                               in zip(tpl.bindings, chosen))
+                return self._inst(slots[i][0], s, slots[i][1], env)
 
-    def _inst_seq(self, parts, budget: int, let_env) -> Iterator[list]:
-        if not parts:
-            if budget == 0:
-                yield []
-            return
-        mins = [template_min_size(p, self.g.min_sizes()) for p, _ in parts]
-        if math.inf in mins or sum(mins) > budget:
-            return
-        (tpl, nz), rest = parts[0], parts[1:]
-        rest_min = int(sum(mins[1:]))
-        for s in range(int(mins[0]), budget - rest_min + 1):
-            for first in self._inst(tpl, s, nz, let_env):
-                for others in self._inst_seq(rest, budget - s, let_env):
-                    yield [first] + others
-
-
-def grow(grammar, bindings: Sequence[Mapping[str, Value]],
-         pool: Sequence[Value], size_limit: int, prune: bool = True,
-         defs: Mapping[str, FunDef] | None = None,
-         ) -> dict[str, dict[int, list[tuple[Term, tuple]]]]:
-    """One-shot bank construction for sizes 1..size_limit."""
-    bank = Bank(grammar, bindings, pool, prune, defs)
-    bank.build_to(size_limit)
-    return bank.terms
+            for combo in walk_splits(splits, inst):
+                term = assemble(tpl, [t for t, _ in combo])
+                if is_let:
+                    yield term, combo[-1][1]
+                else:
+                    yield term, _apply_pointwise(
+                        tpl.op, [sig for _, sig in combo], self.defs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +214,6 @@ class _Skeletons:
         return True
 
 
-def _compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if len(mins) == 1:
-        if total >= mins[0]:
-            yield (total,)
-        return
-    head_max = total - sum(mins[1:])
-    for s in range(mins[0], head_max + 1):
-        for rest in _compositions(total - s, mins[1:]):
-            yield (s,) + rest
-
-
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
     deadline = Deadline(cfg.budget_s)
     verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
@@ -277,7 +236,9 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
         banks: dict[str, Bank] = {}
         index: dict[str, dict] = {}
         for n in names:
-            bindings, idx = induced_bindings(p, n, E)
+            # the naive path checks whole constraints and never prunes, so it
+            # needs no bindings (and cannot evaluate nested invocations)
+            bindings, idx = ([], {}) if naive else induced_bindings(p, n, E)
             banks[n] = Bank(p.unknowns[n].grammar, bindings, pool,
                             cfg.prune and not naive, p.defined_funs)
             index[n] = idx
@@ -292,7 +253,7 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
                 return TimedOut(cfg.budget_s)
             if deadline.expired():
                 return TimedOut(cfg.budget_s)
-            for split in _compositions(total, mins):
+            for split in compositions(total, mins):
                 pieces = [banks[n].terms[banks[n].g.start].get(s, [])
                           for n, s in zip(names, split)]
                 if any(not piece for piece in pieces):
@@ -304,7 +265,7 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
                     bodies = {n: t for n, (t, _) in zip(names, combo)}
                     if naive:
                         sol = make_solution(p, bodies)
-                        ok = is_consistent(p, sol.funcs, E)
+                        ok = count_wrong(p, sol.funcs, E) == 0
                     else:
                         sigs = {n: s for n, (_, s) in zip(names, combo)}
                         ok = skel.consistent(E, sigs, index)

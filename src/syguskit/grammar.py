@@ -12,6 +12,14 @@ is aliased to the candidate's bound variable for the scope of the body.
 Unit productions (a bare nonterminal on the right-hand side) are resolved
 through a precomputed closure, so unit cycles terminate and each reachable
 production contributes exactly once to counts and enumeration.
+
+Every walk by term size (counting, enumeration, sampling, and the enumerative
+solver's bank growth) shares a size among a template's children through one
+split plan: Grammar.split_plan(tpl, size) gives the child slots of an
+application or let template, each flagged when it is a div/mod divisor, and
+every composition of the remaining size into those slots with each child at
+least its least derivable size, in lexicographic order. Plans depend on the
+grammar alone and are memoized on it; walk_splits expands a plan slot by slot.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .terms import (Apply, FunSort, Let, Lit, Sort, SortError, SygusError,
                     Term, UndeclaredSymbol, Value, Var, infer_sort,
@@ -87,6 +97,8 @@ class Grammar:
         default=None, compare=False, repr=False)
     _closures: dict[str, tuple[str, ...]] | None = field(
         default=None, compare=False, repr=False)
+    _plans: dict[tuple[int, int], tuple] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.start not in self.rules:
@@ -144,6 +156,66 @@ class Grammar:
                 if not isinstance(p, TNT):
                     yield p
 
+    def split_plan(self, tpl: "TApp | TLet", size: int) -> tuple:
+        """(slots, splits) of an application or let template at `size`: slots
+        are (child, divisor flag), a let's bindings before its body; splits
+        are the compositions of the size left after the template's own nodes,
+        each child at least its least size, in lexicographic order. Keyed by
+        template identity: walkers pass only this grammar's own templates."""
+        key = (id(tpl), size)
+        hit = self._plans.get(key)
+        if hit is None:
+            if isinstance(tpl, TApp):
+                slots = tuple((c, tpl.op in ("div", "mod") and i == 1)
+                              for i, c in enumerate(tpl.children))
+                budget = size - 1
+            else:
+                slots = tuple((d, False) for _, d in tpl.bindings)
+                slots += ((tpl.body, False),)
+                budget = size - 1 - len(tpl.bindings)
+            mins = [template_min_size(c, self.min_sizes()) for c, _ in slots]
+            splits = (() if math.inf in mins
+                      else tuple(compositions(budget, [int(m) for m in mins])))
+            hit = self._plans[key] = (slots, splits)
+        return hit
+
+
+def compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every way to write total as len(mins) parts, part i at least mins[i],
+    in lexicographic order."""
+    if not mins:
+        if total == 0:
+            yield ()
+        return
+    for s in range(mins[0], total - sum(mins[1:]) + 1):
+        for rest in compositions(total - s, mins[1:]):
+            yield (s,) + rest
+
+
+def walk_splits(splits: Sequence[tuple[int, ...]],
+                inst: Callable[[int, int, tuple], Iterable],
+                chosen: tuple = ()) -> Iterator[tuple]:
+    """Child tuples along a plan's splits, slot by slot: each size of the next
+    slot in ascending order, each item of inst(slot, size, chosen) at that
+    size, then the later slots under the splits that extend it. `chosen`
+    holds the items picked for the earlier slots."""
+    i = len(chosen)
+    if splits and i == len(splits[0]):
+        yield chosen
+        return
+    for s, group in groupby(splits, itemgetter(i)):
+        group = tuple(group)
+        for item in inst(i, s, chosen):
+            yield from walk_splits(group, inst, chosen + (item,))
+
+
+def assemble(tpl: "TApp | TLet", pieces: Sequence[Term]) -> Term:
+    """The term of an application or let template from its slots' terms."""
+    if isinstance(tpl, TApp):
+        return Apply(tpl.op, tuple(pieces))
+    names = [n for n, _ in tpl.bindings]
+    return Let(tuple(zip(names, pieces[:-1])), pieces[-1])
+
 
 def template_min_size(tpl: Template, nt_sizes: Mapping[str, float]) -> float:
     if isinstance(tpl, (TVar, TLit, THole)):
@@ -155,12 +227,6 @@ def template_min_size(tpl: Template, nt_sizes: Mapping[str, float]) -> float:
     return (1 + len(tpl.bindings)
             + sum(template_min_size(d, nt_sizes) for _, d in tpl.bindings)
             + template_min_size(tpl.body, nt_sizes))
-
-
-def min_derivable_size(g: Grammar, nt: str) -> float:
-    if nt not in g.rules:
-        raise UnknownNonterminal(nt)
-    return g.min_sizes()[nt]
 
 
 def check_template(tpl: Template, g: Grammar,
@@ -305,16 +371,14 @@ class SlotNode:
     children: list[tuple[Path, "SlotNode"]]
 
 
-def _divisor_child(op: str, index: int) -> bool:
-    return op in ("div", "mod") and index == 1
-
-
 class Enumerator:
     """Memoizing engine over one (grammar, constant pool) pair.
 
     enumerate() materializes de-duplicated term lists per (nonterminal, size)
     and is meant for small sizes; count() and sample() use raw derivation
-    counts and stay cheap at any size.
+    counts and stay cheap at any size. All three follow the grammar's split
+    plans: a template's count sums, over its splits, the product of its
+    slots' counts, and sample() draws a split slot by slot by those counts.
     """
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
@@ -322,6 +386,7 @@ class Enumerator:
         self.pool = tuple(dict.fromkeys(pool))
         self._terms: dict[tuple[str, int, bool], tuple[Term, ...]] = {}
         self._counts: dict[tuple[str, int, bool], int] = {}
+        self._weights: dict[tuple[int, int], tuple[int, list]] = {}
 
     def _hole_pool(self, sort: Sort, no_zero: bool) -> list[Value]:
         if sort.is_bv:
@@ -354,27 +419,28 @@ class Enumerator:
             return len(self._hole_pool(tpl.sort, no_zero)) if size == 1 else 0
         if isinstance(tpl, TNT):
             return self.count(tpl.nt, size, no_zero)
-        if isinstance(tpl, TApp):
-            parts = [(c, _divisor_child(tpl.op, i))
-                     for i, c in enumerate(tpl.children)]
-            return self._count_seq(parts, size - 1)
-        parts = [(d, False) for _, d in tpl.bindings] + [(tpl.body, False)]
-        return self._count_seq(parts, size - 1 - len(tpl.bindings))
+        return self._split_weights(tpl, size)[0]
 
-    def _count_seq(self, parts: list[tuple[Template, bool]], budget: int) -> int:
-        if not parts:
-            return 1 if budget == 0 else 0
-        mins = [template_min_size(p, self.g.min_sizes()) for p, _ in parts]
-        if math.inf in mins or sum(mins) > budget:
-            return 0
-        (tpl, nz), rest = parts[0], parts[1:]
-        rest_min = int(sum(mins[1:]))
-        total = 0
-        for s in range(int(mins[0]), budget - rest_min + 1):
-            c = self._count_tpl(tpl, s, nz)
-            if c:
-                total += c * self._count_seq(rest, budget - s)
-        return total
+    def _split_weights(self, tpl: TApp | TLet, size: int) -> tuple[int, list]:
+        """(derivations, rows) of an application or let template: one row
+        (split, suffix) per split with a derivation, where suffix[i] counts
+        the derivations of slots i.. at that split's sizes."""
+        key = (id(tpl), size)
+        hit = self._weights.get(key)
+        if hit is None:
+            slots, splits = self.g.split_plan(tpl, size)
+            rows = []
+            for split in splits:
+                suffix = [1]
+                for (c, nz), s in zip(reversed(slots), reversed(split)):
+                    n = self._count_tpl(c, s, nz)
+                    if not n:
+                        break
+                    suffix.append(n * suffix[-1])
+                else:
+                    rows.append((split, suffix[::-1]))
+            hit = self._weights[key] = (sum(r[1][0] for r in rows), rows)
+        return hit
 
     # -- enumeration -------------------------------------------------------
 
@@ -405,32 +471,11 @@ class Enumerator:
                     yield Lit(v)
         elif isinstance(tpl, TNT):
             yield from self.enumerate(tpl.nt, size, no_zero)
-        elif isinstance(tpl, TApp):
-            parts = [(c, _divisor_child(tpl.op, i))
-                     for i, c in enumerate(tpl.children)]
-            for combo in self._enum_seq(parts, size - 1):
-                yield Apply(tpl.op, tuple(combo))
         else:
-            parts = [(d, False) for _, d in tpl.bindings] + [(tpl.body, False)]
-            names = [n for n, _ in tpl.bindings]
-            for combo in self._enum_seq(parts, size - 1 - len(tpl.bindings)):
-                yield Let(tuple(zip(names, combo[:-1])), combo[-1])
-
-    def _enum_seq(self, parts: list[tuple[Template, bool]],
-                  budget: int) -> Iterator[list[Term]]:
-        if not parts:
-            if budget == 0:
-                yield []
-            return
-        mins = [template_min_size(p, self.g.min_sizes()) for p, _ in parts]
-        if math.inf in mins or sum(mins) > budget:
-            return
-        (tpl, nz), rest = parts[0], parts[1:]
-        rest_min = int(sum(mins[1:]))
-        for s in range(int(mins[0]), budget - rest_min + 1):
-            for first in self._enum_tpl(tpl, s, nz):
-                for others in self._enum_seq(rest, budget - s):
-                    yield [first] + others
+            slots, splits = self.g.split_plan(tpl, size)
+            inst = lambda i, s, _: self._enum_tpl(slots[i][0], s, slots[i][1])
+            for pieces in walk_splits(splits, inst):
+                yield assemble(tpl, pieces)
 
     # -- uniform sampling (by derivation count) -----------------------------
 
@@ -460,51 +505,35 @@ class Enumerator:
         if isinstance(tpl, TNT):
             node = self.sample(tpl.nt, size, rng, no_zero)
             return node.term, [(path, node)], 0
+        slots, _ = self.g.split_plan(tpl, size)
         if isinstance(tpl, TApp):
-            parts = [(c, _divisor_child(tpl.op, i))
-                     for i, c in enumerate(tpl.children)]
-            sizes = self._sample_split(parts, size - 1, rng)
-            args, slots, own = [], [], 1
-            for i, ((c, nz), s) in enumerate(zip(parts, sizes)):
-                t, sub, o = self._sample_tpl(c, s, nz, rng, path + (i,))
-                args.append(t)
-                slots.extend(sub)
-                own += o
-            return Apply(tpl.op, tuple(args)), slots, own
-        parts = [(d, False) for _, d in tpl.bindings] + [(tpl.body, False)]
-        sizes = self._sample_split(parts, size - 1 - len(tpl.bindings), rng)
-        pieces, slots, own = [], [], 1 + len(tpl.bindings)
-        for i, ((c, nz), s) in enumerate(zip(parts, sizes)):
-            sub_path = (path + (("d", i),) if i < len(tpl.bindings)
-                        else path + (("b",),))
-            t, sub, o = self._sample_tpl(c, s, nz, rng, sub_path)
+            steps, own = list(range(len(slots))), 1
+        else:
+            steps = [("d", i) for i in range(len(tpl.bindings))] + [("b",)]
+            own = 1 + len(tpl.bindings)
+        pieces, children = [], []
+        for (c, nz), s, step in zip(slots, self._draw_sizes(tpl, size, rng),
+                                    steps):
+            t, sub, o = self._sample_tpl(c, s, nz, rng, path + (step,))
             pieces.append(t)
-            slots.extend(sub)
+            children.extend(sub)
             own += o
-        names = [n for n, _ in tpl.bindings]
-        return Let(tuple(zip(names, pieces[:-1])), pieces[-1]), slots, own
+        return assemble(tpl, pieces), children, own
 
-    def _sample_split(self, parts: list[tuple[Template, bool]], budget: int,
+    def _draw_sizes(self, tpl: TApp | TLet, size: int,
                       rng: random.Random) -> list[int]:
-        sizes = []
-        for i, (tpl, nz) in enumerate(parts):
-            rest = parts[i + 1:]
-            lo = template_min_size(tpl, self.g.min_sizes())
-            rest_min = int(sum(template_min_size(p, self.g.min_sizes())
-                               for p, _ in rest))
-            choices, weights = [], []
-            for s in range(int(lo), budget - rest_min + 1):
-                w = self._count_tpl(tpl, s, nz) * self._count_seq(rest, budget - s)
-                if w:
-                    choices.append(s)
-                    weights.append(w)
-            s = choices[0] if len(choices) == 1 else rng.choices(choices, weights)[0]
+        """Child sizes drawn slot by slot; a slot's size s is weighted by the
+        derivations of that slot at s times those of the later slots in the
+        remaining budget, and the rng is consulted only on a real choice."""
+        _, rows = self._split_weights(tpl, size)
+        sizes: list[int] = []
+        for i in range(len(rows[0][0])):
+            weights: dict[int, int] = {}
+            for split, suffix in rows:
+                weights[split[i]] = weights.get(split[i], 0) + suffix[i]
+            choices = list(weights)
+            s = (choices[0] if len(choices) == 1
+                 else rng.choices(choices, list(weights.values()))[0])
             sizes.append(s)
-            budget -= s
+            rows = [r for r in rows if r[0][i] == s]
         return sizes
-
-
-def enumerate_terms(g: Grammar, nt: str, size: int,
-                    pool: Sequence[Value] = ()) -> tuple[Term, ...]:
-    """One-shot sized enumeration (see Enumerator for repeated use)."""
-    return Enumerator(g, pool).enumerate(nt, size)

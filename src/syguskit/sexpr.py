@@ -4,6 +4,10 @@ Atoms are plain Python values: str for symbols, int for numerals, bool for
 true/false, and BV for #x/#b bit-vector literals (hex gives 4 bits per digit,
 binary 1 per digit). Lists are Python lists. Printing then re-reading any
 S-expression yields a structurally identical one.
+
+Nesting deeper than MAX_DEPTH is an input error: the passes over parsed terms
+(conversion, printing, evaluation) recurse once or more per level, and deeper
+input would exhaust the interpreter's recursion limit instead.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ class UnbalancedParens(SExprError):
 
 class BadToken(SExprError):
     pass
+
+
+class NestingTooDeep(SExprError):
+    pass
+
+
+MAX_DEPTH = 200
 
 
 _HEX = set("0123456789abcdefABCDEF")
@@ -68,6 +79,9 @@ def read_sexprs(text: str) -> list[SExpr]:
                 i += 1
             continue
         if c == "(":
+            if len(stack) == MAX_DEPTH:
+                raise NestingTooDeep(
+                    f"nesting deeper than {MAX_DEPTH} levels", i)
             stack.append((i, []))
             i += 1
             continue

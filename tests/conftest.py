@@ -43,6 +43,31 @@ def term(text: str, variables=None, funs=None, expected=None):
     return t
 
 
+def deep_problem(depth: int) -> str:
+    """A one-unknown LIA problem whose S-expressions nest `depth` levels."""
+    body = "x"
+    for _ in range(depth - 2):  # (constraint (>= ...)) holds two levels
+        body = f"(+ {body} 0)"
+    return ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+            "(declare-var x Int)\n"
+            f"(constraint (>= (f x) {body}))\n(check-synth)\n")
+
+
+def let_grammar():
+    """S over x and 1 with +, a one-binding and a two-binding let; the second
+    let's body holds a nonterminal, so its bindings' sizes vary with the
+    body's."""
+    from syguskit.grammar import TApp, TLet, TLit, TNT, TVar, make_grammar
+    from syguskit.terms import INT
+    s = TNT("S")
+    one = TLet((("z", s),), TApp("+", (TVar("z"), TVar("z"))))
+    two = TLet((("a", s), ("b", s)),
+               TApp("-", (TVar("a"), TApp("+", (TVar("b"), s)))))
+    return make_grammar("S", [("S", INT, [TVar("x"), TLit(1),
+                                          TApp("+", (s, s)), one, two])],
+                        {"x": INT})
+
+
 @pytest.fixture(scope="session")
 def max2():
     return load("max2.sl")

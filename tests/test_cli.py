@@ -3,7 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import DATA, fake_solver_script
+from conftest import DATA, deep_problem, fake_solver_script
+from syguskit.sexpr import MAX_DEPTH
 
 PKG = Path(__file__).parent.parent
 
@@ -31,6 +32,33 @@ def test_parse_failure_exit_2(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "error:" in r.stderr
+
+
+def test_deep_nesting_is_an_input_error(tmp_path):
+    deep = tmp_path / "deep.sl"
+    deep.write_text(deep_problem(3000))
+    r = cli("parse", str(deep))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: nesting deeper than" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_nesting_limit_file_parses_prints_and_checks(tmp_path):
+    deep = tmp_path / "deep.sl"
+    deep.write_text(deep_problem(MAX_DEPTH))
+    r = cli("parse", str(deep))
+    assert r.returncode == 0, r.stderr
+    again = tmp_path / "again.sl"
+    again.write_text(r.stdout)
+    assert cli("parse", str(again)).stdout == r.stdout
+    sol = tmp_path / "f.sol"
+    sol.write_text("(define-fun f ((x Int)) Int x)")
+    r = cli("check", str(deep), "--solution", str(sol))
+    assert r.returncode == 0, r.stderr
+    assert "semantic: valid (on budget)" in r.stdout
+    deep.write_text(deep_problem(MAX_DEPTH + 1))
+    assert cli("parse", str(deep)).returncode == 2
 
 
 def test_check_accepts_correct_solution(tmp_path):

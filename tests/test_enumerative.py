@@ -1,11 +1,13 @@
-from conftest import load, term
+import pytest
+
+from conftest import let_grammar, load, term
 from syguskit.cegis import (ERR, ExampleSet, Exhausted, Solved, TimedOut,
                             base_constant_pool, induced_bindings,
                             pool_with_examples, signature,
                             unknown_invocations)
 from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
                               check_syntactic)
-from syguskit.enumerative import EnumConfig, grow, solve_enumerative
+from syguskit.enumerative import Bank, EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
 from syguskit.terms import BV, INT, Apply, Lit, Var
 
@@ -56,7 +58,13 @@ def test_constant_pool_policy(max2, qm_loop):
 
 
 # ---------------------------------------------------------------------------
-# grow / observational equivalence
+# bank growth / observational equivalence
+
+
+def grow(grammar, bindings, pool, size_limit, prune=True, defs=None):
+    bank = Bank(grammar, bindings, pool, prune, defs)
+    bank.build_to(size_limit)
+    return bank.terms
 
 
 def test_grow_merges_by_signature(max2):
@@ -90,15 +98,26 @@ def test_grow_lsz_size_two(lsz32):
     assert len(banks0["Start"][2]) == 1
 
 
-def test_unpruned_grow_matches_enumeration(qm_loop):
+@pytest.mark.parametrize("case", ["qm_loop", "let"])
+def test_unpruned_grow_matches_enumeration(case):
     from syguskit.grammar import Enumerator
-    g = qm_loop.unknowns["qm-loop"].grammar
-    banks = grow(g, bindings=[{"x": 3}], pool=[], size_limit=5, prune=False,
-                 defs=qm_loop.defined_funs)
+    from syguskit.terms import evaluate
+    if case == "qm_loop":
+        p = load("qm_loop_1.sl")
+        g, defs, limit = p.unknowns["qm-loop"].grammar, p.defined_funs, 5
+    else:
+        # one-binding lets at sizes 6, 8, 10, 11 and 12; two-binding ones at
+        # 10 and 12, where their bindings' sizes split three ways
+        g, defs, limit = let_grammar(), {}, 12
+    bindings = [{"x": v} for v in (-2, 0, 3)]
+    banks = grow(g, bindings, pool=[], size_limit=limit, prune=False,
+                 defs=defs)
     e = Enumerator(g)
-    for size in range(1, 6):
-        assert [t for t, _ in banks["Start"].get(size, [])] == \
-            list(e.enumerate("Start", size))
+    for size in range(1, limit + 1):
+        entries = banks[g.start].get(size, [])
+        assert [t for t, _ in entries] == list(e.enumerate(g.start, size))
+        for t, sig in entries:
+            assert sig == tuple(evaluate(t, b, defs) for b in bindings), t
 
 
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):
@@ -207,3 +226,18 @@ def test_first_verified_candidate_is_trivially_smallest(max2, monkeypatch):
     assert isinstance(out, Solved)
     g = max2.unknowns["max2"].grammar
     assert sizes[0] == g.min_sizes()[g.start] == 1
+
+
+def test_nested_invocation_takes_the_naive_path():
+    # (f (f x)) has an unknown inside an unknown's argument: no skeleton, no
+    # induced bindings, whole-constraint consistency checks instead
+    p = read_problem("""(set-logic LIA)
+    (synth-fun f ((x Int)) Int)
+    (declare-var x Int)
+    (constraint (= (f (f x)) (+ x 2)))
+    (check-synth)""")
+    out = solve_enumerative(p, EnumConfig(max_size=5, budget_s=60))
+    assert isinstance(out, Solved)
+    assert out.total_size == 3
+    assert out.solution.funcs["f"].body == term("(+ x 1)", {"x": INT})
+    assert check_semantic(p, out.solution, EX8) == Valid(False)

@@ -8,9 +8,7 @@ import pytest
 from conftest import load, term
 from syguskit.frontend import default_grammar
 from syguskit.grammar import (Enumerator, TApp, THole, TLet, TLit, TNT,
-                              TVar, UnknownNonterminal, derives,
-                              enumerate_terms, make_grammar,
-                              min_derivable_size)
+                              TVar, UnknownNonterminal, derives, make_grammar)
 from syguskit.terms import (BV, INT, Apply, Let, Lit, Var, bitvec, term_size)
 
 
@@ -125,24 +123,24 @@ def test_foreign_literal_not_in_qm_grammar(qm_loop):
 
 def test_lsz_grammar_size_one(lsz32):
     g = lsz32.unknowns["f"].grammar
-    assert set(enumerate_terms(g, "Start", 1)) == {
+    assert set(Enumerator(g).enumerate("Start", 1)) == {
         Var("x"), Lit(BV(32, 0)), Lit(BV(32, 1))}
 
 
 def test_default_grammar_size_one_with_pool():
     g = default_grammar((("x", INT), ("y", INT)), INT)
-    got = enumerate_terms(g, "StartInt", 1, pool=[0, 1])
+    got = Enumerator(g, [0, 1]).enumerate("StartInt", 1)
     assert list(got) == [Var("x"), Var("y"), Lit(0), Lit(1)]
 
 
 def test_size_zero_is_empty():
     g = default_grammar((("x", INT),), INT)
-    assert enumerate_terms(g, "StartInt", 0) == ()
+    assert Enumerator(g).enumerate("StartInt", 0) == ()
 
 
 def test_enumerate_deduplicates_star_products():
     g = default_grammar((("x", INT),), INT)
-    got = enumerate_terms(g, "StartInt", 3, pool=[0, 1])
+    got = Enumerator(g, [0, 1]).enumerate("StartInt", 3)
     assert len(got) == len(set(got))
     # (* 0 1) is derivable through both (* S C) and (* C S)
     assert Apply("*", (Lit(0), Lit(1))) in got
@@ -150,7 +148,7 @@ def test_enumerate_deduplicates_star_products():
 
 def test_divisor_holes_exclude_zero():
     g = default_grammar((("x", INT),), INT)
-    got = enumerate_terms(g, "StartInt", 3, pool=[0, 1])
+    got = Enumerator(g, [0, 1]).enumerate("StartInt", 3)
     assert Apply("div", (Var("x"), Lit(1))) in got
     assert Apply("div", (Var("x"), Lit(0))) not in got
     assert Apply("*", (Var("x"), Lit(0))) in got  # only divisor slots filter
@@ -205,20 +203,20 @@ def test_counts_bound_enumeration_for_default_grammar():
 
 def test_min_sizes(lsz32):
     g = lsz32.unknowns["f"].grammar
-    assert min_derivable_size(g, "Start") == 1
+    assert g.min_sizes()["Start"] == 1
 
 
 def test_unproductive_nonterminal_reported_at_load(caplog):
     with caplog.at_level(logging.WARNING, logger="syguskit.grammar"):
         g = make_grammar("S", [("S", INT, [TApp("+", (TNT("S"), TNT("S")))])],
                          {})
-    assert min_derivable_size(g, "S") == math.inf
+    assert g.min_sizes()["S"] == math.inf
     assert any("derives no finite term" in r.message for r in caplog.records)
 
 
 def test_default_startbool_min_size():
     g = default_grammar((("x", INT),), INT)
-    assert min_derivable_size(g, "StartBool") == 1
+    assert g.min_sizes()["StartBool"] == 1
 
 
 def test_duplicate_productions_deduplicated_with_warning(caplog):

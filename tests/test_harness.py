@@ -3,6 +3,7 @@ import time
 import pytest
 
 import stub_suite
+from conftest import DATA, deep_problem
 from syguskit.cegis import Solved, TimedOut
 from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
                               aggregate, bucket, classify_suite,
@@ -58,6 +59,25 @@ def test_parse_failure_recorded_not_raised(tmp_path):
     rec = run_benchmark(bad, "stubA", LIMITS)
     assert rec.error is not None and "parse failure" in rec.error
     assert not rec.solved
+
+
+def test_deep_nesting_is_one_parse_failure_record(tmp_path, monkeypatch):
+    import syguskit.harness as harness
+    (tmp_path / "deep.sl").write_text(deep_problem(3000))
+    (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    records = []
+
+    def keep(recs, solver_ids):
+        records.extend(recs)
+        return aggregate(recs, solver_ids)
+
+    monkeypatch.setattr(harness, "aggregate", keep)
+    report = run_suite(tmp_path, ["enum"], LIMITS)
+    deep, max2 = sorted(records, key=lambda r: r.benchmark)
+    assert deep.error is not None and "parse failure" in deep.error
+    assert "nesting deeper than" in deep.error
+    assert max2.error is None and max2.solved
+    assert report.totals["enum"].solved == 1
 
 
 def test_sleep_forever_stub_times_out_within_two_seconds(tmp_path):

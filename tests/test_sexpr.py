@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from syguskit.sexpr import (BadToken, UnbalancedParens, print_sexpr,
-                            read_sexprs)
+from syguskit.sexpr import (MAX_DEPTH, BadToken, NestingTooDeep,
+                            UnbalancedParens, print_sexpr, read_sexprs)
 from syguskit.terms import BV
 
 
@@ -53,6 +53,15 @@ def test_unbalanced_close():
 def test_bad_tokens(bad):
     with pytest.raises(BadToken):
         read_sexprs(bad)
+
+
+def test_nesting_limit():
+    at_limit = "(" * MAX_DEPTH + ")" * MAX_DEPTH
+    e = read1(at_limit)
+    assert print_sexpr(e) == at_limit
+    with pytest.raises(NestingTooDeep) as err:
+        read_sexprs("(a " + at_limit + ")")
+    assert err.value.position == MAX_DEPTH + 2  # offset of the extra '('
 
 
 def test_print_atoms():

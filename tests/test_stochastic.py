@@ -131,3 +131,78 @@ def test_solves_bv_problem(lsz8_fixed):
     assert isinstance(out, Solved)
     assert check_semantic(lsz8_fixed, out.solution,
                           ExhaustiveSmall()) == Valid(False)
+
+
+# Terms printed by the sampler and a mutate walk for fixed seeds. Any change to
+# how sizes are split or how the rng is consulted shows here first; the
+# stochastic solver's run time depends on its exact random stream.
+PINNED_STREAMS = {
+    "default": ([
+        "(- (* 1 2) 1)",
+        "(* (- 2 (* 2 0)) 1)",
+        "(* -1 (- (* (* 2 0) 1) y))",
+        "(+ (+ -1 2) 2)",
+        "(+ (+ -1 2) (div 2 -1))",
+        "(+ (+ 2 (div 2 -1)) (div x 1))",
+        "(+ 0 (* 0 0))",
+        "(+ 0 (mod (* 0 0) 2))",
+        "(+ 0 (- y (* 0 (* 1 2))))",
+    ], [
+        "(- (+ 2 (mod x -1)) (div 0 2))",
+        "(- (+ 2 (mod 2 -1)) (div 0 2))",
+        "(- (+ 2 (- y 0)) (div 0 2))",
+        "(- (+ 2 (- y 0)) (div 2 2))",
+        "(- (+ 2 (- y 0)) (+ y -1))",
+        "(- (+ x (- y 0)) (+ y -1))",
+        "(- (+ x (- y 0)) (+ 2 -1))",
+        "(- (+ x (- y 2)) (+ 2 -1))",
+        "(- (+ x (mod 0 -1)) (+ 2 -1))",
+    ]),
+    "let": ([
+        "(let ((z 1)) (+ z z))",
+        "(+ (let ((z x)) (+ z z)) 1)",
+        "(+ (+ 1 (let ((z 1)) (+ z z))) 1)",
+        "(let ((z x)) (+ z z))",
+        "(+ (let ((z 1)) (+ z z)) x)",
+        "(+ (let ((z 1)) (+ z z)) (+ 1 1))",
+        "(let ((z x)) (+ z z))",
+        "(+ 1 (let ((z 1)) (+ z z)))",
+        "(+ 1 (+ (let ((z 1)) (+ z z)) x))",
+    ], [
+        "(+ (let ((z 1)) (+ z z)) (+ x x))",
+        "(+ (let ((z 1)) (+ z z)) (+ x 1))",
+        "(+ (let ((z x)) (+ z z)) (+ x 1))",
+        "(+ (let ((z x)) (+ z z)) (+ x 1))",
+        "(+ (let ((z 1)) (+ z z)) (+ x 1))",
+        "(+ (let ((z x)) (+ z z)) (+ x 1))",
+        "(+ (let ((z 1)) (+ z z)) (+ x 1))",
+        "(+ (let ((z 1)) (+ z z)) (+ x x))",
+        "(+ (let ((z 1)) (+ z z)) (+ x x))",
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", ["default", "let"])
+def test_sampler_random_stream_is_pinned(case):
+    from conftest import let_grammar
+    from syguskit.frontend import term_to_sexpr
+    from syguskit.sexpr import print_sexpr
+
+    def show(t):
+        return print_sexpr(term_to_sexpr(t))
+
+    if case == "default":
+        g = default_grammar((("x", INT), ("y", INT)), INT)
+        e, sizes = Enumerator(g, pool=[-1, 0, 1, 2]), (5, 7, 9)
+    else:
+        g = let_grammar()
+        e, sizes = Enumerator(g), (6, 8, 10)
+    samples = [show(e.sample(g.start, size, random.Random(seed)).term)
+               for seed in (0, 1, 2) for size in sizes]
+    rng = random.Random(3)
+    node = e.sample(g.start, sizes[-1], rng)
+    walk = [show(node.term)]
+    for _ in range(8):
+        node = mutate(node, e, rng)
+        walk.append(show(node.term))
+    assert (samples, walk) == PINNED_STREAMS[case]
