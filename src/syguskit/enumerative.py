@@ -27,8 +27,8 @@ from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
 from .frontend import SynthProblem
 from .grammar import (Enumerator, THole, TLet, TLit, TNT, TVar,
                       Template, assemble, compositions, walk_splits)
-from .terms import (Apply, DivisionByZero, FunDef, Let, Lit, Term, Value, Var,
-                    evaluate)
+from .terms import (OPS, Apply, DivisionByZero, FunDef, Let, Lit, Term,
+                    UndeclaredSymbol, Value, Var, evaluate)
 
 
 @dataclass
@@ -40,46 +40,48 @@ class EnumConfig:
     extra_pool: tuple[Value, ...] = ()
 
 
-def _apply_pointwise(op: str, sigs: Sequence[tuple],
-                     defs: Mapping[str, FunDef] = {}) -> tuple:
-    """Compose output vectors through one operator, with the evaluator's
-    laziness for ite/and/or/=> so untaken branches swallow errors."""
-    n = len(sigs[0]) if sigs else 0
+def _apply_pointwise(op: str, sigs: Sequence[tuple], n: int,
+                     defs: Mapping[str, FunDef]) -> tuple:
+    """Compose output vectors over n points through one operator, with the
+    evaluator's laziness for ite/and/or/=> so untaken branches swallow
+    errors."""
+    points = zip(*sigs) if sigs else [()] * n
+    if op == "ite":
+        return tuple(ERR if c is ERR else (a if c else b) for c, a, b in points)
+    if op in ("and", "or", "=>"):
+        return tuple(_connective(op, xs) for xs in points)
+    spec = OPS.get(op)
+    if spec is not None:
+        value = spec.value
+    else:
+        f = defs.get(op)
+
+        def value(*xs):  # a defined function such as qm
+            if f is None:
+                raise UndeclaredSymbol(op)
+            return evaluate(f.body, {name: x for (name, _), x
+                                     in zip(f.params, xs)}, defs)
     out = []
-    for i in range(n):
-        vals = [s[i] for s in sigs]
-        if op == "ite":
-            c = vals[0]
-            v = ERR if c is ERR else (vals[1] if c else vals[2])
-        elif op == "and":
-            v = True
-            for x in vals:
-                if x is ERR or x is False:
-                    v = x
-                    break
-        elif op == "or":
-            v = False
-            for x in vals:
-                if x is ERR or x is True:
-                    v = x
-                    break
-        elif op == "=>":
-            v = None
-            for x in vals[:-1]:
-                if x is ERR or x is False:
-                    v = ERR if x is ERR else True
-                    break
-            if v is None:
-                v = vals[-1]
-        elif any(x is ERR for x in vals):
-            v = ERR
-        else:
-            try:
-                v = evaluate(Apply(op, tuple(Lit(x) for x in vals)), {}, defs)
-            except DivisionByZero:
-                v = ERR
-        out.append(v)
+    for xs in points:
+        if any(x is ERR for x in xs):
+            out.append(ERR)
+            continue
+        try:
+            out.append(value(*xs))
+        except DivisionByZero:
+            out.append(ERR)
     return tuple(out)
+
+
+def _connective(op: str, xs: tuple):
+    """and/or/=> at one point: the first operand that settles the result
+    decides it, so an error there wins and an error after it is swallowed."""
+    if op == "and":
+        return next((x for x in xs if x is ERR or x is False), True)
+    if op == "or":
+        return next((x for x in xs if x is ERR or x is True), False)
+    x = next((x for x in xs[:-1] if x is ERR or x is False), None)
+    return xs[-1] if x is None else ERR if x is ERR else True
 
 
 class BudgetExpired(Exception):
@@ -163,7 +165,8 @@ class Bank:
                     yield term, combo[-1][1]
                 else:
                     yield term, _apply_pointwise(
-                        tpl.op, [sig for _, sig in combo], self.defs)
+                        tpl.op, [sig for _, sig in combo], len(self.bindings),
+                        self.defs)
 
 
 # ---------------------------------------------------------------------------

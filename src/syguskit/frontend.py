@@ -20,10 +20,11 @@ from typing import Mapping, Sequence
 
 from .grammar import (Grammar, Template, TApp, THole, TLet, TLit, TNT, TVar,
                       make_grammar)
-from .sexpr import BV, SExpr, print_sexpr, read_sexprs
-from .terms import (BOOL, INT, Apply, FunDef, FunSort, Lit, Sort,
+from .sexpr import BV, BadToken, SExpr, print_sexpr, read_sexprs
+from .terms import (BOOL, INT, OPS, Apply, FunDef, FunSort, Lit, Sort,
                     SortError, SygusError, Term, UndeclaredSymbol, Var,
-                    apply_fundef, bitvec, inline_defs, substitute)
+                    apply_fundef, apply_sort, bitvec, inline_defs,
+                    substitute)
 
 
 class UnknownCommand(SygusError):
@@ -144,9 +145,6 @@ def sort_to_sexpr(s: Sort) -> SExpr:
 # ---------------------------------------------------------------------------
 # Typed term construction
 
-from .terms import (BOOL_BIN, BOOL_NARY, BV_BIN, BV_CMP, BV_UN, INT_CMP,
-                    INT_DIV, INT_NARY)
-
 
 def _coercible(sort: Sort) -> bool:
     return sort == INT
@@ -249,55 +247,30 @@ def parse_term(sx: SExpr, variables: Mapping[str, Sort],
             body, bs = parse_term(sx[2], inner, funs, expected)
             return substitute(body, {n: d for n, d, _ in binds}), bs
 
-        def arity(lo, hi=None):
-            if len(raw) < lo or (hi is not None and len(raw) > hi):
+        spec = OPS.get(op)
+        if spec is not None:
+            if len(raw) < spec.lo or (spec.hi is not None and len(raw) > spec.hi):
                 raise SortError(f"{op} applied to {len(raw)} arguments: "
                                 + print_sexpr(sx))
-
-        if op in INT_NARY:
-            arity(1)
-            args = [go(a, INT)[0] for a in raw]
-            if op == "-" and len(args) == 1 and isinstance(args[0], Lit):
-                return _done(Lit(-args[0].value), INT, expected, sx)
-            return _done(Apply(op, tuple(args)), INT, expected, sx)
-        if op in INT_DIV:
-            arity(2, 2)
-            return _done(Apply(op, tuple(go(a, INT)[0] for a in raw)),
-                         INT, expected, sx)
-        if op in INT_CMP:
-            arity(2, 2)
-            return _done(Apply(op, tuple(go(a, INT)[0] for a in raw)),
-                         BOOL, expected, sx)
-        if op in BOOL_NARY or op == "=>" or op in BOOL_BIN or op == "not":
-            if op in BOOL_NARY:
-                arity(1)
-            elif op == "=>":
-                arity(2)
-            elif op == "not":
-                arity(1, 1)
-            else:
-                arity(2, 2)
-            return _done(Apply(op, tuple(go(a, BOOL)[0] for a in raw)),
-                         BOOL, expected, sx)
-        if op in BV_BIN or op in BV_UN or op in BV_CMP:
-            arity(1, 1) if op in BV_UN else arity(2, 2)
-            hint = expected if (expected is not None and expected.is_bv
-                                and op not in BV_CMP) else None
-            items = [(a, *go(a, None)) for a in raw]
-            args, w = unify_bv(items, hint)
-            out_sort = BOOL if op in BV_CMP else w
-            return _done(Apply(op, tuple(args)), out_sort, expected, sx)
-        if op == "=":
-            arity(2, 2)
-            ta, tb, _ = unify_pair((raw[0], *go(raw[0], None)),
-                                   (raw[1], *go(raw[1], None)))
-            return _done(Apply("=", (ta, tb)), BOOL, expected, sx)
-        if op == "ite":
-            arity(3, 3)
-            cond = go(raw[0], BOOL)[0]
-            ta, tb, s = unify_pair((raw[1], *go(raw[1], expected)),
-                                   (raw[2], *go(raw[2], None)))
-            return _done(Apply("ite", (cond, ta, tb)), s, expected, sx)
+            shared = spec.operand
+            if isinstance(shared, Sort):
+                args = [go(a, shared)[0] for a in raw]
+                if op == "-" and len(args) == 1 and isinstance(args[0], Lit):
+                    return _done(Lit(-args[0].value), INT, expected, sx)
+            elif shared == "bv":
+                hint = expected if (expected is not None and expected.is_bv
+                                    and spec.result is None) else None
+                args, shared = unify_bv([(a, *go(a, None)) for a in raw], hint)
+            elif shared == "same":
+                *args, shared = unify_pair((raw[0], *go(raw[0], None)),
+                                           (raw[1], *go(raw[1], None)))
+            else:  # ite
+                args = [go(raw[0], BOOL)[0]]
+                *branches, shared = unify_pair((raw[1], *go(raw[1], expected)),
+                                               (raw[2], *go(raw[2], None)))
+                args += branches
+            out = shared if spec.result is None else spec.result
+            return _done(Apply(op, tuple(args)), out, expected, sx)
 
         f = funs.get(op)
         if f is None:
@@ -397,47 +370,31 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
 
     raw = sx[1:]
     children = [parse_template(a, nts, params, funs, let_env, None) for a in raw]
-    if op in BV_BIN or op in BV_UN or op in BV_CMP:
+    spec = OPS.get(op)
+    shared = spec.operand if spec is not None else None
+    if shared == "bv":
         w = next((s for _, s in children if s.is_bv), None)
         if w is None and expected is not None and expected.is_bv \
-                and op not in BV_CMP:
+                and spec.result is None:
             w = expected
         if w is None:
             raise SortError(f"cannot determine width: {print_sexpr(sx)}")
-        fixed = []
-        for (tpl, s), a in zip(children, raw):
-            if s == INT:
-                tpl, s = parse_template(a, nts, params, funs, let_env, w)
-            if s != w:
-                raise SortError(f"operand widths differ in {print_sexpr(sx)}",
-                                expected=w, found=s)
-            fixed.append(tpl)
-        return done(TApp(op, tuple(fixed)),
-                    BOOL if op in BV_CMP else w)
-    if op in ("=", "ite"):
-        idx = (0, 1) if op == "=" else (1, 2)
-        a, b = children[idx[0]], children[idx[1]]
-        if a[1] != b[1]:
-            if a[1].is_bv and b[1] == INT:
-                children[idx[1]] = parse_template(raw[idx[1]], nts, params,
-                                                  funs, let_env, a[1])
-            elif b[1].is_bv and a[1] == INT:
-                children[idx[0]] = parse_template(raw[idx[0]], nts, params,
-                                                  funs, let_env, b[1])
-    tpl = TApp(op, tuple(t for t, _ in children))
-    return done(tpl, _template_result_sort(op, [s for _, s in children], funs, sx))
-
-
-def _template_result_sort(op: str, child_sorts: list[Sort],
-                          funs: Mapping[str, FunSort], sx: SExpr) -> Sort:
-    from .terms import infer_sort
-    ctx: dict[str, Sort | FunSort] = {f"·{i}": s for i, s in enumerate(child_sorts)}
-    ctx.update(funs)
-    probe = Apply(op, tuple(Var(f"·{i}") for i in range(len(child_sorts))))
+        children = [parse_template(a, nts, params, funs, let_env, w)
+                    if s == INT else (tpl, s)
+                    for (tpl, s), a in zip(children, raw)]
+    elif shared in ("same", "ite") and len(children) == spec.lo:
+        # at a wrong arity apply_sort below reports it
+        i, j = (0, 1) if shared == "same" else (1, 2)
+        (_, si), (_, sj) = children[i], children[j]
+        if si.is_bv and sj == INT:
+            children[j] = parse_template(raw[j], nts, params, funs, let_env, si)
+        elif sj.is_bv and si == INT:
+            children[i] = parse_template(raw[i], nts, params, funs, let_env, sj)
     try:
-        return infer_sort(probe, ctx)
+        s = apply_sort(op, [s for _, s in children], funs)
     except SortError as e:
         raise SortError(f"{e} in {print_sexpr(sx)}") from None
+    return done(TApp(op, tuple(t for t, _ in children)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +636,11 @@ def read_problem(text: str) -> SynthProblem:
 
 def load_problem(path) -> SynthProblem:
     with open(path, "r", encoding="utf-8") as fh:
-        return read_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise BadToken(f"{path}: not UTF-8 text", e.start) from None
+    return read_problem(text)
 
 
 # ---------------------------------------------------------------------------

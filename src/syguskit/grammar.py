@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .terms import (Apply, FunSort, Let, Lit, Sort, SortError, SygusError,
-                    Term, UndeclaredSymbol, Value, Var, infer_sort,
+                    Term, UndeclaredSymbol, Value, Var, apply_sort,
                     value_sort)
 
 log = logging.getLogger(__name__)
@@ -251,12 +251,8 @@ def check_template(tpl: Template, g: Grammar,
         for name, d in tpl.bindings:
             inner[name] = check_template(d, g, funs, let_env)
         return check_template(tpl.body, g, funs, inner)
-    # An application: type it by pretending each child is a variable of its sort.
-    child_sorts = [check_template(c, g, funs, let_env) for c in tpl.children]
-    ctx: dict[str, Sort | FunSort] = {f"·{i}": s for i, s in enumerate(child_sorts)}
-    ctx.update(funs)
-    probe = Apply(tpl.op, tuple(Var(f"·{i}") for i in range(len(child_sorts))))
-    return infer_sort(probe, ctx)
+    return apply_sort(tpl.op, [check_template(c, g, funs, let_env)
+                               for c in tpl.children], funs)
 
 
 def make_grammar(start: str, rules: Sequence[tuple[str, Sort, Sequence[Template]]],

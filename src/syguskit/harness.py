@@ -39,6 +39,10 @@ class EmptySuite(SygusError):
     pass
 
 
+class UnknownSolver(SygusError):
+    pass
+
+
 @dataclass(frozen=True)
 class RunLimits:
     wallclock_s: float = 3600.0
@@ -236,6 +240,9 @@ def aggregate(records: Sequence[RunRecord],
 def run_suite(directory, solver_ids: Sequence[str], limits: RunLimits,
               parallelism: int = 1,
               check: CheckStrategy | None = None) -> SuiteReport:
+    unknown = [sid for sid in solver_ids if sid not in SOLVERS]
+    if unknown:
+        raise UnknownSolver(f"unknown solver id: {', '.join(unknown)}")
     root = Path(directory)
     paths = sorted(root.rglob("*.sl"))
     if not paths:

@@ -4,13 +4,21 @@ Terms are immutable and hashable; structural equality is the only equality.
 Evaluation follows SMT-LIB semantics: Euclidean integer div/mod, total
 bit-vector division (udiv by zero = all ones, urem by zero = dividend),
 shifts saturating at the width, and lazy ite/and/or/=>.
+
+`OPS` is the one place a built-in operator is described: its least and
+greatest arity, its operand and result sorts and its value function.
+`apply_sort` types an application from it (for `infer_sort`, the grammar's
+template check and the frontend), `evaluate` and the enumerator's bank
+compute values with it; only the lazy ite/and/or/=> are evaluated in place.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 
 class SygusError(Exception):
@@ -201,24 +209,152 @@ def subterms(t: Term) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 # Operator table
 
-INT_NARY = {"+", "-", "*"}          # arity >= 1; unary "-" is negation
-INT_DIV = {"div", "mod"}
-INT_CMP = {"<", "<=", ">", ">="}
-BOOL_NARY = {"and", "or"}           # arity >= 1 (the max2 listing has a 1-ary or)
-BOOL_BIN = {"xor", "xnor", "nand", "nor", "iff"}
-# bvshr: legacy spelling of logical shift right found in older files.
-BV_BIN = {"bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvmul", "bvudiv",
-          "bvurem", "bvsdiv", "bvsrem", "bvshl", "bvlshr", "bvshr", "bvashr"}
-BV_UN = {"bvnot", "bvneg"}
-BV_CMP = {"bvult", "bvule", "bvugt", "bvuge", "bvslt", "bvsle", "bvsgt", "bvsge"}
 
-OPERATORS = (INT_NARY | INT_DIV | INT_CMP | BOOL_NARY | BOOL_BIN
-             | BV_BIN | BV_UN | BV_CMP | {"=>", "not", "=", "ite", "true", "false"})
+def euclidean_div(x: int, d: int) -> int:
+    if d == 0:
+        raise DivisionByZero("div by zero")
+    r = x % abs(d)
+    return (x - r) // d
 
 
-def _check_arity(op: str, n: int, lo: int, hi: int | None, term=None):
-    if n < lo or (hi is not None and n > hi):
-        raise SortError(f"{op} applied to {n} arguments", term=term)
+def euclidean_mod(x: int, d: int) -> int:
+    if d == 0:
+        raise DivisionByZero("mod by zero")
+    return x % abs(d)
+
+
+def _bv_sdiv(a: BV, b: BV) -> BV:
+    # unsigned division of the magnitudes, then the sign
+    ua, ub = abs(a.signed), abs(b.signed)
+    q = a.mask if ub == 0 else ua // ub
+    return BV(a.width, -q if (a.signed < 0) != (b.signed < 0) else q)
+
+
+def _bv_srem(a: BV, b: BV) -> BV:
+    ua, ub = abs(a.signed), abs(b.signed)
+    r = ua if ub == 0 else ua % ub
+    return BV(a.width, -r if a.signed < 0 else r)
+
+
+def _bv_lshr(a: BV, b: BV) -> BV:
+    return BV(a.width, 0 if b.value >= a.width else a.value >> b.value)
+
+
+def _bv_ashr(a: BV, b: BV) -> BV:
+    if b.value >= a.width:
+        return BV(a.width, a.mask if a.signed < 0 else 0)
+    return BV(a.width, a.signed >> b.value)
+
+
+@dataclass(frozen=True)
+class Op:
+    """One built-in operator.
+
+    operand is INT, BOOL, "bv" (one bit-vector sort shared by every
+    operand), "same" (one sort shared by both operands) or "ite" (a Bool
+    condition, then two branches of one sort); result None means the shared
+    operand sort (the branch sort for ite). value maps operand values to the
+    result; it is None for the lazy ite/and/or/=>, which callers evaluate
+    in place."""
+
+    lo: int                                 # least arity
+    hi: int | None                          # greatest arity; None: unbounded
+    operand: Sort | str
+    result: Sort | None
+    value: Callable[..., Value] | None
+
+
+OPS: dict[str, Op] = {
+    # Int; "-" with one operand is negation
+    "+": Op(1, None, INT, INT, lambda *xs: sum(xs)),
+    "-": Op(1, None, INT, INT, lambda x, *ys: x - sum(ys) if ys else -x),
+    "*": Op(1, None, INT, INT, lambda *xs: math.prod(xs)),
+    "div": Op(2, 2, INT, INT, euclidean_div),
+    "mod": Op(2, 2, INT, INT, euclidean_mod),
+    "<": Op(2, 2, INT, BOOL, operator.lt),
+    "<=": Op(2, 2, INT, BOOL, operator.le),
+    ">": Op(2, 2, INT, BOOL, operator.gt),
+    ">=": Op(2, 2, INT, BOOL, operator.ge),
+    # Bool; arity >= 1 (the max2 listing has a 1-ary or); => is
+    # right-associative
+    "and": Op(1, None, BOOL, BOOL, None),
+    "or": Op(1, None, BOOL, BOOL, None),
+    "=>": Op(2, None, BOOL, BOOL, None),
+    "not": Op(1, 1, BOOL, BOOL, operator.not_),
+    "xor": Op(2, 2, BOOL, BOOL, operator.ne),
+    "xnor": Op(2, 2, BOOL, BOOL, operator.eq),
+    "iff": Op(2, 2, BOOL, BOOL, operator.eq),
+    "nand": Op(2, 2, BOOL, BOOL, lambda a, b: not (a and b)),
+    "nor": Op(2, 2, BOOL, BOOL, lambda a, b: not (a or b)),
+    "=": Op(2, 2, "same", BOOL, operator.eq),
+    "ite": Op(3, 3, "ite", None, None),
+    # BitVec: every operand of one width
+    "bvnot": Op(1, 1, "bv", None, lambda a: BV(a.width, a.value ^ a.mask)),
+    "bvneg": Op(1, 1, "bv", None, lambda a: BV(a.width, -a.value)),
+    "bvand": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value & b.value)),
+    "bvor": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value | b.value)),
+    "bvxor": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value ^ b.value)),
+    "bvadd": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value + b.value)),
+    "bvsub": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value - b.value)),
+    "bvmul": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value * b.value)),
+    # division by zero is total: udiv gives all ones, urem the dividend
+    "bvudiv": Op(2, 2, "bv", None, lambda a, b: BV(
+        a.width, a.mask if b.value == 0 else a.value // b.value)),
+    "bvurem": Op(2, 2, "bv", None, lambda a, b: BV(
+        a.width, a.value if b.value == 0 else a.value % b.value)),
+    "bvsdiv": Op(2, 2, "bv", None, _bv_sdiv),
+    "bvsrem": Op(2, 2, "bv", None, _bv_srem),
+    # shifts saturate at the width; bvshr is a legacy spelling of bvlshr
+    "bvshl": Op(2, 2, "bv", None, lambda a, b: BV(
+        a.width, 0 if b.value >= a.width else a.value << b.value)),
+    "bvlshr": Op(2, 2, "bv", None, _bv_lshr),
+    "bvshr": Op(2, 2, "bv", None, _bv_lshr),
+    "bvashr": Op(2, 2, "bv", None, _bv_ashr),
+    "bvult": Op(2, 2, "bv", BOOL, lambda a, b: a.value < b.value),
+    "bvule": Op(2, 2, "bv", BOOL, lambda a, b: a.value <= b.value),
+    "bvugt": Op(2, 2, "bv", BOOL, lambda a, b: a.value > b.value),
+    "bvuge": Op(2, 2, "bv", BOOL, lambda a, b: a.value >= b.value),
+    "bvslt": Op(2, 2, "bv", BOOL, lambda a, b: a.signed < b.signed),
+    "bvsle": Op(2, 2, "bv", BOOL, lambda a, b: a.signed <= b.signed),
+    "bvsgt": Op(2, 2, "bv", BOOL, lambda a, b: a.signed > b.signed),
+    "bvsge": Op(2, 2, "bv", BOOL, lambda a, b: a.signed >= b.signed),
+}
+
+
+def apply_sort(op: str, sorts: Sequence[Sort],
+               funs: Mapping[str, Sort | FunSort], term=None) -> Sort:
+    """Result sort of op applied to operands of the given sorts; funs gives
+    the signatures of the functions outside OPS."""
+    spec = OPS.get(op)
+    if spec is None:
+        sig = funs.get(op)
+        if not isinstance(sig, FunSort):
+            raise UndeclaredSymbol(op)
+        if len(sorts) != len(sig.params):
+            raise SortError(f"{op} expects {len(sig.params)} arguments, "
+                            f"got {len(sorts)}", term=term)
+        for s, want in zip(sorts, sig.params):
+            if s != want:
+                raise SortError(f"argument of {op} has wrong sort", term=term,
+                                expected=want, found=s)
+        return sig.ret
+    if len(sorts) < spec.lo or (spec.hi is not None and len(sorts) > spec.hi):
+        raise SortError(f"{op} applied to {len(sorts)} arguments", term=term)
+    shared = spec.operand
+    if shared == "ite":
+        if sorts[0] != BOOL:
+            raise SortError("ite condition must be Bool", term=term,
+                            expected=BOOL, found=sorts[0])
+        sorts = sorts[1:]
+    elif shared == "bv" and not sorts[0].is_bv:
+        raise SortError(f"{op} expects bit-vectors", term=term, found=sorts[0])
+    if isinstance(shared, str):
+        shared = sorts[0]
+    for s in sorts:
+        if s != shared:
+            raise SortError(f"{op} expects {shared}, got {s}", term=term,
+                            expected=shared, found=s)
+    return shared if spec.result is None else spec.result
 
 
 def infer_sort(t: Term, ctx: Mapping[str, Sort | FunSort]) -> Sort:
@@ -237,124 +373,11 @@ def infer_sort(t: Term, ctx: Mapping[str, Sort | FunSort]) -> Sort:
         for name, d in t.bindings:
             inner[name] = infer_sort(d, ctx)
         return infer_sort(t.body, inner)
-
-    op, args = t.op, t.args
-    sorts = None
-
-    def arg_sorts():
-        nonlocal sorts
-        if sorts is None:
-            sorts = [infer_sort(a, ctx) for a in args]
-        return sorts
-
-    def require(sort: Sort):
-        for a, s in zip(args, arg_sorts()):
-            if s != sort:
-                raise SortError(f"{op} expects {sort}", term=a, expected=sort, found=s)
-
-    def require_bv() -> Sort:
-        ss = arg_sorts()
-        if not ss[0].is_bv:
-            raise SortError(f"{op} expects bit-vectors", term=args[0],
-                            found=ss[0])
-        for a, s in zip(args, ss):
-            if s != ss[0]:
-                raise SortError(f"{op} operand widths differ", term=a,
-                                expected=ss[0], found=s)
-        return ss[0]
-
-    if op in INT_NARY:
-        _check_arity(op, len(args), 1, None, t)
-        require(INT)
-        return INT
-    if op in INT_DIV:
-        _check_arity(op, len(args), 2, 2, t)
-        require(INT)
-        return INT
-    if op in INT_CMP:
-        _check_arity(op, len(args), 2, 2, t)
-        require(INT)
-        return BOOL
-    if op in BOOL_NARY:
-        _check_arity(op, len(args), 1, None, t)
-        require(BOOL)
-        return BOOL
-    if op == "=>":
-        _check_arity(op, len(args), 2, None, t)
-        require(BOOL)
-        return BOOL
-    if op in BOOL_BIN:
-        _check_arity(op, len(args), 2, 2, t)
-        require(BOOL)
-        return BOOL
-    if op == "not":
-        _check_arity(op, len(args), 1, 1, t)
-        require(BOOL)
-        return BOOL
-    if op == "=":
-        _check_arity(op, len(args), 2, 2, t)
-        ss = arg_sorts()
-        if ss[0] != ss[1]:
-            raise SortError("= operand sorts differ", term=t,
-                            expected=ss[0], found=ss[1])
-        return BOOL
-    if op == "ite":
-        _check_arity(op, len(args), 3, 3, t)
-        ss = arg_sorts()
-        if ss[0] != BOOL:
-            raise SortError("ite condition must be Bool", term=args[0],
-                            expected=BOOL, found=ss[0])
-        if ss[1] != ss[2]:
-            raise SortError("ite branch sorts differ", term=t,
-                            expected=ss[1], found=ss[2])
-        return ss[1]
-    if op in BV_BIN:
-        _check_arity(op, len(args), 2, 2, t)
-        return require_bv()
-    if op in BV_UN:
-        _check_arity(op, len(args), 1, 1, t)
-        return require_bv()
-    if op in BV_CMP:
-        _check_arity(op, len(args), 2, 2, t)
-        require_bv()
-        return BOOL
-
-    sig = ctx.get(op)
-    if isinstance(sig, FunSort):
-        if len(args) != len(sig.params):
-            raise SortError(f"{op} expects {len(sig.params)} arguments, got {len(args)}",
-                            term=t)
-        for a, s, want in zip(args, arg_sorts(), sig.params):
-            if s != want:
-                raise SortError(f"argument of {op} has wrong sort", term=a,
-                                expected=want, found=s)
-        return sig.ret
-    raise UndeclaredSymbol(op)
+    return apply_sort(t.op, [infer_sort(a, ctx) for a in t.args], ctx, t)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-def euclidean_div(x: int, d: int) -> int:
-    if d == 0:
-        raise DivisionByZero("div by zero")
-    r = x % abs(d)
-    return (x - r) // d
-
-
-def euclidean_mod(x: int, d: int) -> int:
-    if d == 0:
-        raise DivisionByZero("mod by zero")
-    return x % abs(d)
-
-
-def _bv_udiv(a: int, b: int, mask: int) -> int:
-    return mask if b == 0 else a // b
-
-
-def _bv_urem(a: int, b: int) -> int:
-    return a if b == 0 else a % b
 
 
 def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) -> Value:
@@ -392,108 +415,11 @@ def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) ->
                 if not ev(a, env):
                     return True
             return bool(ev(args[-1], env))
-        if op == "not":
-            return not ev(args[0], env)
 
         xs = [ev(a, env) for a in args]
-        if op == "+":
-            return sum(xs)
-        if op == "-":
-            if len(xs) == 1:
-                return -xs[0]
-            acc = xs[0]
-            for x in xs[1:]:
-                acc -= x
-            return acc
-        if op == "*":
-            acc = 1
-            for x in xs:
-                acc *= x
-            return acc
-        if op == "div":
-            return euclidean_div(xs[0], xs[1])
-        if op == "mod":
-            return euclidean_mod(xs[0], xs[1])
-        if op == "<":
-            return xs[0] < xs[1]
-        if op == "<=":
-            return xs[0] <= xs[1]
-        if op == ">":
-            return xs[0] > xs[1]
-        if op == ">=":
-            return xs[0] >= xs[1]
-        if op == "=":
-            return xs[0] == xs[1]
-        if op == "xor":
-            return xs[0] != xs[1]
-        if op in ("xnor", "iff"):
-            return xs[0] == xs[1]
-        if op == "nand":
-            return not (xs[0] and xs[1])
-        if op == "nor":
-            return not (xs[0] or xs[1])
-
-        if op in BV_UN or op in BV_BIN or op in BV_CMP:
-            a = xs[0]
-            w, mask = a.width, a.mask
-            if op == "bvnot":
-                return BV(w, a.value ^ mask)
-            if op == "bvneg":
-                return BV(w, -a.value)
-            b = xs[1]
-            if op == "bvand":
-                return BV(w, a.value & b.value)
-            if op == "bvor":
-                return BV(w, a.value | b.value)
-            if op == "bvxor":
-                return BV(w, a.value ^ b.value)
-            if op == "bvadd":
-                return BV(w, a.value + b.value)
-            if op == "bvsub":
-                return BV(w, a.value - b.value)
-            if op == "bvmul":
-                return BV(w, a.value * b.value)
-            if op == "bvudiv":
-                return BV(w, _bv_udiv(a.value, b.value, mask))
-            if op == "bvurem":
-                return BV(w, _bv_urem(a.value, b.value))
-            if op == "bvsdiv":
-                neg_a, neg_b = a.signed < 0, b.signed < 0
-                ua = (-a.value) & mask if neg_a else a.value
-                ub = (-b.value) & mask if neg_b else b.value
-                q = _bv_udiv(ua, ub, mask)
-                return BV(w, -q if neg_a != neg_b else q)
-            if op == "bvsrem":
-                neg_a, neg_b = a.signed < 0, b.signed < 0
-                ua = (-a.value) & mask if neg_a else a.value
-                ub = (-b.value) & mask if neg_b else b.value
-                r = _bv_urem(ua, ub)
-                return BV(w, -r if neg_a else r)
-            if op == "bvshl":
-                return BV(w, 0 if b.value >= w else a.value << b.value)
-            if op in ("bvlshr", "bvshr"):
-                return BV(w, 0 if b.value >= w else a.value >> b.value)
-            if op == "bvashr":
-                if b.value >= w:
-                    return BV(w, mask if a.signed < 0 else 0)
-                return BV(w, a.signed >> b.value)
-            if op == "bvult":
-                return a.value < b.value
-            if op == "bvule":
-                return a.value <= b.value
-            if op == "bvugt":
-                return a.value > b.value
-            if op == "bvuge":
-                return a.value >= b.value
-            if op == "bvslt":
-                return a.signed < b.signed
-            if op == "bvsle":
-                return a.signed <= b.signed
-            if op == "bvsgt":
-                return a.signed > b.signed
-            if op == "bvsge":
-                return a.signed >= b.signed
-
+        spec = OPS.get(op)
+        if spec is not None:
+            return spec.value(*xs)
         f = defs.get(op)
         if f is not None:
             bound = {name: x for (name, _), x in zip(f.params, xs)}

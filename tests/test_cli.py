@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import DATA, deep_problem, fake_solver_script
 from syguskit.sexpr import MAX_DEPTH
 
@@ -138,6 +140,27 @@ def test_bench_writes_report(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "enum: solved 1" in r.stdout
     assert out.read_text().splitlines()[1].startswith("cat,")
+
+
+def test_bench_unknown_solver_is_an_input_error(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    r = cli("bench", str(suite), "--solvers", "enum,nosuch", "--timeout", "30")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "error: unknown solver id: nosuch" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_run_suite_checks_solver_ids_before_running(tmp_path, monkeypatch):
+    from syguskit import harness
+    (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    ran = []
+    monkeypatch.setattr(harness, "run_benchmark", lambda *a, **k: ran.append(a))
+    with pytest.raises(harness.UnknownSolver, match="nosuch"):
+        harness.run_suite(tmp_path, ["enum", "nosuch"], harness.RunLimits())
+    assert ran == []
 
 
 def test_classify_prints_table():

@@ -9,7 +9,7 @@ from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
                               check_syntactic)
 from syguskit.enumerative import Bank, EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
-from syguskit.terms import BV, INT, Apply, Lit, Var
+from syguskit.terms import BV, INT, Apply, FunDef, FunSort, Lit, Var
 
 EX8 = ExhaustiveSmall()
 
@@ -98,26 +98,65 @@ def test_grow_lsz_size_two(lsz32):
     assert len(banks0["Start"][2]) == 1
 
 
-@pytest.mark.parametrize("case", ["qm_loop", "let"])
+SEVEN = FunDef("seven", (), INT, Lit(7))
+
+
+def div_grammar():
+    """S over x and (seven) with +, div and mod by a nonterminal of the
+    literals 0 and 2, and ite over B, whose comparisons are joined by
+    and/or/=>."""
+    from syguskit.grammar import TApp, TLit, TNT, TVar, make_grammar
+    from syguskit.terms import BOOL
+    s, d, b = TNT("S"), TNT("D"), TNT("B")
+    return make_grammar("S", [
+        ("S", INT, [TVar("x"), TApp("seven", ()), TApp("+", (s, s)),
+                    TApp("div", (s, d)), TApp("mod", (s, d)),
+                    TApp("ite", (b, s, s))]),
+        ("D", INT, [TLit(0), TLit(2)]),
+        ("B", BOOL, [TApp("<", (s, s)), TApp("and", (b, b)),
+                     TApp("or", (b, b)), TApp("=>", (b, b))])], {"x": INT},
+        {"seven": FunSort((), INT)})
+
+
+@pytest.mark.parametrize("case", ["qm_loop", "let", "div", "hd17_w8"])
 def test_unpruned_grow_matches_enumeration(case):
     from syguskit.grammar import Enumerator
-    from syguskit.terms import evaluate
+    bindings = [{"x": v} for v in (-2, 0, 3)]
     if case == "qm_loop":
         p = load("qm_loop_1.sl")
         g, defs, limit = p.unknowns["qm-loop"].grammar, p.defined_funs, 5
-    else:
+    elif case == "let":
         # one-binding lets at sizes 6, 8, 10, 11 and 12; two-binding ones at
         # 10 and 12, where their bindings' sizes split three ways
         g, defs, limit = let_grammar(), {}, 12
-    bindings = [{"x": v} for v in (-2, 0, 3)]
+    elif case == "div":
+        # a literal 0 divisor is kept by both, so banks hold error tokens;
+        # size 9 has and/or/=> with an erring operand before and after the
+        # one that settles them; (seven) is a nullary defined function
+        g, defs, limit = div_grammar(), {"seven": SEVEN}, 9
+        bindings = [{"x": v} for v in (-2, 0, 9)]
+    else:
+        g, defs, limit = load("hd17_w8.sl").unknowns["f"].grammar, {}, 7
+        bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
     banks = grow(g, bindings, pool=[], size_limit=limit, prune=False,
                  defs=defs)
     e = Enumerator(g)
-    for size in range(1, limit + 1):
-        entries = banks[g.start].get(size, [])
-        assert [t for t, _ in entries] == list(e.enumerate(g.start, size))
-        for t, sig in entries:
-            assert sig == tuple(evaluate(t, b, defs) for b in bindings), t
+    for nt in g.rules:
+        for size in range(1, limit + 1):
+            entries = banks[nt].get(size, [])
+            assert [t for t, _ in entries] == list(e.enumerate(nt, size))
+            for t, sig in entries:
+                assert sig == signature(t, bindings, defs), t
+    if case == "div":
+        kept = dict(pair for by_size in banks["B"].values() for pair in by_size)
+        ctx, funs = {"x": INT}, {"seven": FunSort((), INT)}
+        assert kept[term("(< (div x 0) seven)", ctx, funs)] == (ERR, ERR, ERR)
+        assert kept[term("(and (< x seven) (< (div x 0) x))", ctx, funs)] == \
+            (ERR, ERR, False)
+        assert kept[term("(or (< x seven) (< (div x 0) x))", ctx, funs)] == \
+            (True, True, ERR)
+        assert kept[term("(=> (< seven x) (< (div x 0) x))", ctx, funs)] == \
+            (True, True, ERR)
 
 
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):

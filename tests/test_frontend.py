@@ -96,6 +96,16 @@ def test_oversized_literal_rejected_in_bv_context():
         term("(bvand x 300)", {"x": bitvec(8)})
 
 
+@pytest.mark.parametrize("production", ["(=)", "(= x)", "(ite B)", "(ite B x)"])
+def test_short_equality_or_ite_production_is_sort_error(production):
+    # too few operands is a sort error, not an index past the operands
+    text = ("(set-logic LIA)(synth-fun f ((x Int)) Int "
+            f"((S Int (x {production})) (B Bool (true))))"
+            "(declare-var x Int)(constraint (= (f x) x))(check-synth)")
+    with pytest.raises(SortError):
+        read_problem(text)
+
+
 # ---------------------------------------------------------------------------
 # round-trips
 

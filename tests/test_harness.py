@@ -61,9 +61,11 @@ def test_parse_failure_recorded_not_raised(tmp_path):
     assert not rec.solved
 
 
-def test_deep_nesting_is_one_parse_failure_record(tmp_path, monkeypatch):
+def _records_beside_max2(tmp_path, monkeypatch, name: str, data: bytes):
+    """The enum records of a suite run over max2.sl and a file `name`
+    holding `data`, sorted by path."""
     import syguskit.harness as harness
-    (tmp_path / "deep.sl").write_text(deep_problem(3000))
+    (tmp_path / name).write_bytes(data)
     (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())
     records = []
 
@@ -73,11 +75,24 @@ def test_deep_nesting_is_one_parse_failure_record(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "aggregate", keep)
     report = run_suite(tmp_path, ["enum"], LIMITS)
-    deep, max2 = sorted(records, key=lambda r: r.benchmark)
+    assert report.totals["enum"].solved == 1
+    return sorted(records, key=lambda r: r.benchmark)
+
+
+def test_deep_nesting_is_one_parse_failure_record(tmp_path, monkeypatch):
+    deep, max2 = _records_beside_max2(tmp_path, monkeypatch, "deep.sl",
+                                      deep_problem(3000).encode())
     assert deep.error is not None and "parse failure" in deep.error
     assert "nesting deeper than" in deep.error
     assert max2.error is None and max2.solved
-    assert report.totals["enum"].solved == 1
+
+
+def test_non_utf8_file_is_one_parse_failure_record(tmp_path, monkeypatch):
+    raw, max2 = _records_beside_max2(tmp_path, monkeypatch, "bytes.sl",
+                                     b"\xff\xfe(set-logic LIA)\n")
+    assert raw.error is not None and "parse failure" in raw.error
+    assert "not UTF-8" in raw.error
+    assert max2.error is None and max2.solved
 
 
 def test_sleep_forever_stub_times_out_within_two_seconds(tmp_path):

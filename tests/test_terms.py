@@ -5,10 +5,11 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from conftest import term
-from syguskit.terms import (BOOL, BV, INT, Apply, DivisionByZero, FunDef,
-                            FunSort, Let, Lit, SortError, UndeclaredSymbol,
-                            Var, bitvec, evaluate, free_vars, infer_sort,
-                            substitute, substitute_unknowns, term_size)
+from syguskit.terms import (BOOL, BV, INT, OPS, Apply, DivisionByZero,
+                            FunDef, FunSort, Let, Lit, SortError,
+                            UndeclaredSymbol, Var, bitvec, evaluate,
+                            free_vars, infer_sort, substitute,
+                            substitute_unknowns, term_size, value_sort)
 
 BV32 = bitvec(32)
 
@@ -165,6 +166,91 @@ def test_bv_results_stay_in_range(op, w, a, b):
     out = evaluate(Apply(op, (Lit(BV(w, a)), Lit(BV(w, b)))), {})
     assert 0 <= out.value < (1 << w)
     assert out.width == w
+
+
+def b8(v: int) -> BV:
+    return BV(8, v)
+
+
+def rows(operands, *values):
+    return list(zip(operands, values))
+
+
+F, T = False, True
+BOOLS = [(F, F), (F, T), (T, F), (T, T)]
+INTS = [(1, 2), (2, 2), (3, 2)]
+# unsigned and signed order disagree on the first and third pair only
+BVS = [(b8(0x7f), b8(0x80)), (b8(0x80), b8(0x80)), (b8(0x80), b8(0x7f)),
+       (b8(0x01), b8(0x02))]
+
+# operands -> value for every entry of OPS; bit-vector rows at width 8, at
+# the signed edge 0x7f/0x80 (or -1 = 0xff) wherever the sign matters
+OP_ROWS = {
+    "+": [((1, 2, 3), 6), ((-4,), -4)],
+    "-": [((5,), -5), ((5, 7, 1), -3)],
+    "*": [((-3, 4), -12), ((2, 3, 4), 24)],
+    "div": [((-7, 2), -4), ((7, -2), -3)],
+    "mod": [((-7, 2), 1), ((-7, -2), 1)],
+    "<": rows(INTS, T, F, F),
+    "<=": rows(INTS, T, T, F),
+    ">": rows(INTS, F, F, T),
+    ">=": rows(INTS, F, T, T),
+    "and": rows(BOOLS, F, F, F, T) + [((T, T, F), F)],
+    "or": rows(BOOLS, F, T, T, T) + [((F, F, T), T)],
+    "=>": rows(BOOLS, T, T, F, T) + [((T, T, F), F), ((T, F, F), T)],
+    "not": [((T,), F), ((F,), T)],
+    "xor": rows(BOOLS, F, T, T, F),
+    "xnor": rows(BOOLS, T, F, F, T),
+    "iff": rows(BOOLS, T, F, F, T),
+    "nand": rows(BOOLS, T, T, T, F),
+    "nor": rows(BOOLS, T, F, F, F),
+    "=": [((3, 3), True), ((b8(0x7f), b8(0x80)), False)],
+    "ite": [((True, 1, 2), 1), ((False, b8(1), b8(2)), b8(2))],
+    "bvnot": [((b8(0x0f),), b8(0xf0))],
+    "bvneg": [((b8(0x80),), b8(0x80)), ((b8(0x01),), b8(0xff))],
+    "bvand": [((b8(0xcc), b8(0xaa)), b8(0x88))],
+    "bvor": [((b8(0xcc), b8(0xaa)), b8(0xee))],
+    "bvxor": [((b8(0xcc), b8(0xaa)), b8(0x66))],
+    "bvadd": [((b8(0xff), b8(0x02)), b8(0x01)), ((b8(0x7f), b8(0x01)), b8(0x80))],
+    "bvsub": [((b8(0x00), b8(0x01)), b8(0xff)), ((b8(0x80), b8(0x01)), b8(0x7f))],
+    "bvmul": [((b8(0x10), b8(0x11)), b8(0x10))],
+    "bvudiv": [((b8(0xff), b8(0x02)), b8(0x7f)), ((b8(0x07), b8(0x00)), b8(0xff))],
+    "bvurem": [((b8(0xff), b8(0x10)), b8(0x0f)), ((b8(0x07), b8(0x00)), b8(0x07))],
+    "bvsdiv": [((b8(0xf9), b8(0x02)), b8(0xfd)), ((b8(0x80), b8(0xff)), b8(0x80)),
+               ((b8(0xf9), b8(0x00)), b8(0x01)), ((b8(0x07), b8(0x00)), b8(0xff))],
+    "bvsrem": [((b8(0xf9), b8(0x02)), b8(0xff)), ((b8(0x07), b8(0xfe)), b8(0x01)),
+               ((b8(0xf9), b8(0x00)), b8(0xf9))],
+    "bvshl": [((b8(0x81), b8(0x01)), b8(0x02)), ((b8(0x01), b8(0x08)), b8(0x00))],
+    "bvlshr": [((b8(0x80), b8(0x07)), b8(0x01)), ((b8(0xff), b8(0x08)), b8(0x00))],
+    "bvshr": [((b8(0x80), b8(0x01)), b8(0x40)), ((b8(0xff), b8(0x09)), b8(0x00))],
+    "bvashr": [((b8(0x80), b8(0x01)), b8(0xc0)), ((b8(0x80), b8(0x09)), b8(0xff)),
+               ((b8(0x40), b8(0x08)), b8(0x00))],
+    "bvult": rows(BVS, T, F, F, T),
+    "bvule": rows(BVS, T, T, F, T),
+    "bvugt": rows(BVS, F, F, T, F),
+    "bvuge": rows(BVS, F, T, T, F),
+    "bvslt": rows(BVS, F, F, T, T),
+    "bvsle": rows(BVS, F, T, T, T),
+    "bvsgt": rows(BVS, T, F, F, F),
+    "bvsge": rows(BVS, T, T, F, F),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_operator_table_entry(op):
+    spec = OPS[op]
+    for xs, want in OP_ROWS[op]:
+        t = Apply(op, tuple(Lit(x) for x in xs))
+        assert infer_sort(t, {}) == value_sort(want), (op, xs)
+        got = evaluate(t, {})
+        assert got == want and type(got) is type(want), (op, xs, got)
+    xs = OP_ROWS[op][0][0]
+    outside = [xs[:spec.lo - 1]]
+    if spec.hi is not None:
+        outside.append(xs + (xs[-1],) * (spec.hi + 1 - len(xs)))
+    for args in outside:
+        with pytest.raises(SortError):
+            infer_sort(Apply(op, tuple(Lit(x) for x in args)), {})
 
 
 # ---------------------------------------------------------------------------
