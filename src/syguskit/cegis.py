@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 from .checker import falsified
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, Apply, DivisionByZero, FunDef, Term, Value,
-                    evaluate)
+from .terms import (BV, Apply, DivisionByZero, FunDef, Lit, Term, Value,
+                    evaluate, subterms)
 
 
 @dataclass
@@ -99,27 +99,13 @@ def make_solution(p: SynthProblem, bodies: Mapping[str, Term]) -> CandidateSolut
 # Constant pool (the "(Constant Int)" gap)
 
 
-def _literal_values(t: Term, out: dict[Value, None]):
-    from .terms import Apply as A, Let as L, Lit
-    if isinstance(t, Lit):
-        if not isinstance(t.value, bool):
-            out[t.value] = None
-    elif isinstance(t, A):
-        for a in t.args:
-            _literal_values(a, out)
-    elif isinstance(t, L):
-        for _, d in t.bindings:
-            _literal_values(d, out)
-        _literal_values(t.body, out)
-
-
 def base_constant_pool(p: SynthProblem) -> tuple[Value, ...]:
     """Integer (and bit-vector) literals of the problem text plus {-1, 0, 1, 2}."""
     found: dict[Value, None] = {}
-    for c in p.constraints:
-        _literal_values(c, found)
-    for f in p.defined_funs.values():
-        _literal_values(f.body, found)
+    for t in [*p.constraints, *(f.body for f in p.defined_funs.values())]:
+        for s in subterms(t):
+            if isinstance(s, Lit) and not isinstance(s.value, bool):
+                found[s.value] = None
     ints = sorted({v for v in found if isinstance(v, int)} | {-1, 0, 1, 2})
     bvs = sorted((v for v in found if isinstance(v, BV)),
                  key=lambda b: (b.width, b.value))
@@ -151,25 +137,14 @@ def pool_with_examples(base: Sequence[Value], E: ExampleSet) -> tuple[Value, ...
 def unknown_invocations(p: SynthProblem) -> dict[str, list[tuple[Term, ...]]]:
     """Syntactically distinct argument tuples per unknown, in constraint order."""
     apps: dict[str, dict[tuple[Term, ...], None]] = {n: {} for n in p.unknowns}
-
-    def walk(t: Term):
-        if isinstance(t, Apply):
-            if t.op in apps:
-                apps[t.op].setdefault(t.args, None)
-            for a in t.args:
-                walk(a)
-        elif hasattr(t, "bindings"):
-            for _, d in t.bindings:
-                walk(d)
-            walk(t.body)
-
     for c in p.constraints:
-        walk(c)
+        for t in subterms(c):
+            if isinstance(t, Apply) and t.op in apps:
+                apps[t.op].setdefault(t.args, None)
     return {n: list(tuples) for n, tuples in apps.items()}
 
 
 def has_nested_unknown_args(p: SynthProblem) -> bool:
-    from .terms import subterms
     names = frozenset(p.unknowns)
     for tuples in unknown_invocations(p).values():
         for args in tuples:

@@ -18,7 +18,7 @@ import random
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
                        term_to_sexpr)
@@ -200,6 +200,20 @@ def _draw(sort: Sort, rng: random.Random, strat: RandomSample) -> Value:
     return BV(sort.width, rng.getrandbits(sort.width))
 
 
+def _check_points(constraints: Sequence[Term], points: Iterable[dict] | None,
+                  defs: Mapping[str, FunDef]) -> VerificationResult:
+    """The first violated point, else Valid on budget; Unknown when there is
+    no point to examine (no grid for these sorts, an empty Int range, a
+    sample count below one). A problem without universals has one point."""
+    checked = False
+    for point in points or ():
+        checked = True
+        idx = _violated_index(constraints, point, defs)
+        if idx is not None:
+            return CounterExample(point, idx)
+    return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
+
+
 def check_semantic(p: SynthProblem, s: CandidateSolution,
                    strat: CheckStrategy) -> VerificationResult:
     constraints = substituted_constraints(p, s)
@@ -211,24 +225,14 @@ def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
     defs = p.defined_funs
 
     if isinstance(strat, ExhaustiveSmall):
-        grid = _grid(p.universals, strat)
-        if grid is None:
-            return Unknown(UnknownReason.BUDGET)
-        for point in grid:
-            idx = _violated_index(constraints, point, defs)
-            if idx is not None:
-                return CounterExample(point, idx)
-        return Valid(certified=False)
+        return _check_points(constraints, _grid(p.universals, strat), defs)
 
     if isinstance(strat, RandomSample):
         rng = random.Random(strat.seed)
         names = list(p.universals)
-        for _ in range(strat.count):
-            point = {n: _draw(p.universals[n], rng, strat) for n in names}
-            idx = _violated_index(constraints, point, defs)
-            if idx is not None:
-                return CounterExample(point, idx)
-        return Valid(certified=False)
+        return _check_points(
+            constraints, ({n: _draw(p.universals[n], rng, strat) for n in names}
+                          for _ in range(strat.count)), defs)
 
     if isinstance(strat, ExternalSMT):
         return _check_external(p, constraints, strat)

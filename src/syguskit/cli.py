@@ -20,7 +20,8 @@ from .checker import (CheckStrategy, CounterExample, ExhaustiveSmall,
 from .enumerative import EnumConfig, solve_enumerative
 from .frontend import (load_problem, parse_solution, print_problem,
                        print_solution)
-from .harness import (RunLimits, classify_suite, render_report, run_suite)
+from .harness import (REPORT_FORMATS, RunLimits, classify_suite, render_report,
+                      run_suite)
 from .stochastic import StochConfig, solve_stochastic
 from .terms import SygusError
 
@@ -100,13 +101,15 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     limits = RunLimits(wallclock_s=args.timeout)
     solver_ids = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    fmt = Path(args.report).suffix.lstrip(".").lower() if args.report else None
+    if fmt is not None and fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     report = run_suite(args.dir, solver_ids, limits,
                        parallelism=args.parallel)
     for sid in report.solver_ids:
         t = report.totals[sid]
         print(f"{sid}: solved {t.solved}, uniquely {t.uniquely_solved}")
-    if args.report:
-        fmt = Path(args.report).suffix.lstrip(".").lower()
+    if fmt is not None:
         data = render_report(report, fmt)
         Path(args.report).write_bytes(data)
         print(f"report written to {args.report}", file=sys.stderr)

@@ -5,11 +5,14 @@ invariant synthesis), desugars the invariant-track constructs into the three
 verification conditions, attaches the track-default grammar to grammarless
 unknowns, and prints problems and solutions back to canonical text.
 
-Integer literals are coerced to bit-vector literals where the context fixes a
-width (a grammar rule of bit-vector sort, an operand position of a bv
-operator, either side of `=`/`ite` against a bit-vector), so listings like
-`(bvult 0 x)` parse as written. `let` in constraint and definition bodies is
-desugared by substitution; inside grammar productions it is kept structurally.
+One parser, parse_template, serves grammar productions and terms alike: a
+constraint or definition body is a production with no nonterminals, and
+parse_term converts it to a Term. Integer literals are coerced to bit-vector
+literals where the context fixes a width (a grammar rule or declared-function
+parameter of bit-vector sort, an operand position of a bv operator, either
+side of `=`/`ite` against a bit-vector), so listings like `(bvult 0 x)` parse
+as written. `let` in constraint and definition bodies is desugared by
+substitution; inside grammar productions it is kept structurally.
 """
 
 from __future__ import annotations
@@ -146,142 +149,33 @@ def sort_to_sexpr(s: Sort) -> SExpr:
 # Typed term construction
 
 
-def _coercible(sort: Sort) -> bool:
-    return sort == INT
-
-
-def _coerce_lit(term: Term, sort: Sort, sx: SExpr) -> Term:
-    # only plain Int literals adapt to a bit-vector context
-    if isinstance(term, Lit) and isinstance(term.value, int) \
-            and not isinstance(term.value, bool):
-        v = term.value
-        if 0 <= v < (1 << sort.width):
-            return Lit(BV(sort.width, v))
-        raise SortError(f"literal {v} does not fit in {sort}", found=INT,
-                        expected=sort)
-    raise SortError(f"expected {sort}, got Int: {print_sexpr(sx)}",
-                    expected=sort, found=INT)
-
-
 def parse_term(sx: SExpr, variables: Mapping[str, Sort],
                funs: Mapping[str, FunSort],
                expected: Sort | None = None) -> tuple[Term, Sort]:
-    """Build a typed term from concrete syntax; returns (term, sort)."""
+    """Build a typed term from concrete syntax; returns (term, sort).
 
-    def go(sx: SExpr, expected: Sort | None) -> tuple[Term, Sort]:
-        if isinstance(sx, bool):
-            return _done(Lit(sx), BOOL, expected, sx)
-        if isinstance(sx, BV):
-            return _done(Lit(sx), bitvec(sx.width), expected, sx)
-        if isinstance(sx, int):
-            if expected is not None and expected.is_bv:
-                return _coerce_lit(Lit(sx), expected, sx), expected
-            return _done(Lit(sx), INT, expected, sx)
-        if isinstance(sx, str):
-            s = variables.get(sx)
-            if s is not None:
-                return _done(Var(sx), s, expected, sx)
-            f = funs.get(sx)
-            if f is not None and not f.params:
-                return _done(Apply(sx, ()), f.ret, expected, sx)
-            raise UndeclaredSymbol(sx)
-        if not sx or not isinstance(sx[0], str):
-            raise SortError(f"cannot apply {print_sexpr(sx)}")
-        return app(sx, expected)
+    A term is parsed as a production with no nonterminals, so both share one
+    parser and one sort checker."""
+    tpl, sort = parse_template(sx, {}, variables, funs, {}, expected)
+    return _template_term(tpl), sort
 
-    def _done(t: Term, s: Sort, expected: Sort | None, sx: SExpr):
-        if expected is not None and s != expected:
-            raise SortError(f"expected {expected}, got {s}: {print_sexpr(sx)}",
-                            expected=expected, found=s)
-        return t, s
 
-    def unify_bv(items: list[tuple[SExpr, Term, Sort]], width_hint: Sort | None):
-        """Re-parse Int-literal operands once some operand fixes a width."""
-        w = next((s for _, _, s in items if s.is_bv), None) or width_hint
-        if w is None or not w.is_bv:
-            raise SortError("cannot determine bit-vector width of "
-                            + " ".join(print_sexpr(x) for x, _, _ in items))
-        out = []
-        for sx, t, s in items:
-            if s.is_bv:
-                if s != w:
-                    raise SortError(f"operand widths differ: {s} vs {w}",
-                                    expected=w, found=s)
-                out.append(t)
-            elif _coercible(s):
-                t2, _ = go(sx, w)
-                out.append(t2)
-            else:
-                raise SortError(f"expected {w}, got {s}: {print_sexpr(sx)}",
-                                expected=w, found=s)
-        return out, w
-
-    def unify_pair(a, b):
-        (sxa, ta, sa), (sxb, tb, sb) = a, b
-        if sa == sb:
-            return ta, tb, sa
-        if sa.is_bv and _coercible(sb):
-            tb, _ = go(sxb, sa)
-            return ta, tb, sa
-        if sb.is_bv and _coercible(sa):
-            ta, _ = go(sxa, sb)
-            return ta, tb, sb
-        raise SortError(f"operand sorts differ: {sa} vs {sb}",
-                        expected=sa, found=sb)
-
-    def app(sx: list, expected: Sort | None) -> tuple[Term, Sort]:
-        op, raw = sx[0], sx[1:]
-
-        if op == "let":
-            if len(sx) != 3 or not isinstance(sx[1], list):
-                raise SortError(f"malformed let: {print_sexpr(sx)}")
-            binds = []
-            for b in sx[1]:
-                if not (isinstance(b, list) and len(b) == 2
-                        and isinstance(b[0], str)):
-                    raise SortError(f"malformed let binding: {print_sexpr(b)}")
-                d, ds = go(b[1], None)
-                binds.append((b[0], d, ds))
-            inner = dict(variables)
-            inner.update({n: s for n, _, s in binds})
-            body, bs = parse_term(sx[2], inner, funs, expected)
-            return substitute(body, {n: d for n, d, _ in binds}), bs
-
-        spec = OPS.get(op)
-        if spec is not None:
-            if len(raw) < spec.lo or (spec.hi is not None and len(raw) > spec.hi):
-                raise SortError(f"{op} applied to {len(raw)} arguments: "
-                                + print_sexpr(sx))
-            shared = spec.operand
-            if isinstance(shared, Sort):
-                args = [go(a, shared)[0] for a in raw]
-                if op == "-" and len(args) == 1 and isinstance(args[0], Lit):
-                    return _done(Lit(-args[0].value), INT, expected, sx)
-            elif shared == "bv":
-                hint = expected if (expected is not None and expected.is_bv
-                                    and spec.result is None) else None
-                args, shared = unify_bv([(a, *go(a, None)) for a in raw], hint)
-            elif shared == "same":
-                *args, shared = unify_pair((raw[0], *go(raw[0], None)),
-                                           (raw[1], *go(raw[1], None)))
-            else:  # ite
-                args = [go(raw[0], BOOL)[0]]
-                *branches, shared = unify_pair((raw[1], *go(raw[1], expected)),
-                                               (raw[2], *go(raw[2], None)))
-                args += branches
-            out = shared if spec.result is None else spec.result
-            return _done(Apply(op, tuple(args)), out, expected, sx)
-
-        f = funs.get(op)
-        if f is None:
-            raise UndeclaredSymbol(op)
-        if len(raw) != len(f.params):
-            raise SortError(f"{op} expects {len(f.params)} arguments, "
-                            f"got {len(raw)}: {print_sexpr(sx)}")
-        args = tuple(go(a, want)[0] for a, want in zip(raw, f.params))
-        return _done(Apply(op, args), f.ret, expected, sx)
-
-    return go(sx, expected)
+def _template_term(tpl: Template) -> Term:
+    """The term a nonterminal-free production denotes: `let` is substituted
+    away and `(- n)` over a literal becomes the literal -n."""
+    if isinstance(tpl, TApp):
+        args = tuple([_template_term(c) for c in tpl.children])
+        if tpl.op == "-" and len(args) == 1 and isinstance(args[0], Lit):
+            return Lit(-args[0].value)
+        return Apply(tpl.op, args)
+    if isinstance(tpl, TVar):
+        return Var(tpl.name)
+    if isinstance(tpl, TLit):
+        return Lit(tpl.value)
+    if isinstance(tpl, TLet):
+        return substitute(_template_term(tpl.body),
+                          {n: _template_term(d) for n, d in tpl.bindings})
+    raise UndeclaredSymbol("Constant: a constant hole outside a grammar")
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +206,63 @@ def parse_grammar(sx: SExpr, params: Params,
     return make_grammar(sx[0][0], rules, param_sorts, funs)
 
 
+def _expect(tpl: Template, s: Sort, expected: Sort | None,
+            sx: SExpr) -> tuple[Template, Sort]:
+    """(tpl, s) checked against the expected sort; an Int literal that fits
+    becomes a bit-vector literal of the expected width."""
+    if expected is None or s == expected:
+        return tpl, s
+    if (s == INT and expected.is_bv and isinstance(tpl, TLit)
+            and not isinstance(tpl.value, bool)
+            and 0 <= tpl.value < (1 << expected.width)):
+        return TLit(BV(expected.width, tpl.value)), expected
+    raise SortError(f"expected {expected}, got {s}: {print_sexpr(sx)}",
+                    expected=expected, found=s)
+
+
 def parse_template(sx: SExpr, nts: Mapping[str, Sort],
                    params: Mapping[str, Sort], funs: Mapping[str, FunSort],
                    let_env: Mapping[str, Sort],
                    expected: Sort | None) -> tuple[Template, Sort]:
-    def done(tpl: Template, s: Sort):
-        if expected is not None and s != expected:
-            if (s == INT and expected.is_bv and isinstance(tpl, TLit)
-                    and not isinstance(tpl.value, bool)
-                    and 0 <= tpl.value < (1 << expected.width)):
-                return TLit(BV(expected.width, tpl.value)), expected
-            raise SortError(f"expected {expected}, got {s}: {print_sexpr(sx)}",
-                            expected=expected, found=s)
-        return tpl, s
+    """Build a typed production from concrete syntax; returns (template, sort).
 
+    Symbols resolve to let-bound names, then nonterminals (nts), then
+    parameters, then nullary functions. An operand is parsed against the sort
+    its position fixes (a declared function's parameter sort; for ite's then
+    branch, the sort expected of the ite), and an Int literal adapts to the
+    bit-vector width that the context or a sibling operand fixes. apply_sort
+    then types the node."""
     if isinstance(sx, bool):
-        return done(TLit(sx), BOOL)
+        return _expect(TLit(sx), BOOL, expected, sx)
     if isinstance(sx, BV):
-        return done(TLit(sx), bitvec(sx.width))
+        return _expect(TLit(sx), bitvec(sx.width), expected, sx)
     if isinstance(sx, int):
-        return done(TLit(sx), INT)
+        return _expect(TLit(sx), INT, expected, sx)
     if isinstance(sx, str):
         if sx in let_env:
-            return done(TVar(sx), let_env[sx])
+            return _expect(TVar(sx), let_env[sx], expected, sx)
         if sx in nts:
-            return done(TNT(sx), nts[sx])
+            return _expect(TNT(sx), nts[sx], expected, sx)
         if sx in params:
-            return done(TVar(sx), params[sx])
+            return _expect(TVar(sx), params[sx], expected, sx)
         f = funs.get(sx)
         if f is not None and not f.params:
-            return done(TApp(sx, ()), f.ret)
+            return _expect(TApp(sx, ()), f.ret, expected, sx)
         raise UndeclaredSymbol(sx)
     if not sx or not isinstance(sx[0], str):
-        raise SortError(f"malformed production: {print_sexpr(sx)}")
+        raise SortError(f"cannot apply {print_sexpr(sx)}")
 
     op = sx[0]
     if op == "Constant":
         if len(sx) != 2:
             raise SortError(f"malformed constant hole: {print_sexpr(sx)}")
         s = parse_sort(sx[1])
-        return done(THole(s), s)
+        return _expect(THole(s), s, expected, sx)
     if op == "Variable":
         raise UnknownCommand("(Variable ...) grammar terminals are not supported")
     if op == "let":
         if len(sx) != 3 or not isinstance(sx[1], list):
-            raise SortError(f"malformed let production: {print_sexpr(sx)}")
+            raise SortError(f"malformed let: {print_sexpr(sx)}")
         binds = []
         inner = dict(let_env)
         for b in sx[1]:
@@ -369,9 +275,18 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
         return TLet(tuple(binds), body), bs
 
     raw = sx[1:]
-    children = [parse_template(a, nts, params, funs, let_env, None) for a in raw]
     spec = OPS.get(op)
-    shared = spec.operand if spec is not None else None
+    sig = funs.get(op) if spec is None else None
+    # "bv", "same" or "ite"; None for a fixed operand sort or a function
+    shared = spec.operand if spec is not None and isinstance(spec.operand, str) \
+        else None
+    wants: Sequence[Sort | None] = (None,) * len(raw)
+    if sig is not None and len(sig.params) == len(raw):
+        wants = sig.params
+    elif shared == "ite" and len(raw) == 3:
+        wants = (None, expected, None)  # the else branch is unified below
+    children = [parse_template(a, nts, params, funs, let_env, w)
+                for a, w in zip(raw, wants)]
     if shared == "bv":
         w = next((s for _, s in children if s.is_bv), None)
         if w is None and expected is not None and expected.is_bv \
@@ -394,7 +309,7 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
         s = apply_sort(op, [s for _, s in children], funs)
     except SortError as e:
         raise SortError(f"{e} in {print_sexpr(sx)}") from None
-    return done(TApp(op, tuple(t for t, _ in children)), s)
+    return _expect(TApp(op, tuple([t for t, _ in children])), s, expected, sx)
 
 
 # ---------------------------------------------------------------------------

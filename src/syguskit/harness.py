@@ -284,8 +284,11 @@ def _fmt_size(x: int | None) -> str:
     return "inf" if x is None else str(x)
 
 
+REPORT_FORMATS = ("csv", "json", "md")
+
+
 def render_report(report: SuiteReport, fmt: str) -> bytes:
-    """Deterministic serialization; fmt is one of csv, json, md."""
+    """Deterministic serialization; fmt is one of REPORT_FORMATS."""
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

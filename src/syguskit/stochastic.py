@@ -39,13 +39,6 @@ class StochConfig:
     trace: list | None = None  # test mode: (wrong, wrong_new, prob, u, accepted)
 
 
-def score(p: SynthProblem, body: Term, E: ExampleSet, beta: float) -> float:
-    """exp(-beta * wrong): 1.0 when the body agrees with every example."""
-    (name, u), = p.unknowns.items()
-    funcs = {name: FunDef(name, u.params, u.ret, body)}
-    return math.exp(-beta * count_wrong(p, funcs, E))
-
-
 def _collect_slots(node: SlotNode, prefix: tuple = ()):
     out = [(prefix, node)]
     for i, (_, child) in enumerate(node.children):

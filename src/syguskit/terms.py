@@ -341,14 +341,15 @@ def apply_sort(op: str, sorts: Sequence[Sort],
     if len(sorts) < spec.lo or (spec.hi is not None and len(sorts) > spec.hi):
         raise SortError(f"{op} applied to {len(sorts)} arguments", term=term)
     shared = spec.operand
-    if shared == "ite":
-        if sorts[0] != BOOL:
-            raise SortError("ite condition must be Bool", term=term,
-                            expected=BOOL, found=sorts[0])
-        sorts = sorts[1:]
-    elif shared == "bv" and not sorts[0].is_bv:
-        raise SortError(f"{op} expects bit-vectors", term=term, found=sorts[0])
     if isinstance(shared, str):
+        if shared == "ite":
+            if sorts[0] != BOOL:
+                raise SortError("ite condition must be Bool", term=term,
+                                expected=BOOL, found=sorts[0])
+            sorts = sorts[1:]
+        elif shared == "bv" and not sorts[0].is_bv:
+            raise SortError(f"{op} expects bit-vectors", term=term,
+                            found=sorts[0])
         shared = sorts[0]
     for s in sorts:
         if s != shared:

@@ -102,6 +102,29 @@ def test_random_sample_is_deterministic(max2):
     assert a == b
 
 
+@pytest.mark.parametrize("strat", [ExhaustiveSmall(1, -1), RandomSample(0, 0),
+                                   RandomSample(-3, 0)],
+                         ids=["empty-int-range", "no-samples", "negative-samples"])
+def test_check_that_examined_no_point_is_unknown(max2, strat):
+    v = check_semantic(max2, max2_sol(max2, "x"), strat)
+    assert v == Unknown(UnknownReason.BUDGET)
+    assert check_semantic(max2, max2_sol(max2, "(ite (>= x y) x y)"),
+                          strat) == Unknown(UnknownReason.BUDGET)
+
+
+def test_problem_without_universals_checks_its_one_point():
+    p = read_problem("(set-logic LIA)\n(synth-fun f () Int)\n"
+                     "(constraint (= f 3))\n(check-synth)\n")
+    empty = ExhaustiveSmall(1, -1)  # no universal draws from the Int range
+    good = sol(p, "(define-fun f () Int 3)")
+    bad = sol(p, "(define-fun f () Int 4)")
+    assert check_semantic(p, good, empty) == Valid(certified=False)
+    assert check_semantic(p, bad, empty) == CounterExample({}, 0)
+    assert check_semantic(p, good, RandomSample(1, 0)) == Valid(certified=False)
+    assert check_semantic(p, good, RandomSample(0, 0)) == Unknown(
+        UnknownReason.BUDGET)
+
+
 def test_division_by_zero_counts_as_falsified(max2):
     s = max2_sol(max2, "(div x 0)")
     v = check_semantic(max2, s, EX8)

@@ -81,6 +81,17 @@ def test_check_rejects_wrong_solution(tmp_path):
     assert "counterexample" in r.stdout
 
 
+@pytest.mark.parametrize("budget", [["--samples", "0"],
+                                    ["--exhaustive-bound", "-1"]])
+def test_check_that_examined_no_point_is_not_valid(tmp_path, budget):
+    sol = tmp_path / "max2.sol"
+    sol.write_text("(define-fun max2 ((x Int) (y Int)) Int x)")
+    r = cli("check", str(PKG / "benchmarks" / "integers" / "max2.sl"),
+            "--solution", str(sol), *budget)
+    assert r.returncode == 1, r.stdout
+    assert "semantic: unknown (budget)" in r.stdout
+
+
 def test_check_rejects_grammar_violation(tmp_path):
     sol = tmp_path / "f.sol"
     sol.write_text("(define-fun f ((x (BitVec 32))) (BitVec 32) (bvmul x x))")
@@ -161,6 +172,20 @@ def test_run_suite_checks_solver_ids_before_running(tmp_path, monkeypatch):
     with pytest.raises(harness.UnknownSolver, match="nosuch"):
         harness.run_suite(tmp_path, ["enum", "nosuch"], harness.RunLimits())
     assert ran == []
+
+
+def test_bench_checks_report_format_before_running(tmp_path, monkeypatch,
+                                                  capsys):
+    from syguskit import cli as cli_module
+    ran = []
+    monkeypatch.setattr(cli_module, "run_suite", lambda *a, **k: ran.append(a))
+    code = cli_module.main(["bench", str(PKG / "benchmarks" / "compileropts"),
+                            "--solvers", "enum",
+                            "--report", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert ran == []
+    assert "error: unknown report format 'txt'" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_classify_prints_table():

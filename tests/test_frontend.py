@@ -1,4 +1,9 @@
+import random
+from functools import lru_cache
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from conftest import DATA, data_text, load, term
 from syguskit.frontend import (ArityMismatch, CandidateSolution,
@@ -7,12 +12,14 @@ from syguskit.frontend import (ArityMismatch, CandidateSolution,
                                MissingUnknown, SignatureMismatch, Track,
                                UnknownCommand, UnsupportedDefaultSort,
                                attach_default_grammar, default_grammar,
-                               parse_solution, print_problem, print_solution,
-                               read_problem, UnknownFun)
-from syguskit.grammar import TApp, THole, TNT, TVar
-from syguskit.terms import (BOOL, INT, Apply, Lit, SortError,
-                            UndeclaredSymbol, Var, bitvec, infer_sort,
-                            term_size)
+                               parse_solution, parse_term, print_problem,
+                               print_solution, read_problem, term_to_sexpr,
+                               UnknownFun)
+from syguskit.grammar import Enumerator, TApp, THole, TLit, TNT, TVar
+from syguskit.sexpr import BV, print_sexpr, read_sexprs
+from syguskit.terms import (BOOL, INT, Apply, FunSort, Lit, SortError,
+                            SygusError, UndeclaredSymbol, Var, bitvec,
+                            infer_sort, term_size)
 
 REFERENCE_LISTINGS = ["lsz_bv32.sl", "max2.sl", "inv_loop.sl", "qm_loop_1.sl",
                   "hd-17-d0.sl", "hd-17-d1.sl", "hd-17-d5.sl"]
@@ -104,6 +111,68 @@ def test_short_equality_or_ite_production_is_sort_error(production):
             "(declare-var x Int)(constraint (= (f x) x))(check-synth)")
     with pytest.raises(SortError):
         read_problem(text)
+
+
+def test_constant_hole_in_a_term_is_an_input_error():
+    head = "(set-logic LIA)(synth-fun f ((x Int)) Int)(declare-var x Int)"
+    with pytest.raises(SygusError):
+        read_problem(head + "(constraint (= (f x) (Constant Int)))(check-synth)")
+    with pytest.raises(SygusError):
+        read_problem("(set-logic LIA)(define-fun c () Int (+ 1 (Constant Int)))"
+                     "(synth-fun f ((x Int)) Int)(check-synth)")
+
+
+# A production is parsed exactly as the same text in a constraint: an Int
+# literal adapts to the width that an ite's expected sort or a declared
+# function's parameter sort fixes.
+QB_PROBLEM = """(set-logic BV)
+(define-fun qb ((a (BitVec 8)) (b (BitVec 8))) (BitVec 8) (bvadd a b))
+(synth-fun f ((x (BitVec 8))) (BitVec 8)
+  ((S (BitVec 8) (x (ite B 0 1) (qb S 1)))
+   (B Bool ((bvult x S)))))
+(declare-var x (BitVec 8))
+(constraint (= (f x) (ite (bvult x (qb x 1)) 0 1)))
+(check-synth)
+"""
+
+
+def test_bitvector_ite_and_declared_function_productions():
+    p = read_problem(QB_PROBLEM)
+    zero, one = TLit(BV(8, 0)), TLit(BV(8, 1))
+    assert p.unknowns["f"].grammar.rules["S"].productions == (
+        TVar("x"), TApp("ite", (TNT("B"), zero, one)),
+        TApp("qb", (TNT("S"), one)))
+    x, b8 = Var("x"), bitvec(8)
+    qb = {"qb": FunSort((b8, b8), b8)}
+    assert term("(ite b 0 1)", {"b": BOOL}, expected=b8) == Apply(
+        "ite", (Var("b"), Lit(BV(8, 0)), Lit(BV(8, 1))))
+    assert term("(qb x 1)", {"x": b8}, qb) == Apply("qb", (x, Lit(BV(8, 1))))
+    assert read_problem(print_problem(p)) == p
+
+
+@lru_cache(maxsize=None)
+def _roundtrip_case(name):
+    """(enumerator, parameter sorts, functions) of a let-free grammar."""
+    xy = (("x", INT), ("y", INT))
+    if name in ("default-int", "default-bool"):
+        g = default_grammar(xy, INT if name == "default-int" else BOOL)
+        return Enumerator(g, [-3, 0, 1, 7]), dict(xy), {}
+    u = next(iter(load(name).unknowns.values()))
+    funs = {"qm": FunSort((INT, INT), INT)} if name == "qm_loop_1.sl" else {}
+    return Enumerator(u.grammar), dict(u.params), funs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["default-int", "default-bool", "hd17_w8.sl",
+                        "qm_loop_1.sl"]),
+       st.integers(1, 11), st.integers(0, 2**32))
+def test_sampled_terms_print_and_parse_back(name, size, seed):
+    enumr, params, funs = _roundtrip_case(name)
+    g = enumr.g
+    assume(enumr.count(g.start, size) > 0)
+    t = enumr.sample(g.start, size, random.Random(seed)).term
+    (sx,) = read_sexprs(print_sexpr(term_to_sexpr(t)))
+    assert parse_term(sx, params, funs, g.start_sort) == (t, g.start_sort)
 
 
 # ---------------------------------------------------------------------------

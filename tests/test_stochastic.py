@@ -4,32 +4,35 @@ import random
 import pytest
 
 from conftest import load
-from syguskit.cegis import ExampleSet, Solved, TimedOut
+from syguskit.cegis import (ExampleSet, Solved, TimedOut, count_wrong,
+                            make_solution)
 from syguskit.checker import ExhaustiveSmall, Valid, check_semantic
 from syguskit.frontend import default_grammar
 from syguskit.grammar import Enumerator, derives
-from syguskit.stochastic import StochConfig, mutate, score, solve_stochastic
+from syguskit.stochastic import StochConfig, mutate, solve_stochastic
 from syguskit.terms import INT, Lit, SygusError, Var, evaluate, term_size
 
 
-def test_score_closed_form(max2):
+def _wrong(p, body, E):
+    """count_wrong of one body; the walk accepts with exp(-beta * delta)."""
+    return count_wrong(p, make_solution(p, {"max2": body}).funcs, E)
+
+
+def test_count_wrong_closed_form(max2):
     E = ExampleSet([{"x": 0, "y": 1}, {"x": 1, "y": 0}])
-    body = Var("x")  # wrong on the first example only
-    assert score(max2, body, E, beta=0.5) == pytest.approx(math.exp(-0.5))
+    assert _wrong(max2, Var("x"), E) == 1  # wrong on the first example only
     good = __import__("conftest").term("(ite (>= x y) x y)",
                                        {"x": INT, "y": INT})
-    assert score(max2, good, E, beta=0.5) == 1.0
+    assert _wrong(max2, good, E) == 0
 
 
-def test_score_decreases_with_wrongness(max2):
+def test_count_wrong_grows_with_wrongness(max2):
     E = ExampleSet([{"x": 0, "y": 1}, {"x": 1, "y": 0}, {"x": -2, "y": 5}])
     good = __import__("conftest").term("(ite (>= x y) x y)",
                                        {"x": INT, "y": INT})
-    # wrong counts on E: good 0, x 2, constant 0 on all 3
-    scores = [score(max2, body, E, beta=0.5)
-              for body in (good, Var("x"), Lit(0))]
-    assert scores == [math.exp(-0.5 * w) for w in (0, 2, 3)]
-    assert scores[0] > scores[1] > scores[2]
+    # good is right everywhere, x is wrong where y > x, constant 0 everywhere
+    assert [_wrong(max2, body, E)
+            for body in (good, Var("x"), Lit(0))] == [0, 2, 3]
 
 
 def test_mutation_on_size_one_leaf():
