@@ -25,8 +25,7 @@ from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
 from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, INT, Apply, DivisionByZero, FunDef, Lit, Sort,
-                    SygusError, Term, Value, Var, evaluate,
-                    substitute_unknowns)
+                    SygusError, Term, Value, Var, evaluate, expand)
 
 
 class UnsupportedLogic(SygusError):
@@ -52,9 +51,6 @@ class Valid:
 class CounterExample:
     valuation: dict
     constraint_index: int
-
-    def __iter__(self):  # convenient unpacking in tests
-        return iter((self.valuation, self.constraint_index))
 
 
 @dataclass(frozen=True)
@@ -169,8 +165,7 @@ def _violated_index(constraints: Sequence[Term], valuation, defs) -> int | None:
 
 
 def substituted_constraints(p: SynthProblem, s: CandidateSolution) -> list[Term]:
-    names = frozenset(p.unknowns)
-    return [substitute_unknowns(c, s.funcs, names) for c in p.constraints]
+    return [expand(c, s.funcs) for c in p.constraints]
 
 
 def _int_domain(lo: int, hi: int) -> list[int]:
@@ -295,8 +290,7 @@ def _emit_script(p: SynthProblem, constraints: Sequence[Term]) -> str:
     logic = _SMT_LOGICS.get(p.logic)
     if logic is None:
         raise UnsupportedLogic(p.logic)
-    from .terms import inline_defs
-    inlined = [inline_defs(c, p.defined_funs) for c in constraints]
+    inlined = [expand(c, p.defined_funs) for c in constraints]
     lines = [f"(set-logic {logic})"]
     for name, sort in p.universals.items():
         lines.append(print_sexpr(["declare-fun", name, [], _smt_sort(sort)]))

@@ -25,10 +25,9 @@ from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Solved,
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy, falsified)
 from .frontend import SynthProblem
-from .grammar import (Enumerator, THole, TLet, TLit, TNT, TVar,
-                      Template, assemble, compositions, walk_splits)
-from .terms import (OPS, Apply, DivisionByZero, FunDef, Let, Lit, Term,
-                    UndeclaredSymbol, Value, Var, evaluate)
+from .grammar import Enumerator, assemble, compositions, walk_splits
+from .terms import (OPS, Apply, DivisionByZero, FunDef, Let, Lit, Template,
+                    Term, THole, TNT, UndeclaredSymbol, Value, Var, evaluate)
 
 
 @dataclass
@@ -132,14 +131,14 @@ class Bank:
 
     def _inst(self, tpl: Template, size: int, no_zero: bool,
               let_env: Mapping[str, tuple]) -> Iterator[tuple[Term, tuple]]:
-        if isinstance(tpl, TVar):
+        if isinstance(tpl, Var):
             if size == 1:
                 sig = (let_env[tpl.name] if tpl.name in let_env
                        else self._leaf_sig(lambda b: b[tpl.name]))
-                yield Var(tpl.name), sig
-        elif isinstance(tpl, TLit):
+                yield tpl, sig
+        elif isinstance(tpl, Lit):
             if size == 1:
-                yield Lit(tpl.value), self._leaf_sig(lambda b: tpl.value)
+                yield tpl, self._leaf_sig(lambda b: tpl.value)
         elif isinstance(tpl, THole):
             if size == 1:
                 for v in self.enumr._hole_pool(tpl.sort, no_zero):
@@ -148,7 +147,7 @@ class Bank:
             yield from self.terms[tpl.nt].get(size, [])
         else:
             slots, splits = self.g.split_plan(tpl, size)
-            is_let = isinstance(tpl, TLet)
+            is_let = isinstance(tpl, Let)
 
             def inst(i, s, chosen):
                 env = let_env

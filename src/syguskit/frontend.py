@@ -5,9 +5,12 @@ invariant synthesis), desugars the invariant-track constructs into the three
 verification conditions, attaches the track-default grammar to grammarless
 unknowns, and prints problems and solutions back to canonical text.
 
-One parser, parse_template, serves grammar productions and terms alike: a
-constraint or definition body is a production with no nonterminals, and
-parse_term converts it to a Term. Integer literals are coerced to bit-vector
+A grammar production is a term whose leaves may also be a nonterminal or a
+constant hole, so one parser, parse_template, serves productions and terms
+alike, and one printer, term_to_sexpr, prints both: a constraint or
+definition body is a production with no nonterminals, and parse_term only
+desugars its lets, folds `(- n)` and rejects holes. A production may call a
+defined function but no unknown. Integer literals are coerced to bit-vector
 literals where the context fixes a width (a grammar rule or declared-function
 parameter of bit-vector sort, an operand position of a bv operator, either
 side of `=`/`ite` against a bit-vector), so listings like `(bvult 0 x)` parse
@@ -21,13 +24,12 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .grammar import (Grammar, Template, TApp, THole, TLet, TLit, TNT, TVar,
-                      make_grammar)
+from .grammar import Grammar, make_grammar
 from .sexpr import BV, BadToken, SExpr, print_sexpr, read_sexprs
-from .terms import (BOOL, INT, OPS, Apply, FunDef, FunSort, Lit, Sort,
-                    SortError, SygusError, Term, UndeclaredSymbol, Var,
-                    apply_fundef, apply_sort, bitvec, inline_defs,
-                    substitute)
+from .terms import (BOOL, INT, OPS, Apply, FunDef, FunSort, Let, Lit, Sort,
+                    SortError, SygusError, Template, Term, THole, TNT,
+                    UndeclaredSymbol, Var, apply_fundef, apply_sort, bitvec,
+                    expand, substitute, term_size)
 
 
 class UnknownCommand(SygusError):
@@ -106,18 +108,12 @@ class SynthProblem:
         out.update({n: u.fun_sort for n, u in self.unknowns.items()})
         return out
 
-    def term_ctx(self) -> dict[str, Sort | FunSort]:
-        ctx: dict[str, Sort | FunSort] = dict(self.universals)
-        ctx.update(self.fun_sorts())
-        return ctx
-
 
 @dataclass
 class CandidateSolution:
     funcs: dict[str, FunDef]
 
     def sizes(self) -> dict[str, int]:
-        from .terms import term_size
         return {n: term_size(f.body) for n, f in self.funcs.items()}
 
     def total_size(self) -> int:
@@ -160,22 +156,21 @@ def parse_term(sx: SExpr, variables: Mapping[str, Sort],
     return _template_term(tpl), sort
 
 
-def _template_term(tpl: Template) -> Term:
+def _template_term(t: Template) -> Term:
     """The term a nonterminal-free production denotes: `let` is substituted
-    away and `(- n)` over a literal becomes the literal -n."""
-    if isinstance(tpl, TApp):
-        args = tuple([_template_term(c) for c in tpl.children])
-        if tpl.op == "-" and len(args) == 1 and isinstance(args[0], Lit):
+    away and `(- n)` over a literal becomes the literal -n; every other
+    subterm is returned as it is."""
+    if isinstance(t, Apply):
+        args = tuple([_template_term(a) for a in t.args])
+        if t.op == "-" and len(args) == 1 and isinstance(args[0], Lit):
             return Lit(-args[0].value)
-        return Apply(tpl.op, args)
-    if isinstance(tpl, TVar):
-        return Var(tpl.name)
-    if isinstance(tpl, TLit):
-        return Lit(tpl.value)
-    if isinstance(tpl, TLet):
-        return substitute(_template_term(tpl.body),
-                          {n: _template_term(d) for n, d in tpl.bindings})
-    raise UndeclaredSymbol("Constant: a constant hole outside a grammar")
+        return t if args == t.args else Apply(t.op, args)
+    if isinstance(t, Let):
+        return substitute(_template_term(t.body),
+                          {n: _template_term(d) for n, d in t.bindings})
+    if isinstance(t, THole):
+        raise UndeclaredSymbol("Constant: a constant hole outside a grammar")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +207,10 @@ def _expect(tpl: Template, s: Sort, expected: Sort | None,
     becomes a bit-vector literal of the expected width."""
     if expected is None or s == expected:
         return tpl, s
-    if (s == INT and expected.is_bv and isinstance(tpl, TLit)
+    if (s == INT and expected.is_bv and isinstance(tpl, Lit)
             and not isinstance(tpl.value, bool)
             and 0 <= tpl.value < (1 << expected.width)):
-        return TLit(BV(expected.width, tpl.value)), expected
+        return Lit(BV(expected.width, tpl.value)), expected
     raise SortError(f"expected {expected}, got {s}: {print_sexpr(sx)}",
                     expected=expected, found=s)
 
@@ -228,26 +223,26 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
 
     Symbols resolve to let-bound names, then nonterminals (nts), then
     parameters, then nullary functions. An operand is parsed against the sort
-    its position fixes (a declared function's parameter sort; for ite's then
-    branch, the sort expected of the ite), and an Int literal adapts to the
+    its position fixes (a declared function's parameter sort; for ite's
+    branches, the sort expected of the ite), and an Int literal adapts to the
     bit-vector width that the context or a sibling operand fixes. apply_sort
     then types the node."""
     if isinstance(sx, bool):
-        return _expect(TLit(sx), BOOL, expected, sx)
+        return _expect(Lit(sx), BOOL, expected, sx)
     if isinstance(sx, BV):
-        return _expect(TLit(sx), bitvec(sx.width), expected, sx)
+        return _expect(Lit(sx), bitvec(sx.width), expected, sx)
     if isinstance(sx, int):
-        return _expect(TLit(sx), INT, expected, sx)
+        return _expect(Lit(sx), INT, expected, sx)
     if isinstance(sx, str):
         if sx in let_env:
-            return _expect(TVar(sx), let_env[sx], expected, sx)
+            return _expect(Var(sx), let_env[sx], expected, sx)
         if sx in nts:
             return _expect(TNT(sx), nts[sx], expected, sx)
         if sx in params:
-            return _expect(TVar(sx), params[sx], expected, sx)
+            return _expect(Var(sx), params[sx], expected, sx)
         f = funs.get(sx)
         if f is not None and not f.params:
-            return _expect(TApp(sx, ()), f.ret, expected, sx)
+            return _expect(Apply(sx, ()), f.ret, expected, sx)
         raise UndeclaredSymbol(sx)
     if not sx or not isinstance(sx[0], str):
         raise SortError(f"cannot apply {print_sexpr(sx)}")
@@ -272,7 +267,7 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
             binds.append((b[0], d))
             inner[b[0]] = ds
         body, bs = parse_template(sx[2], nts, params, funs, inner, expected)
-        return TLet(tuple(binds), body), bs
+        return Let(tuple(binds), body), bs
 
     raw = sx[1:]
     spec = OPS.get(op)
@@ -284,7 +279,7 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
     if sig is not None and len(sig.params) == len(raw):
         wants = sig.params
     elif shared == "ite" and len(raw) == 3:
-        wants = (None, expected, None)  # the else branch is unified below
+        wants = (None, expected, expected)
     children = [parse_template(a, nts, params, funs, let_env, w)
                 for a, w in zip(raw, wants)]
     if shared == "bv":
@@ -309,7 +304,7 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
         s = apply_sort(op, [s for _, s in children], funs)
     except SortError as e:
         raise SortError(f"{e} in {print_sexpr(sx)}") from None
-    return _expect(TApp(op, tuple([t for t, _ in children])), s, expected, sx)
+    return _expect(Apply(op, tuple([t for t, _ in children])), s, expected, sx)
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +321,35 @@ def default_grammar(params: Params, ret: Sort) -> Grammar:
         raise UnsupportedDefaultSort(
             f"default grammar requires Int parameters, got {bad}")
     si, sb, ci = TNT("StartInt"), TNT("StartBool"), TNT("ConstantInt")
-    int_prods: list[Template] = [TVar(n) for n, _ in params]
+    int_prods: list[Template] = [Var(n) for n, _ in params]
     int_prods += [
         ci,
-        TApp("+", (si, si)),
-        TApp("-", (si, si)),
-        TApp("*", (si, ci)),
-        TApp("*", (ci, si)),
-        TApp("div", (si, ci)),
-        TApp("mod", (si, ci)),
-        TApp("ite", (sb, si, si)),
+        Apply("+", (si, si)),
+        Apply("-", (si, si)),
+        Apply("*", (si, ci)),
+        Apply("*", (ci, si)),
+        Apply("div", (si, ci)),
+        Apply("mod", (si, ci)),
+        Apply("ite", (sb, si, si)),
     ]
     bool_prods: list[Template] = [
-        TLit(True),
-        TLit(False),
-        TApp("and", (sb, sb)),
-        TApp("or", (sb, sb)),
-        TApp("=>", (sb, sb)),
-        TApp("xor", (sb, sb)),
-        TApp("xnor", (sb, sb)),
-        TApp("nand", (sb, sb)),
-        TApp("nor", (sb, sb)),
-        TApp("iff", (sb, sb)),
-        TApp("not", (sb,)),
-        TApp("=", (sb, sb)),
-        TApp("<=", (si, si)),
-        TApp("=", (si, si)),
-        TApp(">=", (si, si)),
-        TApp(">", (si, si)),
-        TApp("<", (si, si)),
+        Lit(True),
+        Lit(False),
+        Apply("and", (sb, sb)),
+        Apply("or", (sb, sb)),
+        Apply("=>", (sb, sb)),
+        Apply("xor", (sb, sb)),
+        Apply("xnor", (sb, sb)),
+        Apply("nand", (sb, sb)),
+        Apply("nor", (sb, sb)),
+        Apply("iff", (sb, sb)),
+        Apply("not", (sb,)),
+        Apply("=", (sb, sb)),
+        Apply("<=", (si, si)),
+        Apply("=", (si, si)),
+        Apply(">=", (si, si)),
+        Apply(">", (si, si)),
+        Apply("<", (si, si)),
     ]
     rules = [("StartInt", INT, int_prods),
              ("ConstantInt", INT, [THole(INT)]),
@@ -448,7 +443,9 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             declare(name)
             grammar = None
             if len(cmd) == 5:
-                grammar = parse_grammar(cmd[4], params, fun_sorts())
+                # a grammar may call defined functions, never an unknown
+                defs = {n: s for n, s in fun_sorts().items() if n in defined}
+                grammar = parse_grammar(cmd[4], params, defs)
                 if grammar.start_sort != ret:
                     raise SortError(f"grammar of {name} starts at "
                                     f"{grammar.start_sort}, function returns {ret}")
@@ -562,7 +559,7 @@ def load_problem(path) -> SynthProblem:
 # Printing
 
 
-def term_to_sexpr(t: Term) -> SExpr:
+def term_to_sexpr(t: Template) -> SExpr:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Lit):
@@ -571,30 +568,17 @@ def term_to_sexpr(t: Term) -> SExpr:
         if not t.args:
             return t.op
         return [t.op, *(term_to_sexpr(a) for a in t.args)]
+    if isinstance(t, TNT):
+        return t.nt
+    if isinstance(t, THole):
+        return ["Constant", sort_to_sexpr(t.sort)]
     return ["let", [[n, term_to_sexpr(d)] for n, d in t.bindings],
             term_to_sexpr(t.body)]
 
 
-def template_to_sexpr(tpl: Template) -> SExpr:
-    if isinstance(tpl, TVar):
-        return tpl.name
-    if isinstance(tpl, TLit):
-        return tpl.value
-    if isinstance(tpl, TNT):
-        return tpl.nt
-    if isinstance(tpl, THole):
-        return ["Constant", sort_to_sexpr(tpl.sort)]
-    if isinstance(tpl, TApp):
-        if not tpl.children:
-            return tpl.op
-        return [tpl.op, *(template_to_sexpr(c) for c in tpl.children)]
-    return ["let", [[n, template_to_sexpr(d)] for n, d in tpl.bindings],
-            template_to_sexpr(tpl.body)]
-
-
 def grammar_to_sexpr(g: Grammar) -> SExpr:
     return [[nt, sort_to_sexpr(rule.sort),
-             [template_to_sexpr(p) for p in rule.productions]]
+             [term_to_sexpr(p) for p in rule.productions]]
             for nt, rule in g.rules.items()]
 
 
@@ -659,7 +643,7 @@ def parse_solution(text: str, problem: SynthProblem) -> CandidateSolution:
         ctx_funs.update({n: FunSort(f.param_sorts, f.ret)
                          for n, f in helpers.items()})
         body, _ = parse_term(sx[4], dict(params), ctx_funs, ret)
-        body = inline_defs(body, helpers)
+        body = expand(body, helpers)
         u = problem.unknowns.get(name)
         if u is None:
             if name in helpers or name in problem.defined_funs:

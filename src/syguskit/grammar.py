@@ -1,10 +1,11 @@
 """Grammar representation and engine: membership, sized enumeration, counting.
 
-A production is a term-shaped template whose leaves may be concrete symbols
-(the unknown's parameters), literals, nonterminal placeholders, or constant
-holes. Constant holes never invent constants: every engine entry point takes
-an explicit pool, and a hole in the divisor slot of div/mod draws from the
-pool minus zero.
+A production is a term (terms.Template) whose leaves may be the unknown's
+parameters, literals, nonterminals (TNT) or constant holes (THole); a Var or
+Lit leaf derives itself, and make_grammar sort-checks productions with
+terms.infer_sort. Constant holes never invent constants: every engine entry
+point takes an explicit pool, and a hole in the divisor slot of div/mod
+draws from the pool minus zero.
 
 `let` templates are matched structurally (no unfolding): the bound variable
 is aliased to the candidate's bound variable for the scope of the body.
@@ -30,56 +31,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .terms import (Apply, FunSort, Let, Lit, Sort, SortError, SygusError,
-                    Term, UndeclaredSymbol, Value, Var, apply_sort,
-                    value_sort)
+                    Template, Term, THole, TNT, UnknownNonterminal, Value,
+                    Var, infer_sort, term_size, value_sort)
 
 log = logging.getLogger(__name__)
-
-
-class UnknownNonterminal(SygusError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# Templates
-
-
-@dataclass(frozen=True)
-class TVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class TLit:
-    value: Value
-
-
-@dataclass(frozen=True)
-class TNT:
-    nt: str
-
-
-@dataclass(frozen=True)
-class THole:
-    sort: Sort
-
-
-@dataclass(frozen=True)
-class TApp:
-    op: str
-    children: tuple["Template", ...]
-
-
-@dataclass(frozen=True)
-class TLet:
-    bindings: tuple[tuple[str, "Template"], ...]
-    body: "Template"
-
-
-Template = Union[TVar, TLit, TNT, THole, TApp, TLet]
 
 
 @dataclass(frozen=True)
@@ -122,7 +80,7 @@ class Grammar:
             while changed:
                 changed = False
                 for nt, rule in self.rules.items():
-                    best = min((template_min_size(p, sizes) for p in rule.productions),
+                    best = min((term_size(p, sizes) for p in rule.productions),
                                default=math.inf)
                     if best < sizes[nt]:
                         sizes[nt] = best
@@ -156,7 +114,7 @@ class Grammar:
                 if not isinstance(p, TNT):
                     yield p
 
-    def split_plan(self, tpl: "TApp | TLet", size: int) -> tuple:
+    def split_plan(self, tpl: Apply | Let, size: int) -> tuple:
         """(slots, splits) of an application or let template at `size`: slots
         are (child, divisor flag), a let's bindings before its body; splits
         are the compositions of the size left after the template's own nodes,
@@ -165,15 +123,15 @@ class Grammar:
         key = (id(tpl), size)
         hit = self._plans.get(key)
         if hit is None:
-            if isinstance(tpl, TApp):
+            if isinstance(tpl, Apply):
                 slots = tuple((c, tpl.op in ("div", "mod") and i == 1)
-                              for i, c in enumerate(tpl.children))
+                              for i, c in enumerate(tpl.args))
                 budget = size - 1
             else:
                 slots = tuple((d, False) for _, d in tpl.bindings)
                 slots += ((tpl.body, False),)
                 budget = size - 1 - len(tpl.bindings)
-            mins = [template_min_size(c, self.min_sizes()) for c, _ in slots]
+            mins = [term_size(c, self.min_sizes()) for c, _ in slots]
             splits = (() if math.inf in mins
                       else tuple(compositions(budget, [int(m) for m in mins])))
             hit = self._plans[key] = (slots, splits)
@@ -209,50 +167,12 @@ def walk_splits(splits: Sequence[tuple[int, ...]],
             yield from walk_splits(group, inst, chosen + (item,))
 
 
-def assemble(tpl: "TApp | TLet", pieces: Sequence[Term]) -> Term:
+def assemble(tpl: Apply | Let, pieces: Sequence[Term]) -> Term:
     """The term of an application or let template from its slots' terms."""
-    if isinstance(tpl, TApp):
+    if isinstance(tpl, Apply):
         return Apply(tpl.op, tuple(pieces))
     names = [n for n, _ in tpl.bindings]
     return Let(tuple(zip(names, pieces[:-1])), pieces[-1])
-
-
-def template_min_size(tpl: Template, nt_sizes: Mapping[str, float]) -> float:
-    if isinstance(tpl, (TVar, TLit, THole)):
-        return 1
-    if isinstance(tpl, TNT):
-        return nt_sizes.get(tpl.nt, math.inf)
-    if isinstance(tpl, TApp):
-        return 1 + sum(template_min_size(c, nt_sizes) for c in tpl.children)
-    return (1 + len(tpl.bindings)
-            + sum(template_min_size(d, nt_sizes) for _, d in tpl.bindings)
-            + template_min_size(tpl.body, nt_sizes))
-
-
-def check_template(tpl: Template, g: Grammar,
-                   funs: Mapping[str, FunSort] | None = None,
-                   let_env: Mapping[str, Sort] | None = None) -> Sort:
-    """Sort of a template; raises SortError/UndeclaredSymbol on ill-typed ones."""
-    funs = funs or {}
-    let_env = let_env or {}
-    if isinstance(tpl, TVar):
-        s = let_env.get(tpl.name) or g.var_sorts.get(tpl.name)
-        if s is None:
-            raise UndeclaredSymbol(tpl.name)
-        return s
-    if isinstance(tpl, TLit):
-        return value_sort(tpl.value)
-    if isinstance(tpl, TNT):
-        return g.rule(tpl.nt).sort
-    if isinstance(tpl, THole):
-        return tpl.sort
-    if isinstance(tpl, TLet):
-        inner = dict(let_env)
-        for name, d in tpl.bindings:
-            inner[name] = check_template(d, g, funs, let_env)
-        return check_template(tpl.body, g, funs, inner)
-    return apply_sort(tpl.op, [check_template(c, g, funs, let_env)
-                               for c in tpl.children], funs)
 
 
 def make_grammar(start: str, rules: Sequence[tuple[str, Sort, Sequence[Template]]],
@@ -263,6 +183,7 @@ def make_grammar(start: str, rules: Sequence[tuple[str, Sort, Sequence[Template]
     nonterminals once, at load."""
     g = Grammar(start, {name: Rule(sort, tuple(prods)) for name, sort, prods in rules},
                 dict(var_sorts))
+    nts = {name: rule.sort for name, rule in g.rules.items()}
     for name, rule in g.rules.items():
         seen: dict[Template, None] = {}
         for p in rule.productions:
@@ -270,7 +191,7 @@ def make_grammar(start: str, rules: Sequence[tuple[str, Sort, Sequence[Template]
                 log.warning("duplicate production for %s dropped: %r", name, p)
                 continue
             seen[p] = None
-            got = check_template(p, g, funs)
+            got = infer_sort(p, var_sorts, nts, funs or {})
             if got != rule.sort:
                 raise SortError(f"production of {name} has sort {got}, "
                                 f"rule declares {rule.sort}")
@@ -303,18 +224,18 @@ def derives(g: Grammar, nt: str, t: Term) -> bool:
     def match(tpl: Template, t: Term, env: dict[str, str]) -> bool:
         if isinstance(tpl, TNT):
             return from_nt(tpl.nt, t)
-        if isinstance(tpl, TVar):
+        if isinstance(tpl, Var):
             want = env.get(tpl.name, tpl.name)
             return isinstance(t, Var) and t.name == want
-        if isinstance(tpl, TLit):
+        if isinstance(tpl, Lit):
             return isinstance(t, Lit) and t.value == tpl.value
         if isinstance(tpl, THole):
             return isinstance(t, Lit) and value_sort(t.value) == tpl.sort
-        if isinstance(tpl, TApp):
+        if isinstance(tpl, Apply):
             return (isinstance(t, Apply) and t.op == tpl.op
-                    and len(t.args) == len(tpl.children)
+                    and len(t.args) == len(tpl.args)
                     and all(match(c, a, env)
-                            for c, a in zip(tpl.children, t.args)))
+                            for c, a in zip(tpl.args, t.args)))
         if not (isinstance(t, Let) and len(t.bindings) == len(tpl.bindings)):
             return False
         inner = dict(env)
@@ -409,7 +330,7 @@ class Enumerator:
         return hit
 
     def _count_tpl(self, tpl: Template, size: int, no_zero: bool) -> int:
-        if isinstance(tpl, (TVar, TLit)):
+        if isinstance(tpl, (Var, Lit)):
             return 1 if size == 1 else 0
         if isinstance(tpl, THole):
             return len(self._hole_pool(tpl.sort, no_zero)) if size == 1 else 0
@@ -417,7 +338,7 @@ class Enumerator:
             return self.count(tpl.nt, size, no_zero)
         return self._split_weights(tpl, size)[0]
 
-    def _split_weights(self, tpl: TApp | TLet, size: int) -> tuple[int, list]:
+    def _split_weights(self, tpl: Apply | Let, size: int) -> tuple[int, list]:
         """(derivations, rows) of an application or let template: one row
         (split, suffix) per split with a derivation, where suffix[i] counts
         the derivations of slots i.. at that split's sizes."""
@@ -455,12 +376,9 @@ class Enumerator:
         return hit
 
     def _enum_tpl(self, tpl: Template, size: int, no_zero: bool) -> Iterator[Term]:
-        if isinstance(tpl, TVar):
+        if isinstance(tpl, (Var, Lit)):
             if size == 1:
-                yield Var(tpl.name)
-        elif isinstance(tpl, TLit):
-            if size == 1:
-                yield Lit(tpl.value)
+                yield tpl
         elif isinstance(tpl, THole):
             if size == 1:
                 for v in self._hole_pool(tpl.sort, no_zero):
@@ -491,10 +409,8 @@ class Enumerator:
 
     def _sample_tpl(self, tpl: Template, size: int, no_zero: bool,
                     rng: random.Random, path: Path):
-        if isinstance(tpl, TVar):
-            return Var(tpl.name), [], 1
-        if isinstance(tpl, TLit):
-            return Lit(tpl.value), [], 1
+        if isinstance(tpl, (Var, Lit)):
+            return tpl, [], 1
         if isinstance(tpl, THole):
             vals = self._hole_pool(tpl.sort, no_zero)
             return Lit(vals[rng.randrange(len(vals))]), [], 1
@@ -502,7 +418,7 @@ class Enumerator:
             node = self.sample(tpl.nt, size, rng, no_zero)
             return node.term, [(path, node)], 0
         slots, _ = self.g.split_plan(tpl, size)
-        if isinstance(tpl, TApp):
+        if isinstance(tpl, Apply):
             steps, own = list(range(len(slots))), 1
         else:
             steps = [("d", i) for i in range(len(tpl.bindings))] + [("b",)]
@@ -516,7 +432,7 @@ class Enumerator:
             own += o
         return assemble(tpl, pieces), children, own
 
-    def _draw_sizes(self, tpl: TApp | TLet, size: int,
+    def _draw_sizes(self, tpl: Apply | Let, size: int,
                       rng: random.Random) -> list[int]:
         """Child sizes drawn slot by slot; a slot's size s is weighted by the
         derivations of that slot at s times those of the later slots in the

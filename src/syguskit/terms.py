@@ -5,11 +5,19 @@ Evaluation follows SMT-LIB semantics: Euclidean integer div/mod, total
 bit-vector division (udiv by zero = all ones, urem by zero = dividend),
 shifts saturating at the width, and lazy ite/and/or/=>.
 
+A grammar production (a Template) is a term whose leaves may also be a
+nonterminal (TNT) or a constant hole (THole), so one node type serves both:
+`infer_sort` is the one sort checker of terms and productions, the frontend
+has one printer for both, and a production's Var and Lit leaves are the
+terms they derive. `expand` is the one expander: it replaces applications of
+given functions by their bodies (defined functions, or candidate bodies for
+the unknowns).
+
 `OPS` is the one place a built-in operator is described: its least and
 greatest arity, its operand and result sorts and its value function.
-`apply_sort` types an application from it (for `infer_sort`, the grammar's
-template check and the frontend), `evaluate` and the enumerator's bank
-compute values with it; only the lazy ite/and/or/=> are evaluated in place.
+`apply_sort` types an application from it (for `infer_sort` and the
+frontend), `evaluate` and the enumerator's bank compute values with it; only
+the lazy ite/and/or/=> are evaluated in place.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ class DivisionByZero(SygusError, ArithmeticError):
     """Integer division by zero; the valuation is outside the term's safe domain."""
 
 
-class UnboundUnknown(SygusError):
+class UnknownNonterminal(SygusError):
     pass
 
 
@@ -145,6 +153,23 @@ class Let:
 Term = Union[Var, Lit, Apply, Let]
 
 
+# The two leaves only a grammar production has: a nonterminal, and a constant
+# hole that any literal of its sort fills.
+
+
+@dataclass(frozen=True)
+class TNT:
+    nt: str
+
+
+@dataclass(frozen=True)
+class THole:
+    sort: Sort
+
+
+Template = Union[Var, Lit, Apply, Let, TNT, THole]
+
+
 @dataclass(frozen=True)
 class FunDef:
     """A named function: define-fun, candidate body, or unknown signature."""
@@ -165,16 +190,20 @@ class FunSort:
     ret: Sort
 
 
-def term_size(t: Term) -> int:
-    """Node count of the parse tree; a let costs 1 + one node per binding site."""
-    if isinstance(t, (Var, Lit)):
+def term_size(t: Template, nt_sizes: Mapping[str, float] | None = None) -> float:
+    """Node count of the parse tree; a let costs 1 + one node per binding site.
+    In a production a hole is one node and a nonterminal its least derivable
+    size in nt_sizes (math.inf if absent)."""
+    if isinstance(t, (Var, Lit, THole)):
         return 1
     if isinstance(t, Apply):
-        return 1 + sum(term_size(a) for a in t.args)
+        return 1 + sum(term_size(a, nt_sizes) for a in t.args)
     if isinstance(t, Let):
         return (1 + len(t.bindings)
-                + sum(term_size(d) for _, d in t.bindings)
-                + term_size(t.body))
+                + sum(term_size(d, nt_sizes) for _, d in t.bindings)
+                + term_size(t.body, nt_sizes))
+    if isinstance(t, TNT):
+        return (nt_sizes or {}).get(t.nt, math.inf)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -358,8 +387,15 @@ def apply_sort(op: str, sorts: Sequence[Sort],
     return shared if spec.result is None else spec.result
 
 
-def infer_sort(t: Term, ctx: Mapping[str, Sort | FunSort]) -> Sort:
-    """Unique sort of t under ctx (variables and function signatures)."""
+def infer_sort(t: Template, ctx: Mapping[str, Sort | FunSort],
+               nts: Mapping[str, Sort] | None = None,
+               funs: Mapping[str, Sort | FunSort] | None = None) -> Sort:
+    """Unique sort of a term or production. ctx gives the sorts of variables
+    and, unless funs is given, the signatures of functions; nts gives the
+    sorts of a grammar's nonterminals. As in the parser, a let binding hides
+    a variable of its name but not a function."""
+    if funs is None:
+        funs = ctx
     if isinstance(t, Var):
         s = ctx.get(t.name)
         if s is None:
@@ -372,9 +408,17 @@ def infer_sort(t: Term, ctx: Mapping[str, Sort | FunSort]) -> Sort:
     if isinstance(t, Let):
         inner = dict(ctx)
         for name, d in t.bindings:
-            inner[name] = infer_sort(d, ctx)
-        return infer_sort(t.body, inner)
-    return apply_sort(t.op, [infer_sort(a, ctx) for a in t.args], ctx, t)
+            inner[name] = infer_sort(d, ctx, nts, funs)
+        return infer_sort(t.body, inner, nts, funs)
+    if isinstance(t, TNT):
+        s = (nts or {}).get(t.nt)
+        if s is None:
+            raise UnknownNonterminal(t.nt)
+        return s
+    if isinstance(t, THole):
+        return t.sort
+    return apply_sort(t.op, [infer_sort(a, ctx, nts, funs) for a in t.args],
+                      funs, t)
 
 
 # ---------------------------------------------------------------------------
@@ -476,36 +520,17 @@ def apply_fundef(f: FunDef, args: tuple[Term, ...]) -> Term:
     return substitute(f.body, {name: a for (name, _), a in zip(f.params, args)})
 
 
-def substitute_unknowns(t: Term, funcs: Mapping[str, FunDef],
-                        unknown_names: frozenset[str] | None = None) -> Term:
-    """Replace every unknown application by its candidate body (beta-reduced)."""
-    names = unknown_names if unknown_names is not None else frozenset(funcs)
-
+def expand(t: Term, funcs: Mapping[str, FunDef]) -> Term:
+    """Replace applications of the functions in funcs by their bodies, with
+    the arguments substituted, until none remains: defined functions for an
+    SMT script or a solution's helpers, candidate bodies for the unknowns."""
     def go(t: Term) -> Term:
         if isinstance(t, (Var, Lit)):
             return t
         if isinstance(t, Let):
             return Let(tuple((n, go(d)) for n, d in t.bindings), go(t.body))
         args = tuple(go(a) for a in t.args)
-        if t.op in names:
-            f = funcs.get(t.op)
-            if f is None:
-                raise UnboundUnknown(t.op)
-            return apply_fundef(f, args)
-        return Apply(t.op, args)
-
-    return go(t)
-
-
-def inline_defs(t: Term, defs: Mapping[str, FunDef]) -> Term:
-    """Expand applications of defined functions until none remain."""
-    def go(t: Term) -> Term:
-        if isinstance(t, (Var, Lit)):
-            return t
-        if isinstance(t, Let):
-            return Let(tuple((n, go(d)) for n, d in t.bindings), go(t.body))
-        args = tuple(go(a) for a in t.args)
-        f = defs.get(t.op)
+        f = funcs.get(t.op)
         if f is not None:
             return go(apply_fundef(f, args))
         return Apply(t.op, args)

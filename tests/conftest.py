@@ -57,14 +57,14 @@ def let_grammar():
     """S over x and 1 with +, a one-binding and a two-binding let; the second
     let's body holds a nonterminal, so its bindings' sizes vary with the
     body's."""
-    from syguskit.grammar import TApp, TLet, TLit, TNT, TVar, make_grammar
-    from syguskit.terms import INT
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import INT, TNT, Apply, Let, Lit, Var
     s = TNT("S")
-    one = TLet((("z", s),), TApp("+", (TVar("z"), TVar("z"))))
-    two = TLet((("a", s), ("b", s)),
-               TApp("-", (TVar("a"), TApp("+", (TVar("b"), s)))))
-    return make_grammar("S", [("S", INT, [TVar("x"), TLit(1),
-                                          TApp("+", (s, s)), one, two])],
+    one = Let((("z", s),), Apply("+", (Var("z"), Var("z"))))
+    two = Let((("a", s), ("b", s)),
+              Apply("-", (Var("a"), Apply("+", (Var("b"), s)))))
+    return make_grammar("S", [("S", INT, [Var("x"), Lit(1),
+                                          Apply("+", (s, s)), one, two])],
                         {"x": INT})
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, deep_problem, fake_solver_script
+from test_frontend import CROSS_UNKNOWN_GRAMMAR
 from syguskit.sexpr import MAX_DEPTH
 
 PKG = Path(__file__).parent.parent
@@ -34,6 +35,18 @@ def test_parse_failure_exit_2(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert "error:" in r.stderr
+
+
+def test_grammar_calling_an_unknown_is_an_input_error(tmp_path):
+    bad = tmp_path / "cross.sl"
+    bad.write_text(CROSS_UNKNOWN_GRAMMAR)
+    for args in (("parse", str(bad)),
+                 ("solve", str(bad), "--strategy", "enum")):
+        r = cli(*args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error: f" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_deep_nesting_is_an_input_error(tmp_path):

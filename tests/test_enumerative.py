@@ -105,16 +105,16 @@ def div_grammar():
     """S over x and (seven) with +, div and mod by a nonterminal of the
     literals 0 and 2, and ite over B, whose comparisons are joined by
     and/or/=>."""
-    from syguskit.grammar import TApp, TLit, TNT, TVar, make_grammar
-    from syguskit.terms import BOOL
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import BOOL, TNT
     s, d, b = TNT("S"), TNT("D"), TNT("B")
     return make_grammar("S", [
-        ("S", INT, [TVar("x"), TApp("seven", ()), TApp("+", (s, s)),
-                    TApp("div", (s, d)), TApp("mod", (s, d)),
-                    TApp("ite", (b, s, s))]),
-        ("D", INT, [TLit(0), TLit(2)]),
-        ("B", BOOL, [TApp("<", (s, s)), TApp("and", (b, b)),
-                     TApp("or", (b, b)), TApp("=>", (b, b))])], {"x": INT},
+        ("S", INT, [Var("x"), Apply("seven", ()), Apply("+", (s, s)),
+                    Apply("div", (s, d)), Apply("mod", (s, d)),
+                    Apply("ite", (b, s, s))]),
+        ("D", INT, [Lit(0), Lit(2)]),
+        ("B", BOOL, [Apply("<", (s, s)), Apply("and", (b, b)),
+                     Apply("or", (b, b)), Apply("=>", (b, b))])], {"x": INT},
         {"seven": FunSort((), INT)})
 
 

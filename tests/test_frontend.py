@@ -15,10 +15,10 @@ from syguskit.frontend import (ArityMismatch, CandidateSolution,
                                parse_solution, parse_term, print_problem,
                                print_solution, read_problem, term_to_sexpr,
                                UnknownFun)
-from syguskit.grammar import Enumerator, TApp, THole, TLit, TNT, TVar
+from syguskit.grammar import Enumerator
 from syguskit.sexpr import BV, print_sexpr, read_sexprs
-from syguskit.terms import (BOOL, INT, Apply, FunSort, Lit, SortError,
-                            SygusError, UndeclaredSymbol, Var, bitvec,
+from syguskit.terms import (BOOL, INT, TNT, Apply, FunSort, Lit, SortError,
+                            SygusError, THole, UndeclaredSymbol, Var, bitvec,
                             infer_sort, term_size)
 
 REFERENCE_LISTINGS = ["lsz_bv32.sl", "max2.sl", "inv_loop.sl", "qm_loop_1.sl",
@@ -35,7 +35,7 @@ def test_max2_shape(max2):
     assert [s for _, s in u.params] == [INT, INT]
     assert list(max2.universals.values()) == [INT, INT]
     assert len(max2.constraints) == 3
-    ctx = max2.term_ctx()
+    ctx = {**max2.universals, **max2.fun_sorts()}
     assert all(infer_sort(c, ctx) == BOOL for c in max2.constraints)
 
 
@@ -113,6 +113,25 @@ def test_short_equality_or_ite_production_is_sort_error(production):
         read_problem(text)
 
 
+# g's grammar calls the unknown f: no solution could define g that way.
+CROSS_UNKNOWN_GRAMMAR = """(set-logic LIA)
+(synth-fun f ((x Int)) Int)
+(synth-fun g ((x Int)) Int ((T Int (x (f T)))))
+(declare-var x Int)
+(constraint (= (g x) (f x)))
+(check-synth)
+"""
+
+
+def test_grammar_calls_defined_functions_but_no_unknown():
+    with pytest.raises(UndeclaredSymbol):
+        read_problem(CROSS_UNKNOWN_GRAMMAR)
+    p = read_problem(CROSS_UNKNOWN_GRAMMAR.replace(
+        "(synth-fun f ((x Int)) Int)", "(define-fun f ((x Int)) Int (+ x 1))"))
+    productions = p.unknowns["g"].grammar.rules["T"].productions
+    assert Apply("f", (TNT("T"),)) in productions
+
+
 def test_constant_hole_in_a_term_is_an_input_error():
     head = "(set-logic LIA)(synth-fun f ((x Int)) Int)(declare-var x Int)"
     with pytest.raises(SygusError):
@@ -138,16 +157,22 @@ QB_PROBLEM = """(set-logic BV)
 
 def test_bitvector_ite_and_declared_function_productions():
     p = read_problem(QB_PROBLEM)
-    zero, one = TLit(BV(8, 0)), TLit(BV(8, 1))
+    zero, one = Lit(BV(8, 0)), Lit(BV(8, 1))
     assert p.unknowns["f"].grammar.rules["S"].productions == (
-        TVar("x"), TApp("ite", (TNT("B"), zero, one)),
-        TApp("qb", (TNT("S"), one)))
+        Var("x"), Apply("ite", (TNT("B"), zero, one)),
+        Apply("qb", (TNT("S"), one)))
     x, b8 = Var("x"), bitvec(8)
     qb = {"qb": FunSort((b8, b8), b8)}
     assert term("(ite b 0 1)", {"b": BOOL}, expected=b8) == Apply(
         "ite", (Var("b"), Lit(BV(8, 0)), Lit(BV(8, 1))))
     assert term("(qb x 1)", {"x": b8}, qb) == Apply("qb", (x, Lit(BV(8, 1))))
     assert read_problem(print_problem(p)) == p
+    # either branch may leave its width to the ite's expected sort
+    ctx, neg = {"b": BOOL, "v": b8}, Apply("bvnot", (Lit(BV(8, 15)),))
+    assert term("(ite b (bvnot 15) v)", ctx, expected=b8) == Apply(
+        "ite", (Var("b"), neg, Var("v")))
+    assert term("(ite b v (bvnot 15))", ctx, expected=b8) == Apply(
+        "ite", (Var("b"), Var("v"), neg))
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +223,7 @@ def test_every_data_file_roundtrips(name):
 def test_type_soundness_over_corpus():
     for f in sorted(DATA.glob("*.sl")):
         p = read_problem(f.read_text())
-        ctx = p.term_ctx()
+        ctx = {**p.universals, **p.fun_sorts()}
         for c in p.constraints:
             assert infer_sort(c, ctx) == BOOL
 
@@ -241,7 +266,7 @@ def test_inductive_constraint_contains_decrement(inv_loop):
 def test_no_sugar_remains_and_unknown_has_grammar(inv_loop):
     assert inv_loop.unknowns["inv-f"].grammar is not None
     for c in inv_loop.constraints:
-        infer_sort(c, inv_loop.term_ctx())
+        infer_sort(c, {**inv_loop.universals, **inv_loop.fun_sorts()})
 
 
 def test_trans_arity_mismatch():
@@ -283,14 +308,14 @@ def test_default_grammar_production_multiset():
     si, sb, ci = TNT("StartInt"), TNT("StartBool"), TNT("ConstantInt")
     assert g.start == "StartInt"
     assert list(g.rules["StartInt"].productions) == [
-        TVar("x"), TVar("y"), ci,
-        TApp("+", (si, si)), TApp("-", (si, si)),
-        TApp("*", (si, ci)), TApp("*", (ci, si)),
-        TApp("div", (si, ci)), TApp("mod", (si, ci)),
-        TApp("ite", (sb, si, si))]
+        Var("x"), Var("y"), ci,
+        Apply("+", (si, si)), Apply("-", (si, si)),
+        Apply("*", (si, ci)), Apply("*", (ci, si)),
+        Apply("div", (si, ci)), Apply("mod", (si, ci)),
+        Apply("ite", (sb, si, si))]
     assert g.rules["ConstantInt"].productions == (THole(INT),)
     ops = [p.op for p in g.rules["StartBool"].productions
-           if isinstance(p, TApp)]
+           if isinstance(p, Apply)]
     assert ops == ["and", "or", "=>", "xor", "xnor", "nand", "nor", "iff",
                    "not", "=", "<=", "=", ">=", ">", "<"]
     assert len(g.rules["StartBool"].productions) == 17

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import load, term
 from syguskit.frontend import default_grammar
-from syguskit.grammar import (Enumerator, TApp, THole, TLet, TLit, TNT,
-                              TVar, UnknownNonterminal, derives, make_grammar)
-from syguskit.terms import (BV, INT, Apply, Let, Lit, Var, bitvec, term_size)
+from syguskit.grammar import (Enumerator, UnknownNonterminal, derives,
+                              make_grammar)
+from syguskit.terms import (BV, INT, TNT, Apply, Let, Lit, THole, Var, bitvec,
+                            term_size)
 
 
 # ---------------------------------------------------------------------------
@@ -17,9 +18,9 @@ from syguskit.terms import (BV, INT, Apply, Let, Lit, Var, bitvec, term_size)
 
 
 def _naive_inst(g, tpl, size, pool, no_zero):
-    if isinstance(tpl, TVar):
+    if isinstance(tpl, Var):
         return {Var(tpl.name)} if size == 1 else set()
-    if isinstance(tpl, TLit):
+    if isinstance(tpl, Lit):
         return {Lit(tpl.value)} if size == 1 else set()
     if isinstance(tpl, THole):
         if size != 1:
@@ -31,13 +32,13 @@ def _naive_inst(g, tpl, size, pool, no_zero):
         return {Lit(v) for v in vals}
     if isinstance(tpl, TNT):
         return naive_derivable(g, tpl.nt, size, pool, no_zero)
-    if isinstance(tpl, TApp):
-        k = len(tpl.children)
+    if isinstance(tpl, Apply):
+        k = len(tpl.args)
         out = set()
         for split in _splits(size - 1, k):
             childsets = [
                 _naive_inst(g, c, s, pool, tpl.op in ("div", "mod") and i == 1)
-                for i, (c, s) in enumerate(zip(tpl.children, split))]
+                for i, (c, s) in enumerate(zip(tpl.args, split))]
             for combo in itertools.product(*childsets):
                 out.add(Apply(tpl.op, combo))
         return out
@@ -109,6 +110,13 @@ def test_unknown_nonterminal():
     g = default_grammar((("x", INT),), INT)
     with pytest.raises(UnknownNonterminal):
         derives(g, "Nope", Lit(1))
+
+
+def test_production_naming_an_undefined_nonterminal():
+    with pytest.raises(UnknownNonterminal):
+        make_grammar("S", [("S", INT, [Var("x"),
+                                       Apply("+", (TNT("S"), TNT("T")))])],
+                     {"x": INT})
 
 
 def test_foreign_literal_not_in_qm_grammar(qm_loop):
@@ -208,7 +216,7 @@ def test_min_sizes(lsz32):
 
 def test_unproductive_nonterminal_reported_at_load(caplog):
     with caplog.at_level(logging.WARNING, logger="syguskit.grammar"):
-        g = make_grammar("S", [("S", INT, [TApp("+", (TNT("S"), TNT("S")))])],
+        g = make_grammar("S", [("S", INT, [Apply("+", (TNT("S"), TNT("S")))])],
                          {})
     assert g.min_sizes()["S"] == math.inf
     assert any("derives no finite term" in r.message for r in caplog.records)
@@ -221,7 +229,7 @@ def test_default_startbool_min_size():
 
 def test_duplicate_productions_deduplicated_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="syguskit.grammar"):
-        g = make_grammar("S", [("S", INT, [TVar("x"), TVar("x")])],
+        g = make_grammar("S", [("S", INT, [Var("x"), Var("x")])],
                          {"x": INT})
     assert len(g.rules["S"].productions) == 1
     assert any("duplicate production" in r.message for r in caplog.records)
@@ -233,8 +241,8 @@ def test_duplicate_productions_deduplicated_with_warning(caplog):
 
 @pytest.fixture(scope="module")
 def let_grammar():
-    double = TLet((("z", TNT("S")),), TApp("+", (TVar("z"), TVar("z"))))
-    return make_grammar("S", [("S", INT, [TVar("x"), double])], {"x": INT})
+    double = Let((("z", TNT("S")),), Apply("+", (Var("z"), Var("z"))))
+    return make_grammar("S", [("S", INT, [Var("x"), double])], {"x": INT})
 
 
 def test_let_membership_is_alpha_aware(let_grammar):

@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 from conftest import term
 from syguskit.terms import (BOOL, BV, INT, OPS, Apply, DivisionByZero,
                             FunDef, FunSort, Let, Lit, SortError,
-                            UndeclaredSymbol, Var, bitvec, evaluate,
-                            free_vars, infer_sort, substitute,
-                            substitute_unknowns, term_size, value_sort)
+                            UndeclaredSymbol, Var, bitvec, evaluate, expand,
+                            free_vars, infer_sort, substitute, term_size,
+                            value_sort)
 
 BV32 = bitvec(32)
 
@@ -257,26 +257,25 @@ def test_operator_table_entry(op):
 # substitution
 
 
-def test_substitute_unknowns_max2_constraint():
+def test_expand_max2_constraint():
     ctx = {"x": INT, "y": INT}
     c = term("(>= (max2 x y) x)", ctx, {"max2": FunSort((INT, INT), INT)})
     body = term("(ite (>= x y) x y)", ctx)
     f = FunDef("max2", (("x", INT), ("y", INT)), INT, body)
-    got = substitute_unknowns(c, {"max2": f})
+    got = expand(c, {"max2": f})
     assert got == term("(>= (ite (>= x y) x y) x)", ctx)
 
 
-def test_substitute_unknowns_leaves_plain_terms():
+def test_expand_leaves_plain_terms():
     c = term("(> x 0)", {"x": INT})
-    assert substitute_unknowns(c, {}, frozenset({"f"})) is c or \
-        substitute_unknowns(c, {}, frozenset({"f"})) == c
+    assert expand(c, {}) == c
 
 
 def test_substitution_instantiates_parameters_not_universals():
     # (f y) with body x+1 must become y+1
     f = FunDef("f", (("x", INT),), INT, term("(+ x 1)", {"x": INT}))
     c = Apply("f", (Var("y"),))
-    assert substitute_unknowns(c, {"f": f}) == term("(+ y 1)", {"y": INT})
+    assert expand(c, {"f": f}) == term("(+ y 1)", {"y": INT})
 
 
 def test_substitute_avoids_let_capture():
@@ -337,7 +336,7 @@ def test_substitution_commutes_with_evaluation():
     for problem, funcs in setups:
         defs = dict(problem.defined_funs)
         defs.update(funcs)
-        substituted = [substitute_unknowns(c, funcs, frozenset(funcs))
+        substituted = [expand(c, funcs)
                        for c in problem.constraints]
         for _ in range(1000):
             point = {}
