@@ -100,31 +100,39 @@ class Bank:
         self.defs = dict(defs or {})
         self.terms: dict[str, dict[int, list[tuple[Term, tuple]]]] = {
             nt: {} for nt in grammar.rules}
+        # size-1 banks as a divisor slot sees them: holes there skip zero
+        self.nonzero: dict[str, list[tuple[Term, tuple]]] = {}
         self.built_to = 0
 
     def build_to(self, size: int, deadline: Deadline | None = None):
         for s in range(self.built_to + 1, size + 1):
             for nt in self.g.rules:
-                kept: list[tuple[Term, tuple]] = []
-                seen_terms: set[Term] = set()
-                seen_sigs: set[tuple] = set()
-                n = 0
-                for p in self.g.closed_productions(nt):
-                    for term, sig in self._inst(p, s, False, {}):
-                        n += 1
-                        if n % 4096 == 0 and deadline is not None \
-                                and deadline.expired():
-                            raise BudgetExpired
-                        if term in seen_terms:
-                            continue
-                        seen_terms.add(term)
-                        if self.prune:
-                            if sig in seen_sigs:
-                                continue
-                            seen_sigs.add(sig)
-                        kept.append((term, sig))
-                self.terms[nt][s] = kept
+                self.terms[nt][s] = self._grow(nt, s, False, deadline)
+                if s == 1:
+                    self.nonzero[nt] = self._grow(nt, 1, True, deadline)
             self.built_to = s
+
+    def _grow(self, nt: str, size: int, no_zero: bool,
+              deadline: Deadline | None) -> list[tuple[Term, tuple]]:
+        kept: list[tuple[Term, tuple]] = []
+        seen_terms: set[Term] = set()
+        seen_sigs: set[tuple] = set()
+        n = 0
+        for p in self.g.closed_productions(nt):
+            for term, sig in self._inst(p, size, no_zero, {}):
+                n += 1
+                if n % 4096 == 0 and deadline is not None \
+                        and deadline.expired():
+                    raise BudgetExpired
+                if term in seen_terms:
+                    continue
+                seen_terms.add(term)
+                if self.prune:
+                    if sig in seen_sigs:
+                        continue
+                    seen_sigs.add(sig)
+                kept.append((term, sig))
+        return kept
 
     def _leaf_sig(self, value_fn) -> tuple:
         return tuple(value_fn(b) for b in self.bindings)
@@ -144,7 +152,9 @@ class Bank:
                 for v in self.enumr._hole_pool(tpl.sort, no_zero):
                     yield Lit(v), self._leaf_sig(lambda b, v=v: v)
         elif isinstance(tpl, TNT):
-            yield from self.terms[tpl.nt].get(size, [])
+            # holes occur only at size 1, so larger divisors need no filter
+            yield from (self.nonzero[tpl.nt] if no_zero and size == 1
+                        else self.terms[tpl.nt].get(size, []))
         else:
             slots, splits = self.g.split_plan(tpl, size)
             is_let = isinstance(tpl, Let)

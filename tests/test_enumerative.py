@@ -118,10 +118,12 @@ def div_grammar():
         {"seven": FunSort((), INT)})
 
 
-@pytest.mark.parametrize("case", ["qm_loop", "let", "div", "hd17_w8"])
+@pytest.mark.parametrize("case", ["qm_loop", "let", "div", "hole_div",
+                                  "hd17_w8"])
 def test_unpruned_grow_matches_enumeration(case):
+    from syguskit.frontend import default_grammar
     from syguskit.grammar import Enumerator
-    bindings = [{"x": v} for v in (-2, 0, 3)]
+    bindings, pool = [{"x": v} for v in (-2, 0, 3)], []
     if case == "qm_loop":
         p = load("qm_loop_1.sl")
         g, defs, limit = p.unknowns["qm-loop"].grammar, p.defined_funs, 5
@@ -135,12 +137,17 @@ def test_unpruned_grow_matches_enumeration(case):
         # one that settles them; (seven) is a nullary defined function
         g, defs, limit = div_grammar(), {"seven": SEVEN}, 9
         bindings = [{"x": v} for v in (-2, 0, 9)]
+    elif case == "hole_div":
+        # the divisor is the nonterminal ConstantInt, whose hole draws 0 and
+        # 2 from the pool; only 2 may fill it
+        g, defs, limit = default_grammar((("x", INT),), INT), {}, 4
+        pool = [0, 2]
     else:
         g, defs, limit = load("hd17_w8.sl").unknowns["f"].grammar, {}, 7
         bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
-    banks = grow(g, bindings, pool=[], size_limit=limit, prune=False,
+    banks = grow(g, bindings, pool=pool, size_limit=limit, prune=False,
                  defs=defs)
-    e = Enumerator(g)
+    e = Enumerator(g, pool)
     for nt in g.rules:
         for size in range(1, limit + 1):
             entries = banks[nt].get(size, [])
