@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 import shlex
 import subprocess
@@ -95,19 +96,27 @@ class Layered:
 CheckStrategy = Union[ExhaustiveSmall, RandomSample, ExternalSMT, Layered]
 
 
-def grid_points(universals: Mapping[str, Sort], strat: ExhaustiveSmall) -> int | None:
-    """Number of grid points, or None if some domain exceeds the caps."""
-    total = 1
+def _grid_domains(universals: Mapping[str, Sort],
+                  strat: ExhaustiveSmall) -> list[Sequence[Value]] | None:
+    """The values the grid gives each universal, or None if some sort has
+    no grid under the caps."""
+    out: list[Sequence[Value]] = []
     for sort in universals.values():
         if sort == INT:
-            total *= strat.int_hi - strat.int_lo + 1
+            out.append(range(strat.int_lo, strat.int_hi + 1))
         elif sort == BOOL:
-            total *= 2
+            out.append((False, True))
         elif sort.is_bv and sort.width <= strat.bv_width_cap:
-            total *= 1 << sort.width
+            out.append([BV(sort.width, v) for v in range(1 << sort.width)])
         else:
             return None
-    return total
+    return out
+
+
+def grid_points(universals: Mapping[str, Sort], strat: ExhaustiveSmall) -> int | None:
+    """Number of grid points, or None if some domain exceeds the caps."""
+    domains = _grid_domains(universals, strat)
+    return None if domains is None else math.prod(map(len, domains))
 
 
 def default_strategy(p: SynthProblem, smt_command: str | None = None,
@@ -168,25 +177,6 @@ def substituted_constraints(p: SynthProblem, s: CandidateSolution) -> list[Term]
     return [expand(c, s.funcs) for c in p.constraints]
 
 
-def _int_domain(lo: int, hi: int) -> list[int]:
-    return list(range(lo, hi + 1))
-
-
-def _grid(universals: Mapping[str, Sort],
-          strat: ExhaustiveSmall) -> Iterator[dict] | None:
-    domains = []
-    for name, sort in universals.items():
-        if sort == INT:
-            domains.append([(name, v) for v in _int_domain(strat.int_lo, strat.int_hi)])
-        elif sort == BOOL:
-            domains.append([(name, False), (name, True)])
-        elif sort.is_bv and sort.width <= strat.bv_width_cap:
-            domains.append([(name, BV(sort.width, v)) for v in range(1 << sort.width)])
-        else:
-            return None
-    return (dict(combo) for combo in itertools.product(*domains))
-
-
 def _draw(sort: Sort, rng: random.Random, strat: RandomSample) -> Value:
     if sort == INT:
         return rng.randint(strat.int_lo, strat.int_hi)
@@ -220,7 +210,10 @@ def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
     defs = p.defined_funs
 
     if isinstance(strat, ExhaustiveSmall):
-        return _check_points(constraints, _grid(p.universals, strat), defs)
+        domains = _grid_domains(p.universals, strat)
+        return _check_points(constraints, None if domains is None else (
+            dict(zip(p.universals, combo))
+            for combo in itertools.product(*domains)), defs)
 
     if isinstance(strat, RandomSample):
         rng = random.Random(strat.seed)
