@@ -1,23 +1,25 @@
-"""Shared CEGIS machinery: outcomes, example sets, constant pools, signatures.
+"""Shared CEGIS machinery: outcomes, example sets, constant pools, and the
+one candidate scorer.
 
-Counterexamples are valuations of the problem's universal variables. A
-candidate subterm is scored against the examples through the parameter
-bindings induced by the unknowns' invocation argument tuples: for every
-example and every syntactically distinct invocation, the argument terms are
-evaluated at the example to bind the unknown's parameters.
+Counterexamples are valuations of the problem's universal variables. For
+every example and every syntactically distinct invocation of an unknown, the
+argument terms are evaluated at the example to bind the unknown's parameters;
+a term's signature is its output vector over these induced bindings. Both
+solvers ask Scorer which examples a candidate gets wrong: the enumerative
+solver hands it the signatures from its banks, the stochastic one the bodies.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .checker import falsified
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, Apply, DivisionByZero, FunDef, Lit, Term, Value,
-                    evaluate, subterms)
+from .terms import (BV, Apply, DivisionByZero, FunDef, Let, Lit, Term, Value,
+                    Var, evaluate, subterms)
 
 
 @dataclass
@@ -113,21 +115,13 @@ def base_constant_pool(p: SynthProblem) -> tuple[Value, ...]:
 
 
 def pool_with_examples(base: Sequence[Value], E: ExampleSet) -> tuple[Value, ...]:
-    extra_ints, extra_bvs = set(), set()
-    for point in E:
-        for v in point.values():
-            if isinstance(v, bool):
-                continue
-            if isinstance(v, BV):
-                extra_bvs.add(v)
-            else:
-                extra_ints.add(v)
-    out = dict.fromkeys(base)
-    for v in sorted(extra_ints):
-        out.setdefault(v, None)
-    for v in sorted(extra_bvs, key=lambda b: (b.width, b.value)):
-        out.setdefault(v, None)
-    return tuple(out)
+    """base, then the examples' Int and bit-vector values in sorted order;
+    the Enumerator drops repeats."""
+    ints = sorted({v for point in E for v in point.values()
+                   if type(v) is int})
+    bvs = sorted({v for point in E for v in point.values()
+                  if isinstance(v, BV)}, key=lambda b: (b.width, b.value))
+    return (*base, *ints, *bvs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +136,6 @@ def unknown_invocations(p: SynthProblem) -> dict[str, list[tuple[Term, ...]]]:
             if isinstance(t, Apply) and t.op in apps:
                 apps[t.op].setdefault(t.args, None)
     return {n: list(tuples) for n, tuples in apps.items()}
-
-
-def has_nested_unknown_args(p: SynthProblem) -> bool:
-    names = frozenset(p.unknowns)
-    for tuples in unknown_invocations(p).values():
-        for args in tuples:
-            for a in args:
-                if any(isinstance(s, Apply) and s.op in names
-                       for s in subterms(a)):
-                    return True
-    return False
 
 
 def induced_bindings(p: SynthProblem, unknown: str,
@@ -194,16 +177,80 @@ def signature(t: Term, bindings: Sequence[Mapping[str, Value]],
     return tuple(out)
 
 
-def count_wrong(p: SynthProblem, funcs: Mapping[str, FunDef],
-                E: ExampleSet) -> int:
-    """Examples on which some constraint fails under the candidate bodies."""
-    defs = dict(p.defined_funs)
-    defs.update(funcs)
-    wrong = 0
-    for point in E:
-        if any(falsified(c, point, defs) for c in p.constraints):
-            wrong += 1
-    return wrong
+class Scorer:
+    """The examples a candidate gets wrong, for one problem and example set.
+
+    Each unknown invocation in a constraint becomes a slot variable, and an
+    example is scored on these skeletons from the candidate's signatures over
+    the induced bindings. Where a slot is ERR or an invocation's arguments
+    raise, and everywhere when an invocation is nested in another's
+    arguments, the example is scored on the whole constraints with the
+    bodies, so an error counts only where evaluation reaches it.
+    """
+
+    def __init__(self, p: SynthProblem, E: ExampleSet):
+        self.p = p
+        tuples = unknown_invocations(p)
+        self.naive = any(isinstance(s, Apply) and s.op in tuples
+                         for ts in tuples.values() for args in ts
+                         for a in args for s in subterms(a))
+        self.bindings: dict[str, list[dict]] = {}
+        index = {}
+        for n in p.unknowns:
+            self.bindings[n], index[n] = (([], {}) if self.naive
+                                          else induced_bindings(p, n, E))
+
+        def skeleton(t: Term) -> Term:
+            if isinstance(t, Apply):
+                if t.op in tuples:
+                    return Var(f"·{t.op}@{tuples[t.op].index(t.args)}")
+                return Apply(t.op, tuple(skeleton(a) for a in t.args))
+            if isinstance(t, Let):
+                return Let(tuple((n, skeleton(d)) for n, d in t.bindings),
+                           skeleton(t.body))
+            return t
+
+        self.skeletons = [skeleton(c) for c in p.constraints]
+        slots = [(n, ti) for n, ts in tuples.items() for ti in range(len(ts))]
+        # per example: (point, [(slot, unknown, binding index)] or None)
+        self.rows: list[tuple[dict, list | None]] = []
+        for ei, point in enumerate(E):
+            ks = [index[n].get((ei, ti)) for n, ti in slots]
+            self.rows.append((point, None if self.naive or None in ks else [
+                (f"·{n}@{ti}", n, k) for (n, ti), k in zip(slots, ks)]))
+
+    def wrong(self, bodies: Mapping[str, Term],
+              sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:
+        """Indices of the examples at which some constraint fails under the
+        bodies. sigs, when given, are the bodies' signatures over
+        self.bindings; otherwise they are computed here."""
+        defs = self.p.defined_funs
+        if sigs is None:
+            sigs = {n: signature(b, self.bindings[n], defs)
+                    for n, b in bodies.items()}
+        whole = None
+        for ei, (point, row) in enumerate(self.rows):
+            if row is not None:
+                env = dict(point)
+                for slot, n, k in row:
+                    v = sigs[n][k]
+                    if v is ERR:
+                        break
+                    env[slot] = v
+                else:
+                    if any(falsified(c, env, defs) for c in self.skeletons):
+                        yield ei
+                    continue
+            if whole is None:
+                whole = dict(defs)
+                whole.update(make_solution(self.p, bodies).funcs)
+            if any(falsified(c, point, whole) for c in self.p.constraints):
+                yield ei
+
+
+def count_wrong(scorer: Scorer, bodies: Mapping[str, Term]) -> int:
+    """How many examples the bodies get wrong."""
+    return sum(1 for _ in scorer.wrong(bodies))
 
 
 def describe_point(point: Mapping[str, Value]) -> str:

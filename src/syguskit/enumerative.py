@@ -5,10 +5,11 @@ Banks of representative subterms are grown bottom-up per (nonterminal, size);
 a new term is kept only if its output vector over the induced parameter
 bindings is unseen within that (nonterminal, size). Candidates are tried in
 nondecreasing total size (joint size over the unknowns, compositions in
-lexicographic order); the first candidate consistent with every example goes
-to the verifier, a counterexample restarts enumeration from size 1 with the
-refreshed pool, and Valid wins. Unpruned mode keeps every term, which makes
-the returned solution minimal outright.
+lexicographic order); the first candidate that cegis.Scorer finds wrong on no
+example, given its bank signatures, goes to the verifier, a counterexample
+restarts enumeration from size 1 with the refreshed pool and scorer, and
+Valid wins. Unpruned mode keeps every term, which makes the returned
+solution minimal outright.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Solved,
-                    SolveOutcome, TimedOut, base_constant_pool, count_wrong,
-                    has_nested_unknown_args, induced_bindings, make_solution,
-                    pool_with_examples, unknown_invocations)
+from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Scorer, Solved,
+                    SolveOutcome, TimedOut, base_constant_pool, make_solution,
+                    pool_with_examples)
+from .cegis import induced_bindings  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
-                      default_strategy, falsified)
+                      default_strategy)
+from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Enumerator, assemble, compositions, walk_splits
-from .terms import (OPS, Apply, DivisionByZero, FunDef, Let, Lit, Template,
+from .terms import (OPS, DivisionByZero, FunDef, Let, Lit, Template,
                     Term, THole, TNT, UndeclaredSymbol, Value, Var, evaluate)
 
 
@@ -178,54 +180,6 @@ class Bank:
                         self.defs)
 
 
-# ---------------------------------------------------------------------------
-# Constraint skeletons: unknown applications become slot variables so a
-# candidate's consistency with E follows from its signatures alone.
-
-
-class _Skeletons:
-    def __init__(self, p: SynthProblem):
-        self.p = p
-        self.tuples = unknown_invocations(p)
-        self.slot_of: dict[tuple[str, int], str] = {}
-        for name, tuples in self.tuples.items():
-            for ti in range(len(tuples)):
-                self.slot_of[(name, ti)] = f"·{name}@{ti}"
-        self.skeletons = [self._rewrite(c) for c in p.constraints]
-
-    def _rewrite(self, t: Term) -> Term:
-        if isinstance(t, Apply):
-            if t.op in self.tuples:
-                ti = self.tuples[t.op].index(t.args)
-                return Var(self.slot_of[(t.op, ti)])
-            return Apply(t.op, tuple(self._rewrite(a) for a in t.args))
-        if isinstance(t, Let):
-            return Let(tuple((n, self._rewrite(d)) for n, d in t.bindings),
-                       self._rewrite(t.body))
-        return t
-
-    def consistent(self, E: ExampleSet,
-                   sigs: Mapping[str, tuple],
-                   index: Mapping[str, Mapping[tuple[int, int], int]]) -> bool:
-        defs = self.p.defined_funs
-        for ei, point in enumerate(E):
-            env = dict(point)
-            bad = False
-            for name, tuples in self.tuples.items():
-                for ti in range(len(tuples)):
-                    k = index[name].get((ei, ti))
-                    v = sigs[name][k] if k is not None else ERR
-                    if v is ERR:
-                        bad = True
-                        break
-                    env[self.slot_of[(name, ti)]] = v
-                if bad:
-                    break
-            if bad or any(falsified(c, env, defs) for c in self.skeletons):
-                return False
-        return True
-
-
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
     deadline = Deadline(cfg.budget_s)
     verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
@@ -238,22 +192,16 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
             return Exhausted(cfg.max_size)
         mins.append(int(m))
 
-    naive = has_nested_unknown_args(p)
-    skel = None if naive else _Skeletons(p)
     base_pool = tuple(base_constant_pool(p)) + tuple(cfg.extra_pool)
     E = ExampleSet()
 
     while True:
         pool = pool_with_examples(base_pool, E)
-        banks: dict[str, Bank] = {}
-        index: dict[str, dict] = {}
-        for n in names:
-            # the naive path checks whole constraints and never prunes, so it
-            # needs no bindings (and cannot evaluate nested invocations)
-            bindings, idx = ([], {}) if naive else induced_bindings(p, n, E)
-            banks[n] = Bank(p.unknowns[n].grammar, bindings, pool,
-                            cfg.prune and not naive, p.defined_funs)
-            index[n] = idx
+        scorer = Scorer(p, E)
+        # the naive path has no bindings, so it must not prune on signatures
+        banks = {n: Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
+                         cfg.prune and not scorer.naive, p.defined_funs)
+                 for n in names}
 
         restart = False
         poll = 0
@@ -275,19 +223,12 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
                     if poll % 256 == 0 and deadline.expired():
                         return TimedOut(cfg.budget_s)
                     bodies = {n: t for n, (t, _) in zip(names, combo)}
-                    if naive:
-                        sol = make_solution(p, bodies)
-                        ok = count_wrong(p, sol.funcs, E) == 0
-                    else:
-                        sigs = {n: s for n, (_, s) in zip(names, combo)}
-                        ok = skel.consistent(E, sigs, index)
-                        sol = None
-                    if not ok:
+                    sigs = {n: s for n, (_, s) in zip(names, combo)}
+                    if next(scorer.wrong(bodies, sigs), None) is not None:
                         continue
                     if deadline.expired():
                         return TimedOut(cfg.budget_s)
-                    if sol is None:
-                        sol = make_solution(p, bodies)
+                    sol = make_solution(p, bodies)
                     verdict = check_semantic(p, sol, verifier)
                     if isinstance(verdict, Valid):
                         sizes = dict(zip(names, split))

@@ -5,7 +5,7 @@ parameters, literals, nonterminals (TNT) or constant holes (THole); a Var or
 Lit leaf derives itself, and make_grammar sort-checks productions with
 terms.infer_sort. Constant holes never invent constants: every engine entry
 point takes an explicit pool, and a hole in the divisor slot of div/mod
-draws from the pool minus zero.
+draws from the pool minus zero. A Bool hole ranges over false and true.
 
 `let` templates are matched structurally (no unfolding): the bound variable
 is aliased to the candidate's bound variable for the scope of the body.
@@ -300,7 +300,9 @@ class Enumerator:
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
         self.g = g
-        self.pool = tuple(dict.fromkeys(pool))
+        # by (type, value), since True == 1 and False == 0 in Python
+        self.pool = tuple(v for _, v in dict.fromkeys((type(v), v)
+                                                       for v in pool))
         self._terms: dict[tuple[str, int, bool], tuple[Term, ...]] = {}
         self._counts: dict[tuple[str, int, bool], int] = {}
         self._weights: dict[tuple[int, int], tuple[int, list]] = {}
@@ -309,7 +311,7 @@ class Enumerator:
         if sort.is_bv:
             return [v for v in self.pool if value_sort(v) == sort]
         if sort.name == "Bool":
-            return [v for v in self.pool if isinstance(v, bool)]
+            return [False, True]
         vals = [v for v in self.pool
                 if isinstance(v, int) and not isinstance(v, bool)]
         if no_zero:

@@ -4,8 +4,10 @@ The walk lives on grammar-derivable terms of the currently scheduled size;
 one move resamples the subtree under a uniformly chosen parse-tree node with
 a uniformly drawn derivable replacement of the same nonterminal and size, so
 the proposal is symmetric and acceptance is min(1, score'/score) with
-score = exp(-beta * wrong). Candidates that agree with every example are sent
-to the verifier; counterexamples re-score the walk in place.
+score = exp(-beta * wrong), where wrong counts the examples cegis.Scorer
+finds the body wrong on. Candidates that agree with every example are sent
+to the verifier; a counterexample rebuilds the scorer and re-scores the walk
+in place.
 
 Reproducible: one Random(seed) drives sampling, mutation, and acceptance.
 """
@@ -17,14 +19,14 @@ import random
 from dataclasses import dataclass
 from itertools import cycle
 
-from .cegis import (Deadline, ExampleSet, Solved, SolveOutcome, TimedOut,
-                    base_constant_pool, count_wrong, make_solution,
+from .cegis import (Deadline, ExampleSet, Scorer, Solved, SolveOutcome,
+                    TimedOut, base_constant_pool, count_wrong, make_solution,
                     pool_with_examples)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .frontend import SynthProblem
 from .grammar import Enumerator, SlotNode, term_replace
-from .terms import FunDef, SygusError, Term, Value, term_size
+from .terms import SygusError, Term, Value, term_size
 
 
 @dataclass
@@ -84,13 +86,14 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
     E = ExampleSet()
     base_pool = tuple(base_constant_pool(p)) + tuple(cfg.extra_pool)
     enumr = Enumerator(g, pool_with_examples(base_pool, E))
+    scorer = Scorer(p, E)
     checked: set[tuple[Term, int]] = set()
 
     def wrong_of(body: Term) -> int:
-        return count_wrong(p, {name: FunDef(name, u.params, u.ret, body)}, E)
+        return count_wrong(scorer, {name: body})
 
     def verify(body: Term):
-        nonlocal enumr
+        nonlocal enumr, scorer
         key = (body, len(E))
         if key in checked:
             return None
@@ -101,6 +104,7 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
             return Solved(sol, deadline.elapsed(), {name: term_size(body)})
         if isinstance(verdict, CounterExample) and E.add(verdict.valuation):
             enumr = Enumerator(g, pool_with_examples(base_pool, E))
+            scorer = Scorer(p, E)
         return None
 
     for size in cycle(cfg.size_schedule):

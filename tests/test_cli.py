@@ -150,6 +150,18 @@ def test_solve_unsolvable_exit_1(tmp_path):
     assert "not solved" in r.stderr
 
 
+def test_solve_fills_a_bool_constant_hole(tmp_path):
+    f = tmp_path / "bool_hole.sl"
+    f.write_text("""(set-logic LIA)
+(synth-fun f ((x Int)) Bool ((B Bool ((Constant Bool)))))
+(declare-var x Int)
+(constraint (f x))
+(check-synth)""")
+    r = cli("solve", str(f), "--strategy", "enum", "--timeout", "30")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "(define-fun f ((x Int)) Bool true)"
+
+
 def test_bench_writes_report(tmp_path):
     suite = tmp_path / "suite" / "cat"
     suite.mkdir(parents=True)

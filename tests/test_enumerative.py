@@ -239,7 +239,7 @@ def test_pruned_and_unpruned_sizes_agree(max2, qm_loop):
 
 def test_verifier_submissions_are_consistent_with_examples(max2, monkeypatch):
     import syguskit.enumerative as en
-    from syguskit.cegis import count_wrong
+    from syguskit.cegis import Scorer, count_wrong
     seen_points: list[dict] = []
     submissions = []
     real = en.check_semantic
@@ -247,7 +247,8 @@ def test_verifier_submissions_are_consistent_with_examples(max2, monkeypatch):
     def spy(p, sol, strat):
         verdict = real(p, sol, strat)
         E = ExampleSet(seen_points)
-        submissions.append(count_wrong(p, sol.funcs, E))
+        bodies = {n: f.body for n, f in sol.funcs.items()}
+        submissions.append(count_wrong(Scorer(p, E), bodies))
         if hasattr(verdict, "valuation"):
             seen_points.append(verdict.valuation)
         return verdict

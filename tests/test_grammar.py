@@ -141,6 +141,14 @@ def test_default_grammar_size_one_with_pool():
     assert list(got) == [Var("x"), Var("y"), Lit(0), Lit(1)]
 
 
+def test_pool_keeps_bools_apart_from_ints():
+    g = default_grammar((("x", INT),), INT)
+    e = Enumerator(g, [0, 1, True, False, 1, True])
+    assert [(type(v), v) for v in e.pool] == [
+        (int, 0), (int, 1), (bool, True), (bool, False)]
+    assert e.enumerate("ConstantInt", 1) == (Lit(0), Lit(1))
+
+
 def test_size_zero_is_empty():
     g = default_grammar((("x", INT),), INT)
     assert Enumerator(g).enumerate("StartInt", 0) == ()

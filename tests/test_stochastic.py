@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import load
-from syguskit.cegis import (ExampleSet, Solved, TimedOut, count_wrong,
-                            make_solution)
+from syguskit.cegis import (ExampleSet, Scorer, Solved, TimedOut,
+                            count_wrong)
 from syguskit.checker import ExhaustiveSmall, Valid, check_semantic
 from syguskit.frontend import default_grammar
 from syguskit.grammar import Enumerator, derives
@@ -15,7 +15,7 @@ from syguskit.terms import INT, Lit, SygusError, Var, evaluate, term_size
 
 def _wrong(p, body, E):
     """count_wrong of one body; the walk accepts with exp(-beta * delta)."""
-    return count_wrong(p, make_solution(p, {"max2": body}).funcs, E)
+    return count_wrong(Scorer(p, E), {"max2": body})
 
 
 def test_count_wrong_closed_form(max2):
