@@ -97,19 +97,20 @@ CheckStrategy = Union[ExhaustiveSmall, RandomSample, ExternalSMT, Layered]
 
 
 def _grid_domains(universals: Mapping[str, Sort],
-                  strat: ExhaustiveSmall) -> list[Sequence[Value]] | None:
-    """The values the grid gives each universal, or None if some sort has
-    no grid under the caps."""
-    out: list[Sequence[Value]] = []
-    for sort in universals.values():
+                  strat: ExhaustiveSmall) -> list[list[tuple[str, Value]]] | None:
+    """Per universal, its (name, value) pairs on the grid; None if some sort
+    has no grid under the caps."""
+    out = []
+    for name, sort in universals.items():
         if sort == INT:
-            out.append(range(strat.int_lo, strat.int_hi + 1))
+            values: Sequence[Value] = range(strat.int_lo, strat.int_hi + 1)
         elif sort == BOOL:
-            out.append((False, True))
+            values = (False, True)
         elif sort.is_bv and sort.width <= strat.bv_width_cap:
-            out.append([BV(sort.width, v) for v in range(1 << sort.width)])
+            values = [BV(sort.width, v) for v in range(1 << sort.width)]
         else:
             return None
+        out.append([(name, v) for v in values])
     return out
 
 
@@ -212,8 +213,7 @@ def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
     if isinstance(strat, ExhaustiveSmall):
         domains = _grid_domains(p.universals, strat)
         return _check_points(constraints, None if domains is None else (
-            dict(zip(p.universals, combo))
-            for combo in itertools.product(*domains)), defs)
+            dict(combo) for combo in itertools.product(*domains)), defs)
 
     if isinstance(strat, RandomSample):
         rng = random.Random(strat.seed)
