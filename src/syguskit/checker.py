@@ -19,7 +19,7 @@ import random
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
                        term_to_sexpr)

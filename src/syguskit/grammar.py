@@ -3,9 +3,10 @@
 A production is a term (terms.Template) whose leaves may be the unknown's
 parameters, literals, nonterminals (TNT) or constant holes (THole); a Var or
 Lit leaf derives itself, and make_grammar sort-checks productions with
-terms.infer_sort. Constant holes never invent constants: every engine entry
-point takes an explicit pool, and a hole in the divisor slot of div/mod
-draws from the pool minus zero. A Bool hole ranges over false and true.
+terms.infer_sort. Int and bit-vector constant holes never invent constants:
+every engine entry point takes an explicit pool, and a hole in the divisor
+slot of div/mod draws from the pool minus zero. A Bool hole ranges over
+false and true.
 
 `let` templates are matched structurally (no unfolding): the bound variable
 is aliased to the candidate's bound variable for the scope of the body.

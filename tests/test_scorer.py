@@ -69,9 +69,6 @@ def test_scorer_matches_whole_constraint_evaluation(name, seed, size, values):
     scorer = Scorer(p, E)
     expected = whole_wrong(p, bodies, E)
     assert list(scorer.wrong(bodies)) == expected
-    sigs = {n: signature(b, scorer.bindings[n], p.defined_funs)
-            for n, b in bodies.items()}
-    assert list(scorer.wrong(bodies, sigs)) == expected
     assert count_wrong(scorer, bodies) == len(expected)
 
 
