@@ -120,8 +120,11 @@ def grid_points(universals: Mapping[str, Sort], strat: ExhaustiveSmall) -> int |
     return None if domains is None else math.prod(map(len, domains))
 
 
+DEFAULT_MAX_GRID = 300_000
+DEFAULT_SAMPLES = 20_000
+
+
 def default_strategy(p: SynthProblem, smt_command: str | None = None,
-                     max_grid: int = 300_000, samples: int = 20_000,
                      seed: int = 0) -> CheckStrategy:
     """Exhaustive when the default grid is small, else seeded sampling; an
     external solver, when configured, is layered last.
@@ -132,11 +135,11 @@ def default_strategy(p: SynthProblem, smt_command: str | None = None,
     small = ExhaustiveSmall()
     stages: list[CheckStrategy] = []
     pts = grid_points(p.universals, small)
-    if pts is not None and pts <= max_grid:
+    if pts is not None and pts <= DEFAULT_MAX_GRID:
         stages.append(small)
     else:
-        stages.append(RandomSample(samples, seed, int_lo=-2, int_hi=2))
-        stages.append(RandomSample(samples, seed + 1))
+        stages.append(RandomSample(DEFAULT_SAMPLES, seed, int_lo=-2, int_hi=2))
+        stages.append(RandomSample(DEFAULT_SAMPLES, seed + 1))
     if smt_command:
         stages.append(ExternalSMT(smt_command))
     return stages[0] if len(stages) == 1 else Layered(tuple(stages))

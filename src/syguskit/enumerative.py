@@ -1,15 +1,16 @@
 """Enumerative CEGIS: size-ordered search with observational-equivalence
 pruning against the current counterexample set.
 
-Banks of representative subterms are grown bottom-up per (nonterminal, size);
-a new term is kept only if its output vector over the induced parameter
-bindings is unseen within that (nonterminal, size). Candidates are tried in
-nondecreasing total size (joint size over the unknowns, compositions in
-lexicographic order); the first candidate that cegis.Scorer finds wrong on no
-example, given its bank signatures, goes to the verifier, a counterexample
-restarts enumeration from size 1 with the refreshed pool and scorer, and
-Valid wins. Unpruned mode keeps every term, which makes the returned
-solution minimal outright.
+A Bank is the grammar's Enumerator walking one unknown's grammar by size,
+keyed by signature: a term's output vector over the induced parameter
+bindings, built from its arguments' kept signatures. A term is kept only if
+its signature is unseen within its (nonterminal, size), and nonterminal slots
+draw from the kept terms. Candidates are tried in nondecreasing total size
+(joint size over the unknowns, compositions in lexicographic order); the
+first candidate that cegis.Scorer finds wrong on no example, given its bank
+signatures, goes to the verifier, a counterexample restarts enumeration from
+size 1 with the refreshed pool and scorer, and Valid wins. Unpruned mode
+keeps every term, which makes the returned solution minimal outright.
 """
 
 from __future__ import annotations
@@ -17,19 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Scorer, Solved,
                     SolveOutcome, TimedOut, base_constant_pool, make_solution,
-                    pool_with_examples)
+                    pool_with_examples, signature)
 from .cegis import induced_bindings  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
-from .grammar import Enumerator, assemble, compositions, walk_splits
-from .terms import (OPS, DivisionByZero, FunDef, Let, Lit, Template,
-                    Term, THole, TNT, UndeclaredSymbol, Value, Var, evaluate)
+from .grammar import Enumerator, compositions
+from .terms import (OPS, Apply, DivisionByZero, FunDef, Lit, Term,
+                    UndeclaredSymbol, Value, Var, evaluate)
 
 
 @dataclass
@@ -38,7 +39,6 @@ class EnumConfig:
     budget_s: float = 60.0
     verifier: CheckStrategy | None = None
     prune: bool = True
-    extra_pool: tuple[Value, ...] = ()
 
 
 def _apply_pointwise(op: str, sigs: Sequence[tuple], n: int,
@@ -89,95 +89,60 @@ class BudgetExpired(Exception):
     pass
 
 
-class Bank:
-    """Per-unknown banks of (term, signature) per (nonterminal, size)."""
+class Bank(Enumerator):
+    """Per-unknown banks: the grammar's sized walk, keeping one term per
+    signature in each (nonterminal, size) when pruning and one per term
+    otherwise, so nonterminal slots draw from the kept terms."""
 
     def __init__(self, grammar, bindings: Sequence[Mapping[str, Value]],
                  pool: Sequence[Value], prune: bool,
                  defs: Mapping[str, FunDef] | None = None):
-        self.g = grammar
+        super().__init__(grammar, pool)
         self.bindings = list(bindings)
-        self.enumr = Enumerator(grammar, pool)
         self.prune = prune
         self.defs = dict(defs or {})
+        self.sigs: dict[Term, tuple] = {}  # of every kept term
         self.terms: dict[str, dict[int, list[tuple[Term, tuple]]]] = {
             nt: {} for nt in grammar.rules}
-        # size-1 banks as a divisor slot sees them: holes there skip zero
-        self.nonzero: dict[str, list[tuple[Term, tuple]]] = {}
-        self.built_to = 0
+        self._deadline: Deadline | None = None
+        self._seen = 0
 
     def build_to(self, size: int, deadline: Deadline | None = None):
-        for s in range(self.built_to + 1, size + 1):
+        """Fill self.terms to size; BudgetExpired past the deadline."""
+        self._deadline = deadline
+        for s in range(1, size + 1):
             for nt in self.g.rules:
-                self.terms[nt][s] = self._grow(nt, s, False, deadline)
-                if s == 1:
-                    self.nonzero[nt] = self._grow(nt, 1, True, deadline)
-            self.built_to = s
+                self.enumerate(nt, s)
 
-    def _grow(self, nt: str, size: int, no_zero: bool,
-              deadline: Deadline | None) -> list[tuple[Term, tuple]]:
-        kept: list[tuple[Term, tuple]] = []
-        seen_terms: set[Term] = set()
-        seen_sigs: set[tuple] = set()
-        n = 0
-        for p in self.g.closed_productions(nt):
-            for term, sig in self._inst(p, size, no_zero, {}):
-                n += 1
-                if n % 4096 == 0 and deadline is not None \
-                        and deadline.expired():
-                    raise BudgetExpired
-                if term in seen_terms:
-                    continue
-                seen_terms.add(term)
-                if self.prune:
-                    if sig in seen_sigs:
-                        continue
-                    seen_sigs.add(sig)
-                kept.append((term, sig))
-        return kept
+    def _distinct(self, key: tuple, walk: Iterable[Term]) -> tuple[Term, ...]:
+        kept: dict = {}
+        for t in walk:
+            self._seen += 1
+            if self._seen % 4096 == 0 and self._deadline is not None \
+                    and self._deadline.expired():
+                raise BudgetExpired
+            sig = self._sig(t)
+            kept.setdefault(sig if self.prune else t, (t, sig))
+        pairs = list(kept.values())
+        self.sigs.update(pairs)
+        nt, size, no_zero = key
+        if not no_zero:
+            self.terms[nt][size] = pairs
+        return tuple(t for t, _ in pairs)
 
-    def _leaf_sig(self, value_fn) -> tuple:
-        return tuple(value_fn(b) for b in self.bindings)
-
-    def _inst(self, tpl: Template, size: int, no_zero: bool,
-              let_env: Mapping[str, tuple]) -> Iterator[tuple[Term, tuple]]:
-        if isinstance(tpl, Var):
-            if size == 1:
-                sig = (let_env[tpl.name] if tpl.name in let_env
-                       else self._leaf_sig(lambda b: b[tpl.name]))
-                yield tpl, sig
-        elif isinstance(tpl, Lit):
-            if size == 1:
-                yield tpl, self._leaf_sig(lambda b: tpl.value)
-        elif isinstance(tpl, THole):
-            if size == 1:
-                for v in self.enumr._hole_pool(tpl.sort, no_zero):
-                    yield Lit(v), self._leaf_sig(lambda b, v=v: v)
-        elif isinstance(tpl, TNT):
-            # holes occur only at size 1, so larger divisors need no filter
-            yield from (self.nonzero[tpl.nt] if no_zero and size == 1
-                        else self.terms[tpl.nt].get(size, []))
-        else:
-            slots, splits = self.g.split_plan(tpl, size)
-            is_let = isinstance(tpl, Let)
-
-            def inst(i, s, chosen):
-                env = let_env
-                if is_let and i == len(tpl.bindings):
-                    # the body sees each bound name's signature
-                    env = dict(let_env)
-                    env.update((n, sig) for (n, _), (_, sig)
-                               in zip(tpl.bindings, chosen))
-                return self._inst(slots[i][0], s, slots[i][1], env)
-
-            for combo in walk_splits(splits, inst):
-                term = assemble(tpl, [t for t, _ in combo])
-                if is_let:
-                    yield term, combo[-1][1]
-                else:
-                    yield term, _apply_pointwise(
-                        tpl.op, [sig for _, sig in combo], len(self.bindings),
-                        self.defs)
+    def _sig(self, t: Term) -> tuple:
+        """t's output vector over the bindings: an application's from its
+        arguments' (memoised when kept), a let's through the evaluator."""
+        if isinstance(t, Apply):
+            sigs = self.sigs
+            return _apply_pointwise(
+                t.op, [s if (s := sigs.get(a)) is not None else self._sig(a)
+                       for a in t.args], len(self.bindings), self.defs)
+        if isinstance(t, Var):
+            return tuple(b[t.name] for b in self.bindings)
+        if isinstance(t, Lit):
+            return (t.value,) * len(self.bindings)
+        return signature(t, self.bindings, self.defs)
 
 
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
@@ -192,11 +157,10 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
             return Exhausted(cfg.max_size)
         mins.append(int(m))
 
-    base_pool = tuple(base_constant_pool(p)) + tuple(cfg.extra_pool)
     E = ExampleSet()
 
     while True:
-        pool = pool_with_examples(base_pool, E)
+        pool = pool_with_examples(base_constant_pool(p), E)
         scorer = Scorer(p, E)
         # the naive path has no bindings, so it must not prune on signatures
         banks = {n: Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,

@@ -15,13 +15,14 @@ Unit productions (a bare nonterminal on the right-hand side) are resolved
 through a precomputed closure, so unit cycles terminate and each reachable
 production contributes exactly once to counts and enumeration.
 
-Every walk by term size (counting, enumeration, sampling, and the enumerative
-solver's bank growth) shares a size among a template's children through one
-split plan: Grammar.split_plan(tpl, size) gives the child slots of an
-application or let template, each flagged when it is a div/mod divisor, and
-every composition of the remaining size into those slots with each child at
-least its least derivable size, in lexicographic order. Plans depend on the
-grammar alone and are memoized on it; walk_splits expands a plan slot by slot.
+Every walk by term size (counting, enumeration and sampling) shares a size
+among a template's children through one split plan: Grammar.split_plan(tpl,
+size) gives the child slots of an application or let template, each flagged
+when it is a div/mod divisor, and every composition of the remaining size
+into those slots with each child at least its least derivable size, in
+lexicographic order. Plans depend on the grammar alone and are memoized on
+it; walk_splits expands a plan slot by slot. enumerative.Bank is this
+enumeration, keeping one term per signature instead of one per term.
 """
 
 from __future__ import annotations
@@ -152,19 +153,18 @@ def compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 
 def walk_splits(splits: Sequence[tuple[int, ...]],
-                inst: Callable[[int, int, tuple], Iterable],
+                inst: Callable[[int, int], Iterable],
                 chosen: tuple = ()) -> Iterator[tuple]:
     """Child tuples along a plan's splits, slot by slot: each size of the next
-    slot in ascending order, each item of inst(slot, size, chosen) at that
-    size, then the later slots under the splits that extend it. `chosen`
-    holds the items picked for the earlier slots."""
+    slot in ascending order, each item of inst(slot, size) at that size, then
+    the later slots under the splits that extend it."""
     i = len(chosen)
     if splits and i == len(splits[0]):
         yield chosen
         return
     for s, group in groupby(splits, itemgetter(i)):
         group = tuple(group)
-        for item in inst(i, s, chosen):
+        for item in inst(i, s):
             yield from walk_splits(group, inst, chosen + (item,))
 
 
@@ -229,7 +229,7 @@ def derives(g: Grammar, nt: str, t: Term) -> bool:
             want = env.get(tpl.name, tpl.name)
             return isinstance(t, Var) and t.name == want
         if isinstance(tpl, Lit):
-            return isinstance(t, Lit) and t.value == tpl.value
+            return t == tpl
         if isinstance(tpl, THole):
             return isinstance(t, Lit) and value_sort(t.value) == tpl.sort
         if isinstance(tpl, Apply):
@@ -367,16 +367,17 @@ class Enumerator:
     def enumerate(self, nt: str, size: int, no_zero: bool = False) -> tuple[Term, ...]:
         """Every derivable term of exactly `size` nodes, production order then
         lexicographic size splits, structurally de-duplicated."""
-        key = (nt, size, no_zero)
+        key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
         hit = self._terms.get(key)
         if hit is None:
-            out: dict[Term, None] = {}
-            if size >= 1:
-                for p in self.g.closed_productions(nt):
-                    for t in self._enum_tpl(p, size, no_zero):
-                        out.setdefault(t, None)
-            hit = self._terms[key] = tuple(out)
+            hit = self._terms[key] = self._distinct(key, (
+                t for p in self.g.closed_productions(nt)
+                for t in self._enum_tpl(p, size, no_zero)))
         return hit
+
+    def _distinct(self, key: tuple, walk: Iterable[Term]) -> tuple[Term, ...]:
+        """The walk's terms that enumerate() keeps at key: each term once."""
+        return tuple(dict.fromkeys(walk))
 
     def _enum_tpl(self, tpl: Template, size: int, no_zero: bool) -> Iterator[Term]:
         if isinstance(tpl, (Var, Lit)):
@@ -390,7 +391,7 @@ class Enumerator:
             yield from self.enumerate(tpl.nt, size, no_zero)
         else:
             slots, splits = self.g.split_plan(tpl, size)
-            inst = lambda i, s, _: self._enum_tpl(slots[i][0], s, slots[i][1])
+            inst = lambda i, s: self._enum_tpl(slots[i][0], s, slots[i][1])
             for pieces in walk_splits(splits, inst):
                 yield assemble(tpl, pieces)
 

@@ -19,14 +19,14 @@ import random
 from dataclasses import dataclass
 from itertools import cycle
 
-from .cegis import (Deadline, ExampleSet, Scorer, Solved, SolveOutcome,
-                    TimedOut, base_constant_pool, count_wrong, make_solution,
-                    pool_with_examples)
+from .cegis import (Deadline, ExampleSet, Exhausted, Scorer, Solved,
+                    SolveOutcome, TimedOut, base_constant_pool, count_wrong,
+                    make_solution, pool_with_examples)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .frontend import SynthProblem
 from .grammar import Enumerator, SlotNode, term_replace
-from .terms import SygusError, Term, Value, term_size
+from .terms import SygusError, Term, term_size
 
 
 @dataclass
@@ -37,7 +37,6 @@ class StochConfig:
     seed: int = 0
     budget_s: float = 60.0
     verifier: CheckStrategy | None = None
-    extra_pool: tuple[Value, ...] = ()
     trace: list | None = None  # test mode: (wrong, wrong_new, prob, u, accepted)
 
 
@@ -76,16 +75,20 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
         raise SygusError("the stochastic solver handles a single unknown")
     if cfg.beta <= 0:
         raise SygusError("beta must be positive")
-    if list(cfg.size_schedule) != sorted(cfg.size_schedule):
-        raise SygusError("size schedule must be nondecreasing within a sweep")
+    if not cfg.size_schedule or \
+            list(cfg.size_schedule) != sorted(cfg.size_schedule):
+        raise SygusError("size schedule must be a nonempty nondecreasing sweep")
     (name, u), = p.unknowns.items()
     g = u.grammar
     deadline = Deadline(cfg.budget_s)
     verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
     rng = random.Random(cfg.seed)
     E = ExampleSet()
-    base_pool = tuple(base_constant_pool(p)) + tuple(cfg.extra_pool)
+    base_pool = base_constant_pool(p)
     enumr = Enumerator(g, pool_with_examples(base_pool, E))
+    # the pool grows only by examples, and examples come only from samples
+    if not any(enumr.count(g.start, s) for s in cfg.size_schedule):
+        return Exhausted(cfg.size_schedule[-1])
     scorer = Scorer(p, E)
     checked: set[tuple[Term, int]] = set()
 
@@ -136,4 +139,3 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
                 if out is not None:
                     return out
                 wrong = wrong_of(current.term)
-    raise AssertionError("unreachable")

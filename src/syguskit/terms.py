@@ -137,6 +137,14 @@ class Var:
 class Lit:
     value: Value
 
+    # by (type, value), since True == 1 and False == 0 in Python
+    def __eq__(self, other):
+        return (type(other) is Lit and type(other.value) is type(self.value)
+                and other.value == self.value)
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
+
 
 @dataclass(frozen=True)
 class Apply:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, deep_problem, fake_solver_script
-from test_frontend import CROSS_UNKNOWN_GRAMMAR
+from test_frontend import CROSS_UNKNOWN_GRAMMAR, LITERAL_EQ_GRAMMAR
 from syguskit.sexpr import MAX_DEPTH
 
 PKG = Path(__file__).parent.parent
@@ -109,6 +109,16 @@ def test_check_rejects_grammar_violation(tmp_path):
     sol = tmp_path / "f.sol"
     sol.write_text("(define-fun f ((x (BitVec 32))) (BitVec 32) (bvmul x x))")
     r = cli("check", str(DATA / "hd-17-d0.sl"), "--solution", str(sol))
+    assert r.returncode == 1
+    assert "VIOLATES GRAMMAR" in r.stdout
+
+
+def test_check_tells_bool_literals_from_int_ones(tmp_path):
+    f = tmp_path / "eq.sl"
+    f.write_text(LITERAL_EQ_GRAMMAR.replace(" (= false true)", ""))
+    sol = tmp_path / "f.sol"
+    sol.write_text("(define-fun f ((x Int)) Bool (= false true))")
+    r = cli("check", str(f), "--solution", str(sol))
     assert r.returncode == 1
     assert "VIOLATES GRAMMAR" in r.stdout
 

@@ -118,11 +118,24 @@ def div_grammar():
         {"seven": FunSort((), INT)})
 
 
-@pytest.mark.parametrize("case", ["qm_loop", "let", "div", "hole_div",
-                                  "hd17_w8"])
-def test_unpruned_grow_matches_enumeration(case):
+def let_div_grammar():
+    """S over x and 0 with div and a let whose body reads its binding only
+    where x < 0: the binding is evaluated, and may fail, either way."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import TNT, Let
+    s, x = TNT("S"), Var("x")
+    guarded = Let((("y", s),), Apply("ite", (Apply("<", (x, Lit(0))),
+                                             Var("y"), x)))
+    return make_grammar("S", [("S", INT, [x, Lit(0), Apply("div", (s, s)),
+                                          guarded])], {"x": INT})
+
+
+CASES = ["qm_loop", "let", "div", "hole_div", "hd17_w8", "let_div"]
+
+
+def bank_case(case):
+    """(grammar, defined functions, size limit, bindings, pool) of a case."""
     from syguskit.frontend import default_grammar
-    from syguskit.grammar import Enumerator
     bindings, pool = [{"x": v} for v in (-2, 0, 3)], []
     if case == "qm_loop":
         p = load("qm_loop_1.sl")
@@ -142,9 +155,20 @@ def test_unpruned_grow_matches_enumeration(case):
         # 2 from the pool; only 2 may fill it
         g, defs, limit = default_grammar((("x", INT),), INT), {}, 4
         pool = [0, 2]
+    elif case == "let_div":
+        # (let ((y (div x 0))) (ite (< x 0) y x)) has size 11 and fails at
+        # every point, x = 3 included
+        g, defs, limit = let_div_grammar(), {}, 11
     else:
         g, defs, limit = load("hd17_w8.sl").unknowns["f"].grammar, {}, 7
         bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
+    return g, defs, limit, bindings, pool
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_unpruned_grow_matches_enumeration(case):
+    from syguskit.grammar import Enumerator
+    g, defs, limit, bindings, pool = bank_case(case)
     banks = grow(g, bindings, pool=pool, size_limit=limit, prune=False,
                  defs=defs)
     e = Enumerator(g, pool)
@@ -164,6 +188,20 @@ def test_unpruned_grow_matches_enumeration(case):
             (True, True, ERR)
         assert kept[term("(=> (< seven x) (< (div x 0) x))", ctx, funs)] == \
             (True, True, ERR)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_pruned_grow_keeps_each_signature_once(case):
+    from syguskit.grammar import Enumerator
+    g, defs, limit, bindings, pool = bank_case(case)
+    banks = grow(g, bindings, pool=pool, size_limit=limit, defs=defs)
+    e = Enumerator(g, pool)
+    for nt in g.rules:
+        for size in range(1, limit + 1):
+            sigs = [sig for _, sig in banks[nt].get(size, [])]
+            assert len(set(sigs)) == len(sigs)
+            assert set(sigs) == {signature(t, bindings, defs)
+                                 for t in e.enumerate(nt, size)}, (nt, size)
 
 
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):

@@ -220,6 +220,22 @@ def test_every_data_file_roundtrips(name):
     assert p1 == p2
 
 
+# (= 0 1) and (= false true) are distinct productions: 0 is not false
+LITERAL_EQ_GRAMMAR = """(set-logic LIA)
+(synth-fun f ((x Int)) Bool ((B Bool ((= 0 1) (= false true) (< x 0)))))
+(declare-var x Int)
+(constraint (not (f x)))
+(check-synth)
+"""
+
+
+def test_int_and_bool_literal_productions_roundtrip():
+    p1 = read_problem(LITERAL_EQ_GRAMMAR)
+    text = print_problem(p1)
+    assert "(= false true)" in text
+    assert read_problem(text) == p1
+
+
 def test_type_soundness_over_corpus():
     for f in sorted(DATA.glob("*.sl")):
         p = read_problem(f.read_text())

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from conftest import load
-from syguskit.cegis import (ExampleSet, Scorer, Solved, TimedOut,
+from syguskit.cegis import (ExampleSet, Exhausted, Scorer, Solved, TimedOut,
                             count_wrong)
 from syguskit.checker import ExhaustiveSmall, Valid, check_semantic
-from syguskit.frontend import default_grammar
+from syguskit.frontend import default_grammar, read_problem
 from syguskit.grammar import Enumerator, derives
 from syguskit.stochastic import StochConfig, mutate, solve_stochastic
 from syguskit.terms import INT, Lit, SygusError, Var, evaluate, term_size
@@ -117,6 +117,25 @@ def test_tiny_budget_times_out(max2):
 def test_multiple_unknowns_rejected():
     with pytest.raises(SygusError):
         solve_stochastic(load("s8.sl"), StochConfig(seed=0, budget_s=1))
+
+
+BOOL_HOLE = """(set-logic LIA)
+(synth-fun f ((x Int)) Bool ((B Bool ((Constant Bool)))))
+(declare-var x Int)
+(constraint (f x))
+(check-synth)"""
+
+
+def test_schedule_without_a_derivation_is_exhausted():
+    # the grammar derives terms of size 1 only; the default schedule starts at 3
+    out = solve_stochastic(read_problem(BOOL_HOLE),
+                           StochConfig(seed=0, budget_s=5))
+    assert out == Exhausted(11)
+
+
+def test_empty_schedule_rejected(max2):
+    with pytest.raises(SygusError):
+        solve_stochastic(max2, StochConfig(size_schedule=(), budget_s=1))
 
 
 def test_solves_max2_semantically(max2):

@@ -1,6 +1,7 @@
 """perfbench's tracer wraps syguskit's functions by module attribute name, so
 a rename under src/ breaks `perfbench/run.py --trace 1` before it runs a
-pass. This installs the tracer on a fresh import and takes it off again."""
+pass. This installs the tracer on a fresh import, checks the bank-size
+counter against a Bank built under it, and takes the tracer off again."""
 
 import subprocess
 import sys
@@ -19,6 +20,14 @@ before = [getattr(m, a) for m, a in names]
 tracer = tracing.Tracer()
 tracing.install(tracer, sk)
 assert all(getattr(m, a) is not f for (m, a), f in zip(names, before))
+# bank_terms counts the terms a Bank keeps, over incremental builds
+g = sk.frontend.load_problem("tests/data/max2.sl").unknowns["max2"].grammar
+bank = sk.enumerative.Bank(g, [{"x": 1, "y": 2}, {"x": -3, "y": 0}], [0, 1],
+                           True)
+bank.build_to(3)
+bank.build_to(5)
+kept = sum(len(k) for by_size in bank.terms.values() for k in by_size.values())
+assert kept > 0 and tracer.totals()[1]["enumerative.bank_terms"] == kept
 tracer.uninstall()
 assert all(getattr(m, a) is f for (m, a), f in zip(names, before))
 print("ok")
