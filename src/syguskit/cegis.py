@@ -7,6 +7,8 @@ argument terms are evaluated at the example to bind the unknown's parameters;
 a term's signature is its output vector over these induced bindings. Both
 solvers ask Scorer which examples a candidate gets wrong: the enumerative
 solver hands it the signatures from its banks, the stochastic one the bodies.
+Scorer compiles its constraint skeletons once (terms.compile_term) and scores
+an example on its raw point followed by the candidate's raw slot values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .checker import falsified
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
 from .terms import (BV, Apply, DivisionByZero, FunDef, Let, Lit, Term, Value,
-                    Var, evaluate, subterms)
+                    Var, compile_term, evaluate, raw_value, subterms)
 
 
 @dataclass
@@ -210,14 +212,22 @@ class Scorer:
                            skeleton(t.body))
             return t
 
-        self.skeletons = [skeleton(c) for c in p.constraints]
         slots = [(n, ti) for n, ts in tuples.items() for ti in range(len(ts))]
-        # per example: (point, [(slot, unknown, binding index)] or None)
-        self.rows: list[tuple[dict, list | None]] = []
+        # the skeletons, compiled over the universals, then the slots
+        params = [*p.universals.items(),
+                  *((f"·{n}@{ti}", p.unknowns[n].ret) for n, ti in slots)]
+        self.skeletons = [compile_term(skeleton(c), params, p.defined_funs)
+                          for c in p.constraints]
+        # per example: (point, raw point, [(unknown, binding index, is a
+        # bit-vector)] per slot or None)
+        self.rows: list[tuple[dict, tuple, list | None]] = []
         for ei, point in enumerate(E):
             ks = [index[n].get((ei, ti)) for n, ti in slots]
-            self.rows.append((point, None if self.naive or None in ks else [
-                (f"·{n}@{ti}", n, k) for (n, ti), k in zip(slots, ks)]))
+            self.rows.append((point, tuple(raw_value(point[n])
+                                           for n in p.universals),
+                              None if self.naive or None in ks else [
+                (n, k, p.unknowns[n].ret.is_bv)
+                for (n, _), k in zip(slots, ks)]))
 
     def wrong(self, bodies: Mapping[str, Term],
               sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:
@@ -229,16 +239,21 @@ class Scorer:
             sigs = {n: signature(b, self.bindings[n], defs)
                     for n, b in bodies.items()}
         whole = None
-        for ei, (point, row) in enumerate(self.rows):
+        for ei, (point, raw, row) in enumerate(self.rows):
             if row is not None:
-                env = dict(point)
-                for slot, n, k in row:
+                env = list(raw)
+                for n, k, is_bv in row:
                     v = sigs[n][k]
                     if v is ERR:
                         break
-                    env[slot] = v
+                    env.append(v.value if is_bv else v)
                 else:
-                    if any(falsified(c, env, defs) for c in self.skeletons):
+                    env = tuple(env)
+                    try:
+                        bad = any(not c(env) for c in self.skeletons)
+                    except DivisionByZero:
+                        bad = True
+                    if bad:
                         yield ei
                     continue
             if whole is None:

@@ -7,26 +7,33 @@ conjunction. Internal Valid verdicts are only valid-on-budget and are never
 silently upgraded: VerificationResult.Valid carries a `certified` flag that
 only an external `unsat` sets.
 
-A point where evaluation raises (Int division by zero) counts as falsified.
+The substituted constraints are compiled once per check (terms.compile_term)
+over the universals, and every stage of a Layered strategy walks them over
+raw points: tuples with a bit-vector as its int, drawn lazily from the grid
+or the seeded sampler. A counterexample's valuation, and only it, is built
+as a dict of Values. A point where evaluation raises (Int division by zero)
+counts as falsified.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import random
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
                        term_to_sexpr)
 from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, INT, Apply, DivisionByZero, FunDef, Lit, Sort,
-                    SygusError, Term, Value, Var, evaluate, expand)
+                    SygusError, Term, Value, Var, compile_term, evaluate,
+                    expand, raw_value, value_sort)
 
 
 class UnsupportedLogic(SygusError):
@@ -97,20 +104,19 @@ CheckStrategy = Union[ExhaustiveSmall, RandomSample, ExternalSMT, Layered]
 
 
 def _grid_domains(universals: Mapping[str, Sort],
-                  strat: ExhaustiveSmall) -> list[list[tuple[str, Value]]] | None:
-    """Per universal, its (name, value) pairs on the grid; None if some sort
-    has no grid under the caps."""
-    out = []
-    for name, sort in universals.items():
+                  strat: ExhaustiveSmall) -> list[Sequence[Value]] | None:
+    """Per universal, its raw values on the grid (a bit-vector as its int);
+    None if some sort has no grid under the caps."""
+    out: list[Sequence[Value]] = []
+    for sort in universals.values():
         if sort == INT:
-            values: Sequence[Value] = range(strat.int_lo, strat.int_hi + 1)
+            out.append(range(strat.int_lo, strat.int_hi + 1))
         elif sort == BOOL:
-            values = (False, True)
+            out.append((False, True))
         elif sort.is_bv and sort.width <= strat.bv_width_cap:
-            values = [BV(sort.width, v) for v in range(1 << sort.width)]
+            out.append(range(1 << sort.width))
         else:
             return None
-        out.append([(name, v) for v in values])
     return out
 
 
@@ -170,9 +176,14 @@ def falsified(constraint: Term, valuation: Mapping[str, Value],
         return True
 
 
-def _violated_index(constraints: Sequence[Term], valuation, defs) -> int | None:
-    for i, c in enumerate(constraints):
-        if falsified(c, valuation, defs):
+def _violated_index(compiled: Sequence[Callable], point: tuple) -> int | None:
+    """The first constraint, compiled over the universals, that is false or
+    raises at the raw point."""
+    for i, c in enumerate(compiled):
+        try:
+            if not c(point):
+                return i
+        except DivisionByZero:
             return i
     return None
 
@@ -181,57 +192,61 @@ def substituted_constraints(p: SynthProblem, s: CandidateSolution) -> list[Term]
     return [expand(c, s.funcs) for c in p.constraints]
 
 
-def _draw(sort: Sort, rng: random.Random, strat: RandomSample) -> Value:
+def _drawer(sort: Sort, rng: random.Random,
+            strat: RandomSample) -> Callable[[], Value]:
+    """Draws one raw value of sort."""
     if sort == INT:
-        return rng.randint(strat.int_lo, strat.int_hi)
+        return functools.partial(rng.randint, strat.int_lo, strat.int_hi)
     if sort == BOOL:
-        return rng.random() < 0.5
-    return BV(sort.width, rng.getrandbits(sort.width))
+        return lambda: rng.random() < 0.5
+    return functools.partial(rng.getrandbits, sort.width)
 
 
-def _check_points(constraints: Sequence[Term], points: Iterable[dict] | None,
-                  defs: Mapping[str, FunDef]) -> VerificationResult:
-    """The first violated point, else Valid on budget; Unknown when there is
-    no point to examine (no grid for these sorts, an empty Int range, a
+def _check_points(p: SynthProblem, compiled: Sequence[Callable],
+                  points: Iterable[tuple] | None) -> VerificationResult:
+    """The first violated raw point, else Valid on budget; Unknown when there
+    is no point to examine (no grid for these sorts, an empty Int range, a
     sample count below one). A problem without universals has one point."""
     checked = False
     for point in points or ():
         checked = True
-        idx = _violated_index(constraints, point, defs)
+        idx = _violated_index(compiled, point)
         if idx is not None:
-            return CounterExample(point, idx)
+            return CounterExample({
+                name: BV(sort.width, v) if sort.is_bv else v
+                for (name, sort), v in zip(p.universals.items(), point)}, idx)
     return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
 
 
 def check_semantic(p: SynthProblem, s: CandidateSolution,
                    strat: CheckStrategy) -> VerificationResult:
     constraints = substituted_constraints(p, s)
-    return _check_constraints(p, constraints, strat)
+    params = list(p.universals.items())
+    compiled = [compile_term(c, params, p.defined_funs) for c in constraints]
+    return _check_constraints(p, constraints, compiled, strat)
 
 
 def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
+                       compiled: Sequence[Callable],
                        strat: CheckStrategy) -> VerificationResult:
-    defs = p.defined_funs
-
     if isinstance(strat, ExhaustiveSmall):
         domains = _grid_domains(p.universals, strat)
-        return _check_points(constraints, None if domains is None else (
-            dict(combo) for combo in itertools.product(*domains)), defs)
+        return _check_points(p, compiled, None if domains is None
+                             else itertools.product(*domains))
 
     if isinstance(strat, RandomSample):
         rng = random.Random(strat.seed)
-        names = list(p.universals)
-        return _check_points(
-            constraints, ({n: _draw(p.universals[n], rng, strat) for n in names}
-                          for _ in range(strat.count)), defs)
+        draws = [_drawer(sort, rng, strat) for sort in p.universals.values()]
+        return _check_points(p, compiled, (tuple([d() for d in draws])
+                                           for _ in range(strat.count)))
 
     if isinstance(strat, ExternalSMT):
-        return _check_external(p, constraints, strat)
+        return _check_external(p, constraints, compiled, strat)
 
     provisional: Valid | None = None
     unknown = Unknown(UnknownReason.BUDGET)
     for stage in strat.stages:
-        r = _check_constraints(p, constraints, stage)
+        r = _check_constraints(p, constraints, compiled, stage)
         if isinstance(r, CounterExample):
             return r
         if isinstance(r, Valid):
@@ -360,7 +375,7 @@ def parse_model(text: str, universals: Mapping[str, Sort]) -> dict | None:
             v = BV(sort.width, 0) if sort.is_bv else (False if sort == BOOL else 0)
         elif sort.is_bv and isinstance(v, int) and not isinstance(v, bool):
             v = BV(sort.width, v)
-        if sort.is_bv and isinstance(v, BV) and v.width != sort.width:
+        if value_sort(v) != sort:
             return None
         out[name] = v
     return out
@@ -382,6 +397,7 @@ def run_solver(command: str, script: str, timeout_s: float) -> tuple[str, str] |
 
 
 def _check_external(p: SynthProblem, constraints: Sequence[Term],
+                    compiled: Sequence[Callable],
                     strat: ExternalSMT) -> VerificationResult:
     script = _emit_script(p, constraints)
     res = run_solver(strat.command, script, strat.timeout_s)
@@ -396,7 +412,7 @@ def _check_external(p: SynthProblem, constraints: Sequence[Term],
                         p.universals)
     if model is None:
         return Unknown(UnknownReason.SOLVER_UNKNOWN)
-    idx = _violated_index(constraints, model, p.defined_funs)
+    idx = _violated_index(compiled, tuple(map(raw_value, model.values())))
     if idx is None:
         # model does not actually falsify anything we can evaluate
         return Unknown(UnknownReason.SOLVER_UNKNOWN)

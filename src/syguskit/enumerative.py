@@ -53,7 +53,7 @@ def _apply_pointwise(op: str, sigs: Sequence[tuple], n: int,
         return tuple(_connective(op, xs) for xs in points)
     spec = OPS.get(op)
     if spec is not None:
-        value = spec.value
+        value = spec.lift if spec.operand == "bv" else spec.value
     else:
         f = defs.get(op)
 

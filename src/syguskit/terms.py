@@ -14,14 +14,22 @@ given functions by their bodies (defined functions, or candidate bodies for
 the unknowns).
 
 `OPS` is the one place a built-in operator is described: its least and
-greatest arity, its operand and result sorts and its value function.
-`apply_sort` types an application from it (for `infer_sort` and the
-frontend), `evaluate` and the enumerator's bank compute values with it; only
-the lazy ite/and/or/=> are evaluated in place.
+greatest arity, its operand and result sorts and its value function, which
+takes a bit-vector as the width and a masked unsigned int. `apply_sort`
+types an application from it (for `infer_sort` and the frontend);
+`evaluate`, the enumerator's bank and `compile_term` compute values with it,
+and only the lazy ite/and/or/=> are evaluated in place.
+
+`evaluate` is the reference tree walk over BV values. `compile_term` turns a
+term once into a closure over a tuple of raw values (a bit-vector as its
+masked int, its width fixed at compile time), for the places that evaluate
+one term at many points: the checker's grid and samples and the scorer's
+skeletons.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -93,16 +101,6 @@ class BV:
         if self.width < 1:
             raise SortError(f"bit-vector width must be >= 1, got {self.width}")
         object.__setattr__(self, "value", self.value & ((1 << self.width) - 1))
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-    @property
-    def signed(self) -> int:
-        if self.value & (1 << (self.width - 1)):
-            return self.value - (1 << self.width)
-        return self.value
 
     def __repr__(self):
         if self.width % 4 == 0:
@@ -260,27 +258,25 @@ def euclidean_mod(x: int, d: int) -> int:
     return x % abs(d)
 
 
-def _bv_sdiv(a: BV, b: BV) -> BV:
+def _signed(w: int, a: int) -> int:
+    return a - (1 << w) if a >> (w - 1) else a
+
+
+def _bv_sdiv(w: int, a: int, b: int) -> int:
     # unsigned division of the magnitudes, then the sign
-    ua, ub = abs(a.signed), abs(b.signed)
-    q = a.mask if ub == 0 else ua // ub
-    return BV(a.width, -q if (a.signed < 0) != (b.signed < 0) else q)
+    sa, sb = _signed(w, a), _signed(w, b)
+    q = (1 << w) - 1 if sb == 0 else abs(sa) // abs(sb)
+    return (-q if (sa < 0) != (sb < 0) else q) % (1 << w)
 
 
-def _bv_srem(a: BV, b: BV) -> BV:
-    ua, ub = abs(a.signed), abs(b.signed)
-    r = ua if ub == 0 else ua % ub
-    return BV(a.width, -r if a.signed < 0 else r)
+def _bv_srem(w: int, a: int, b: int) -> int:
+    sa, sb = _signed(w, a), _signed(w, b)
+    r = abs(sa) if sb == 0 else abs(sa) % abs(sb)
+    return (-r if sa < 0 else r) % (1 << w)
 
 
-def _bv_lshr(a: BV, b: BV) -> BV:
-    return BV(a.width, 0 if b.value >= a.width else a.value >> b.value)
-
-
-def _bv_ashr(a: BV, b: BV) -> BV:
-    if b.value >= a.width:
-        return BV(a.width, a.mask if a.signed < 0 else 0)
-    return BV(a.width, a.signed >> b.value)
+def _bv_lshr(w: int, a: int, b: int) -> int:
+    return 0 if b >= w else a >> b
 
 
 @dataclass(frozen=True)
@@ -291,14 +287,21 @@ class Op:
     operand), "same" (one sort shared by both operands) or "ite" (a Bool
     condition, then two branches of one sort); result None means the shared
     operand sort (the branch sort for ite). value maps operand values to the
-    result; it is None for the lazy ite/and/or/=>, which callers evaluate
-    in place."""
+    result; a "bv" operator's takes the width first and bit-vectors as
+    masked unsigned ints, which `lift` wraps back into BV values. value is
+    None for the lazy ite/and/or/=>, which callers evaluate in place."""
 
     lo: int                                 # least arity
     hi: int | None                          # greatest arity; None: unbounded
     operand: Sort | str
     result: Sort | None
     value: Callable[..., Value] | None
+
+    def lift(self, *xs: BV) -> Value:
+        """value of a "bv" operator at BV operands."""
+        w = xs[0].width
+        out = self.value(w, *[x.value for x in xs])
+        return out if self.result is BOOL else BV(w, out)
 
 
 OPS: dict[str, Op] = {
@@ -326,35 +329,39 @@ OPS: dict[str, Op] = {
     "=": Op(2, 2, "same", BOOL, operator.eq),
     "ite": Op(3, 3, "ite", None, None),
     # BitVec: every operand of one width
-    "bvnot": Op(1, 1, "bv", None, lambda a: BV(a.width, a.value ^ a.mask)),
-    "bvneg": Op(1, 1, "bv", None, lambda a: BV(a.width, -a.value)),
-    "bvand": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value & b.value)),
-    "bvor": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value | b.value)),
-    "bvxor": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value ^ b.value)),
-    "bvadd": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value + b.value)),
-    "bvsub": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value - b.value)),
-    "bvmul": Op(2, 2, "bv", None, lambda a, b: BV(a.width, a.value * b.value)),
+    "bvnot": Op(1, 1, "bv", None, lambda w, a: a ^ ((1 << w) - 1)),
+    "bvneg": Op(1, 1, "bv", None, lambda w, a: -a % (1 << w)),
+    "bvand": Op(2, 2, "bv", None, lambda w, a, b: a & b),
+    "bvor": Op(2, 2, "bv", None, lambda w, a, b: a | b),
+    "bvxor": Op(2, 2, "bv", None, lambda w, a, b: a ^ b),
+    "bvadd": Op(2, 2, "bv", None, lambda w, a, b: (a + b) % (1 << w)),
+    "bvsub": Op(2, 2, "bv", None, lambda w, a, b: (a - b) % (1 << w)),
+    "bvmul": Op(2, 2, "bv", None, lambda w, a, b: a * b % (1 << w)),
     # division by zero is total: udiv gives all ones, urem the dividend
-    "bvudiv": Op(2, 2, "bv", None, lambda a, b: BV(
-        a.width, a.mask if b.value == 0 else a.value // b.value)),
-    "bvurem": Op(2, 2, "bv", None, lambda a, b: BV(
-        a.width, a.value if b.value == 0 else a.value % b.value)),
+    "bvudiv": Op(2, 2, "bv", None,
+                 lambda w, a, b: (1 << w) - 1 if b == 0 else a // b),
+    "bvurem": Op(2, 2, "bv", None, lambda w, a, b: a if b == 0 else a % b),
     "bvsdiv": Op(2, 2, "bv", None, _bv_sdiv),
     "bvsrem": Op(2, 2, "bv", None, _bv_srem),
     # shifts saturate at the width; bvshr is a legacy spelling of bvlshr
-    "bvshl": Op(2, 2, "bv", None, lambda a, b: BV(
-        a.width, 0 if b.value >= a.width else a.value << b.value)),
+    "bvshl": Op(2, 2, "bv", None,
+                lambda w, a, b: 0 if b >= w else (a << b) % (1 << w)),
     "bvlshr": Op(2, 2, "bv", None, _bv_lshr),
     "bvshr": Op(2, 2, "bv", None, _bv_lshr),
-    "bvashr": Op(2, 2, "bv", None, _bv_ashr),
-    "bvult": Op(2, 2, "bv", BOOL, lambda a, b: a.value < b.value),
-    "bvule": Op(2, 2, "bv", BOOL, lambda a, b: a.value <= b.value),
-    "bvugt": Op(2, 2, "bv", BOOL, lambda a, b: a.value > b.value),
-    "bvuge": Op(2, 2, "bv", BOOL, lambda a, b: a.value >= b.value),
-    "bvslt": Op(2, 2, "bv", BOOL, lambda a, b: a.signed < b.signed),
-    "bvsle": Op(2, 2, "bv", BOOL, lambda a, b: a.signed <= b.signed),
-    "bvsgt": Op(2, 2, "bv", BOOL, lambda a, b: a.signed > b.signed),
-    "bvsge": Op(2, 2, "bv", BOOL, lambda a, b: a.signed >= b.signed),
+    "bvashr": Op(2, 2, "bv", None,
+                 lambda w, a, b: (_signed(w, a) >> min(b, w)) % (1 << w)),
+    "bvult": Op(2, 2, "bv", BOOL, lambda w, a, b: a < b),
+    "bvule": Op(2, 2, "bv", BOOL, lambda w, a, b: a <= b),
+    "bvugt": Op(2, 2, "bv", BOOL, lambda w, a, b: a > b),
+    "bvuge": Op(2, 2, "bv", BOOL, lambda w, a, b: a >= b),
+    "bvslt": Op(2, 2, "bv", BOOL,
+                lambda w, a, b: _signed(w, a) < _signed(w, b)),
+    "bvsle": Op(2, 2, "bv", BOOL,
+                lambda w, a, b: _signed(w, a) <= _signed(w, b)),
+    "bvsgt": Op(2, 2, "bv", BOOL,
+                lambda w, a, b: _signed(w, a) > _signed(w, b)),
+    "bvsge": Op(2, 2, "bv", BOOL,
+                lambda w, a, b: _signed(w, a) >= _signed(w, b)),
 }
 
 
@@ -472,7 +479,7 @@ def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) ->
         xs = [ev(a, env) for a in args]
         spec = OPS.get(op)
         if spec is not None:
-            return spec.value(*xs)
+            return spec.lift(*xs) if spec.operand == "bv" else spec.value(*xs)
         f = defs.get(op)
         if f is not None:
             bound = {name: x for (name, _), x in zip(f.params, xs)}
@@ -480,6 +487,80 @@ def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) ->
         raise UndeclaredSymbol(op)
 
     return ev(t, v)
+
+
+def raw_value(v: Value) -> bool | int:
+    """A value as compiled terms see it: a bit-vector as its masked int."""
+    return v.value if isinstance(v, BV) else v
+
+
+# the lazy connectives of two operands; n operands nest to the right
+_JOIN = {
+    "and": lambda a, b: lambda e: a(e) and b(e),
+    "or": lambda a, b: lambda e: a(e) or b(e),
+    "=>": lambda a, b: lambda e: not a(e) or b(e),
+}
+
+
+def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
+                 defs: Mapping[str, FunDef] | None = None
+                 ) -> Callable[[tuple], bool | int]:
+    """Compile a sort-correct term into a closure over a tuple of raw values
+    of params, in order; the closure gives evaluate's value, a bit-vector as
+    its masked int. Widths are fixed here, each defined function body is
+    compiled once and called positionally, a let extends the tuple, and
+    ite/and/or/=> stay lazy."""
+    defs = defs or {}
+    funs = {name: FunSort(f.param_sorts, f.ret) for name, f in defs.items()}
+    bodies: dict[str, Callable] = {}
+
+    def comp(t: Term, env: list[tuple[str, Sort]]):
+        """(closure, sort) of t over tuples laid out as env; a later entry
+        hides an earlier one of the same name."""
+        if isinstance(t, Var):
+            at = [i for i, (name, _) in enumerate(env) if name == t.name]
+            if not at:
+                raise UndeclaredSymbol(t.name)
+            return operator.itemgetter(at[-1]), env[at[-1]][1]
+        if isinstance(t, Lit):
+            v = raw_value(t.value)
+            return (lambda e: v), value_sort(t.value)
+        if isinstance(t, Let):
+            # parallel: the definitions see the outer env
+            ds = [comp(d, env) for _, d in t.bindings]
+            body, sort = comp(t.body, env + [(name, s) for (name, _), (_, s)
+                                             in zip(t.bindings, ds)])
+            fns = [fn for fn, _ in ds]
+            return (lambda e: body(e + tuple([d(e) for d in fns]))), sort
+        op = t.op
+        pairs = [comp(a, env) for a in t.args]
+        fns = [fn for fn, _ in pairs]
+        sort = apply_sort(op, [s for _, s in pairs], funs, t)
+        if op == "ite":
+            c, a, b = fns
+            return (lambda e: a(e) if c(e) else b(e)), sort
+        join = _JOIN.get(op)
+        if join is not None:
+            return functools.reduce(lambda b, a: join(a, b), fns[::-1]), sort
+        spec = OPS.get(op)
+        if spec is None:
+            if op not in bodies:
+                bodies[op] = comp(defs[op].body, list(defs[op].params))[0]
+            body = bodies[op]
+            value = lambda *xs: body(xs)  # noqa: E731
+        elif spec.operand == "bv":
+            value = functools.partial(spec.value, pairs[0][1].width)
+        else:
+            value = spec.value
+        if len(fns) == 1:
+            a, = fns
+            return (lambda e: value(a(e))), sort
+        if len(fns) == 2:
+            a, b = fns
+            return (lambda e: value(a(e), b(e))), sort
+        return (lambda e: value(*[f(e) for f in fns])), sort
+
+    return comp(t, list(params))[0]
 
 
 # ---------------------------------------------------------------------------

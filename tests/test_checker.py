@@ -1,3 +1,9 @@
+import importlib.util
+import itertools
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import fake_solver_script, load
@@ -6,8 +12,9 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               UnknownReason, Valid, check_semantic,
                               check_syntactic, classify_features,
                               default_strategy, emit_smtlib, falsified,
-                              parse_model, substituted_constraints)
-from syguskit.frontend import parse_solution, read_problem
+                              grid_points, parse_model,
+                              substituted_constraints)
+from syguskit.frontend import load_problem, parse_solution, read_problem
 from syguskit.sexpr import read_sexprs
 from syguskit.terms import BOOL, BV, INT, bitvec
 
@@ -106,8 +113,10 @@ def test_random_sample_is_deterministic(max2):
                                    RandomSample(-3, 0)],
                          ids=["empty-int-range", "no-samples", "negative-samples"])
 def test_check_that_examined_no_point_is_unknown(max2, strat):
-    v = check_semantic(max2, max2_sol(max2, "x"), strat)
+    s = max2_sol(max2, "x")
+    v = check_semantic(max2, s, strat)
     assert v == Unknown(UnknownReason.BUDGET)
+    assert v == reference_check(max2, substituted_constraints(max2, s), strat)
     assert check_semantic(max2, max2_sol(max2, "(ite (>= x y) x y)"),
                           strat) == Unknown(UnknownReason.BUDGET)
 
@@ -120,6 +129,8 @@ def test_problem_without_universals_checks_its_one_point():
     bad = sol(p, "(define-fun f () Int 4)")
     assert check_semantic(p, good, empty) == Valid(certified=False)
     assert check_semantic(p, bad, empty) == CounterExample({}, 0)
+    assert reference_check(p, substituted_constraints(p, bad),
+                           empty) == CounterExample({}, 0)
     assert check_semantic(p, good, RandomSample(1, 0)) == Valid(certified=False)
     assert check_semantic(p, good, RandomSample(0, 0)) == Unknown(
         UnknownReason.BUDGET)
@@ -147,6 +158,94 @@ def test_external_solver_unavailable(max2):
     s = max2_sol(max2, "x")
     v = check_semantic(max2, s, ExternalSMT("no-such-solver-binary"))
     assert v == Unknown(UnknownReason.SOLVER_UNAVAILABLE)
+
+
+# ---------------------------------------------------------------------------
+# the compiled checker against a loop over evaluate
+
+ROOT = Path(__file__).parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def reference_check(p, constraints, strat):
+    """The verdict of a walk over dict points with evaluate, drawing samples
+    with the same rng calls as the checker."""
+    if isinstance(strat, Layered):
+        provisional, unknown = None, Unknown(UnknownReason.BUDGET)
+        for stage in strat.stages:
+            r = reference_check(p, constraints, stage)
+            if isinstance(r, CounterExample):
+                return r
+            if isinstance(r, Valid):
+                provisional = r
+            else:
+                unknown = r
+        return provisional or unknown
+    names, sorts = list(p.universals), list(p.universals.values())
+    if isinstance(strat, ExhaustiveSmall):
+        domains = []
+        for sort in sorts:
+            if sort == INT:
+                domains.append(range(strat.int_lo, strat.int_hi + 1))
+            elif sort == BOOL:
+                domains.append([False, True])
+            elif sort.width <= strat.bv_width_cap:
+                domains.append([BV(sort.width, v)
+                                for v in range(1 << sort.width)])
+            else:
+                return Unknown(UnknownReason.BUDGET)
+        points = (dict(zip(names, vs)) for vs in itertools.product(*domains))
+    else:
+        rng = random.Random(strat.seed)
+
+        def draw(sort):
+            if sort == INT:
+                return rng.randint(strat.int_lo, strat.int_hi)
+            if sort == BOOL:
+                return rng.random() < 0.5
+            return BV(sort.width, rng.getrandbits(sort.width))
+        points = ({n: draw(s) for n, s in zip(names, sorts)}
+                  for _ in range(strat.count))
+    checked = False
+    for point in points:
+        checked = True
+        for i, c in enumerate(constraints):
+            if falsified(c, point, p.defined_funs):
+                return CounterExample(point, i)
+    return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
+
+
+def verdict_strategies(p):
+    grid = ExhaustiveSmall()
+    pts = grid_points(p.universals, grid)
+    return {
+        "grid": grid if pts is None or pts <= 300_000 else ExhaustiveSmall(-1, 1),
+        "sample-0": RandomSample(500, 0),
+        "sample-1": RandomSample(500, 1),
+        "layered": Layered((ExhaustiveSmall(-1, 1, bv_width_cap=4),
+                            RandomSample(300, 2, int_lo=-2, int_hi=2),
+                            RandomSample(300, 3))),
+    }
+
+
+@pytest.mark.parametrize("strat_id", ["grid", "sample-0", "sample-1",
+                                      "layered"])
+@pytest.mark.parametrize("cand", workloads.CANDIDATES,
+                         ids=[c.label for c in workloads.CANDIDATES])
+def test_verdict_matches_evaluate_loop(cand, strat_id):
+    p = load_problem(ROOT / cand.problem)
+    s = parse_solution(cand.solution, p)
+    strat = verdict_strategies(p)[strat_id]
+    got = check_semantic(p, s, strat)
+    want = reference_check(p, substituted_constraints(p, s), strat)
+    assert got == want
+    if isinstance(want, CounterExample):
+        # the same names in the same order, a bit-vector as a BV
+        assert ([(n, type(v)) for n, v in got.valuation.items()]
+                == [(n, type(v)) for n, v in want.valuation.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +289,15 @@ def test_external_model_not_falsifying_is_unknown(max2, tmp_path):
     cmd = fake_solver_script(tmp_path, out)
     v = check_semantic(max2, max2_sol(max2, "x"), ExternalSMT(cmd))
     assert v == Unknown(UnknownReason.SOLVER_UNKNOWN)
+
+
+@pytest.mark.parametrize("model", ["((x #x05) (y 3))", "((x true) (y 3))"],
+                         ids=["bitvector-for-int", "bool-for-int"])
+def test_external_model_value_of_wrong_sort_is_unknown(max2, tmp_path, model):
+    cmd = fake_solver_script(tmp_path, f"sat\n{model}\n")
+    v = check_semantic(max2, max2_sol(max2, "x"), ExternalSMT(cmd))
+    assert v == Unknown(UnknownReason.SOLVER_UNKNOWN)
+    assert parse_model(model, max2.universals) is None
 
 
 def test_model_value_shapes():

@@ -1,15 +1,18 @@
+import functools
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import term
-from syguskit.terms import (BOOL, BV, INT, OPS, Apply, DivisionByZero,
-                            FunDef, FunSort, Let, Lit, SortError,
-                            UndeclaredSymbol, Var, bitvec, evaluate, expand,
-                            free_vars, infer_sort, substitute, term_size,
-                            value_sort)
+from conftest import let_grammar, load, term
+from syguskit.grammar import Enumerator, make_grammar
+from syguskit.terms import (BOOL, BV, INT, OPS, TNT, Apply, DivisionByZero,
+                            FunDef, FunSort, Let, Lit, SortError, THole,
+                            UndeclaredSymbol, Var, bitvec, compile_term,
+                            evaluate, expand, free_vars, infer_sort,
+                            raw_value, substitute, term_size, value_sort)
 
 BV32 = bitvec(32)
 
@@ -244,6 +247,9 @@ def test_operator_table_entry(op):
         assert infer_sort(t, {}) == value_sort(want), (op, xs)
         got = evaluate(t, {})
         assert got == want and type(got) is type(want), (op, xs, got)
+        got = compile_term(t, [])(())
+        raw = raw_value(want)
+        assert got == raw and type(got) is type(raw), (op, xs, got)
     xs = OP_ROWS[op][0][0]
     outside = [xs[:spec.lo - 1]]
     if spec.hi is not None:
@@ -251,6 +257,103 @@ def test_operator_table_entry(op):
     for args in outside:
         with pytest.raises(SortError):
             infer_sort(Apply(op, tuple(Lit(x) for x in args)), {})
+
+
+# ---------------------------------------------------------------------------
+# the compiled evaluator against evaluate
+
+W8 = bitvec(8)
+
+
+def ops_grammar():
+    """Every operator of OPS, at arities 1-3 within its bounds, over Int,
+    Bool and (BitVec 8) nonterminals with variables and constant holes."""
+    nts = {INT: TNT("I"), BOOL: TNT("B"), W8: TNT("V")}
+    prods = {INT: [Var("x"), Var("y"), THole(INT)],
+             BOOL: [Var("b"), Lit(True)],
+             W8: [Var("u"), Var("v"), THole(W8)]}
+    for op, spec in OPS.items():
+        if spec.operand == "ite":
+            for s, nt in nts.items():
+                prods[s].append(Apply(op, (nts[BOOL], nt, nt)))
+            continue
+        operands = {"bv": [W8], "same": list(nts)}.get(spec.operand,
+                                                       [spec.operand])
+        for s in operands:
+            for arity in range(spec.lo, min(spec.hi or 3, 3) + 1):
+                prods[spec.result or s].append(Apply(op, (nts[s],) * arity))
+    return make_grammar("I", [(nt.nt, s, prods[s]) for s, nt in nts.items()],
+                        {"x": INT, "y": INT, "b": BOOL, "u": W8, "v": W8})
+
+
+def problem_grammar(name, unknown):
+    p = load(name)
+    return p.unknowns[unknown].grammar, p.defined_funs
+
+
+DIFF_CASES = {
+    "max2": lambda: problem_grammar("max2.sl", "max2"),
+    "s8": lambda: problem_grammar("s8.sl", "f2"),
+    "hd17_w8": lambda: problem_grammar("hd17_w8.sl", "f"),
+    "lsz_w8": lambda: problem_grammar("lsz_w8.sl", "f"),
+    "qm_loop": lambda: problem_grammar("qm_loop_1.sl", "qm-loop"),
+    "let": lambda: (let_grammar(), {}),
+    "ops": lambda: (ops_grammar(), {}),
+}
+# Int zero divisors, the width-8 edges and shift amounts of at least 8
+POOL = (-1, 0, 1, 2, *(BV(8, v) for v in (0, 1, 0x7f, 0x80, 0xff, 8, 9)))
+INT_VALUES = st.sampled_from([-2, -1, 0, 1, 3]) | st.integers(-40, 40)
+BV8_VALUES = (st.sampled_from([0, 1, 0x7f, 0x80, 0xff, 8, 9, 200])
+              | st.integers(0, 255)).map(lambda v: BV(8, v))
+
+
+@functools.cache
+def diff_case(name):
+    g, defs = DIFF_CASES[name]()
+    return g, defs, Enumerator(g, POOL)
+
+
+@pytest.mark.parametrize("name", list(DIFF_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), size=st.integers(1, 11))
+def test_compiled_term_matches_evaluate(name, data, seed, size):
+    g, defs, enumr = diff_case(name)
+    nt = data.draw(st.sampled_from(sorted(g.rules)))
+    if enumr.count(nt, size) == 0:
+        return
+    t = enumr.sample(nt, size, random.Random(seed)).term
+    params = list(g.var_sorts.items())
+    point = {n: data.draw(BV8_VALUES if s == W8 else
+                          st.booleans() if s == BOOL else INT_VALUES)
+             for n, s in params}
+    f = compile_term(t, params, defs)
+    raw = tuple(raw_value(v) for v in point.values())
+    try:
+        want = evaluate(t, point, defs)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            f(raw)
+        return
+    got = f(raw)
+    assert got == raw_value(want) and type(got) is type(raw_value(want)), t
+
+
+@pytest.mark.parametrize("text", [
+    "(ite (= y 0) 0 (div x y))", "(and (= y 1) (= (div x y) 1))",
+    "(or (= y 0) (= (div x y) 1))", "(=> (= x 3) (= y 1) (= (mod x y) 1))",
+    "(=> (= y 1) (= (mod x y) 1))"])
+def test_compiled_connectives_are_lazy(text):
+    # at x = 3, y = 0 the division is never reached
+    t = term(text, {"x": INT, "y": INT})
+    got = compile_term(t, [("x", INT), ("y", INT)])((3, 0))
+    want = evaluate(t, {"x": 3, "y": 0})
+    assert got == want and type(got) is type(want)
+
+
+def test_compiled_let_is_parallel_and_shadows():
+    t = Let((("a", Var("b")), ("b", Lit(1))),
+            Let((("a", Apply("+", (Var("a"), Var("b")))),), Var("a")))
+    assert compile_term(t, [("b", INT)])((10,)) == evaluate(t, {"b": 10})
 
 
 # ---------------------------------------------------------------------------

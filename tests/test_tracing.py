@@ -1,7 +1,8 @@
 """perfbench's tracer wraps syguskit's functions by module attribute name, so
 a rename under src/ breaks `perfbench/run.py --trace 1` before it runs a
 pass. This installs the tracer on a fresh import, checks the bank-size
-counter against a Bank built under it, and takes the tracer off again."""
+counter against a Bank built under it and the point counter against a grid
+check, and takes the tracer off again."""
 
 import subprocess
 import sys
@@ -15,7 +16,10 @@ sys.path[:0] = ["perfbench", "src"]
 import run, tracing
 sk = run.import_syguskit()
 names = [(sk.enumerative, "falsified"), (sk.enumerative, "induced_bindings"),
-         (sk.stochastic, "count_wrong"), (sk.cegis, "falsified")]
+         (sk.stochastic, "count_wrong"), (sk.cegis, "falsified"),
+         (sk.checker, "_violated_index"), (sk.checker, "falsified"),
+         (sk.checker, "evaluate"), (sk.cegis, "evaluate"),
+         (sk.enumerative, "evaluate")]
 before = [getattr(m, a) for m, a in names]
 tracer = tracing.Tracer()
 tracing.install(tracer, sk)
@@ -28,6 +32,14 @@ bank.build_to(3)
 bank.build_to(5)
 kept = sum(len(k) for by_size in bank.terms.values() for k in by_size.values())
 assert kept > 0 and tracer.totals()[1]["enumerative.bank_terms"] == kept
+# checker.points counts one _violated_index call per grid point (17 * 17)
+p = sk.frontend.load_problem("tests/data/max2.sl")
+s = sk.frontend.parse_solution(
+    "(define-fun max2 ((x Int) (y Int)) Int (ite (>= x y) x y))", p)
+v = sk.checker.check_semantic(p, s, sk.checker.ExhaustiveSmall())
+points = sum(row[0] for (name, _), row in tracer.totals()[0].items()
+             if name == "checker._violated_index")
+assert type(v).__name__ == "Valid" and points == 289, (v, points)
 tracer.uninstall()
 assert all(getattr(m, a) is f for (m, a), f in zip(names, before))
 print("ok")
