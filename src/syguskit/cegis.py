@@ -4,24 +4,28 @@ one candidate scorer.
 Counterexamples are valuations of the problem's universal variables. For
 every example and every syntactically distinct invocation of an unknown, the
 argument terms are evaluated at the example to bind the unknown's parameters;
-a term's signature is its output vector over these induced bindings. Both
-solvers ask Scorer which examples a candidate gets wrong: the enumerative
-solver hands it the signatures from its banks, the stochastic one the bodies.
-Scorer compiles its constraint skeletons once (terms.compile_term) and scores
-an example on its raw point followed by the candidate's raw slot values.
+a term's signature is its output vector over these induced bindings,
+composed pointwise from its arguments' signatures (Pointwise); signature()
+is the reference tree walk. Both solvers ask Scorer which examples a
+candidate gets wrong: the enumerative solver hands it the signatures from
+its banks, the stochastic one the bodies, whose signatures Scorer composes
+and memoises per unknown (Signatures). Scorer compiles its constraint
+skeletons once (terms.compile_term) and scores an example on its raw point
+followed by the candidate's raw slot values.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .checker import falsified
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, Apply, DivisionByZero, FunDef, Let, Lit, Term, Value,
-                    Var, compile_term, evaluate, raw_value, subterms)
+from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Let, Lit, Term,
+                    UndeclaredSymbol, Value, Var, compile_term, evaluate,
+                    raw_value, subterms)
 
 
 @dataclass
@@ -179,6 +183,123 @@ def signature(t: Term, bindings: Sequence[Mapping[str, Value]],
     return tuple(out)
 
 
+class Pointwise:
+    """Signatures over one list of bindings, each composed pointwise from its
+    arguments' signatures, so a term costs one operator application per
+    point and not a tree walk. ite/and/or/=> keep the evaluator's laziness,
+    so an untaken branch swallows its errors; a defined function such as qm
+    runs its body compiled once (terms.compile_term); a let goes through the
+    reference signature()."""
+
+    def __init__(self, bindings: Sequence[Mapping[str, Value]],
+                 defs: Mapping[str, FunDef]):
+        self.bindings = list(bindings)
+        self.defs = defs
+        self._calls: dict[str, Callable[..., Value]] = {}
+
+    def of(self, t: Term, arg: Callable[[Term], tuple]) -> tuple:
+        """t's signature; an application's from arg(a) of each argument a."""
+        if isinstance(t, Apply):
+            return self.apply(t.op, [arg(a) for a in t.args])
+        if isinstance(t, Var):
+            # built from a list here and below: tuple() of an iterator of
+            # unknown length resizes its result, which fills CPython's free
+            # list of tuples of the signature's length (up to 2,000 of them)
+            return tuple([b[t.name] for b in self.bindings])
+        if isinstance(t, Lit):
+            return (t.value,) * len(self.bindings)
+        return signature(t, self.bindings, self.defs)
+
+    def apply(self, op: str, sigs: Sequence[tuple]) -> tuple:
+        """The signature of op applied to arguments of these signatures."""
+        n = len(self.bindings)
+        if not n:
+            return ()
+        if op == "ite":
+            return tuple([ERR if c is ERR else (a if c else b)
+                          for c, a, b in zip(*sigs)])
+        if op in ("and", "or", "=>"):
+            return tuple([_connective(op, xs) for xs in zip(*sigs)])
+        spec = OPS.get(op)
+        if spec is not None:
+            value = spec.lift if spec.operand == "bv" else spec.value
+        else:
+            value = self._calls.get(op) or self._call(op)
+        if sigs and not any(ERR in s for s in sigs):
+            try:
+                return tuple(list(map(value, *sigs)))
+            except DivisionByZero:
+                pass
+        out = []
+        for xs in zip(*sigs) if sigs else [()] * n:
+            if any(x is ERR for x in xs):
+                out.append(ERR)
+                continue
+            try:
+                out.append(value(*xs))
+            except DivisionByZero:
+                out.append(ERR)
+        return tuple(out)
+
+    def _call(self, op: str) -> Callable[..., Value]:
+        """A defined function's value at signature values: bit-vector
+        arguments go in as their raw ints, a bit-vector result comes back
+        as a BV."""
+        f = self.defs.get(op)
+        if f is None:
+            raise UndeclaredSymbol(op)
+        body = compile_term(f.body, f.params, self.defs)
+        raw = [s.is_bv for _, s in f.params]
+        w = f.ret.width if f.ret.is_bv else None
+
+        def value(*xs):
+            if True in raw:
+                xs = tuple([x.value if r else x for x, r in zip(xs, raw)])
+            out = body(xs)
+            return out if w is None else BV(w, out)
+
+        self._calls[op] = value
+        return value
+
+
+def _connective(op: str, xs: tuple):
+    """and/or/=> at one point: the first operand that settles the result
+    decides it, so an error there wins and an error after it is swallowed."""
+    if op == "and":
+        return next((x for x in xs if x is ERR or x is False), True)
+    if op == "or":
+        return next((x for x in xs if x is ERR or x is True), False)
+    x = next((x for x in xs[:-1] if x is ERR or x is False), None)
+    return xs[-1] if x is None else ERR if x is ERR else True
+
+
+# terms whose signatures a Signatures keeps, the oldest dropped first
+SIG_MEMO = 256
+
+
+class Signatures(Pointwise):
+    """signature() over fixed bindings as a callable, composed pointwise and
+    memoised for the last SIG_MEMO terms by identity: a stochastic move
+    rebuilds only the path to the subtree it replaced, so a proposal shares
+    every other subterm object with the body it came from. A memo entry
+    keeps its term alive, so no other term can have its id."""
+
+    def __init__(self, bindings: Sequence[Mapping[str, Value]],
+                 defs: Mapping[str, FunDef]):
+        super().__init__(bindings, defs)
+        self.memo: dict[int, tuple[Term, tuple]] = {}
+
+    def __call__(self, t: Term) -> tuple:
+        hit = self.memo.get(id(t))
+        if hit is not None:
+            return hit[1]
+        sig = self.of(t, self)
+        if len(self.memo) >= SIG_MEMO:
+            del self.memo[next(iter(self.memo))]
+        self.memo[id(t)] = (t, sig)
+        return sig
+
+
 class Scorer:
     """The examples a candidate gets wrong, for one problem and example set.
 
@@ -197,10 +318,12 @@ class Scorer:
                          for ts in tuples.values() for args in ts
                          for a in args for s in subterms(a))
         self.bindings: dict[str, list[dict]] = {}
+        self.sig: dict[str, Signatures] = {}
         index = {}
         for n in p.unknowns:
             self.bindings[n], index[n] = (([], {}) if self.naive
                                           else induced_bindings(p, n, E))
+            self.sig[n] = Signatures(self.bindings[n], p.defined_funs)
 
         def skeleton(t: Term) -> Term:
             if isinstance(t, Apply):
@@ -236,8 +359,7 @@ class Scorer:
         self.bindings; otherwise they are computed here."""
         defs = self.p.defined_funs
         if sigs is None:
-            sigs = {n: signature(b, self.bindings[n], defs)
-                    for n, b in bodies.items()}
+            sigs = {n: self.sig[n](b) for n, b in bodies.items()}
         whole = None
         for ei, (point, raw, row) in enumerate(self.rows):
             if row is not None:

@@ -196,10 +196,29 @@ def _drawer(sort: Sort, rng: random.Random,
             strat: RandomSample) -> Callable[[], Value]:
     """Draws one raw value of sort."""
     if sort == INT:
-        return functools.partial(rng.randint, strat.int_lo, strat.int_hi)
+        return int_drawer(rng, strat.int_lo, strat.int_hi)
     if sort == BOOL:
         return lambda: rng.random() < 0.5
     return functools.partial(rng.getrandbits, sort.width)
+
+
+def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
+    """rng.randint(lo, hi) without its per-call argument checks: the same
+    getrandbits rejection loop as CPython's Random._randbelow, so the draws
+    and the rng's state after them are those of randint."""
+    n = hi - lo + 1
+    if n <= 0:
+        return functools.partial(rng.randint, lo, hi)  # raises as randint does
+    k = n.bit_length()
+    bits = rng.getrandbits
+
+    def draw() -> int:
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return lo + r
+
+    return draw
 
 
 def _check_points(p: SynthProblem, compiled: Sequence[Callable],

@@ -20,17 +20,17 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .cegis import (ERR, Deadline, ExampleSet, Exhausted, Scorer, Solved,
-                    SolveOutcome, TimedOut, base_constant_pool, make_solution,
-                    pool_with_examples, signature)
+from .cegis import (Deadline, ExampleSet, Exhausted, Pointwise, Scorer,
+                    Solved, SolveOutcome, TimedOut, base_constant_pool,
+                    make_solution, pool_with_examples)
 from .cegis import induced_bindings  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Enumerator, compositions
-from .terms import (OPS, Apply, DivisionByZero, FunDef, Lit, Term,
-                    UndeclaredSymbol, Value, Var, evaluate)
+from .terms import FunDef, Term, Value
+from .terms import evaluate  # noqa: F401 (perfbench/tracing.py wraps it)
 
 
 @dataclass
@@ -39,50 +39,6 @@ class EnumConfig:
     budget_s: float = 60.0
     verifier: CheckStrategy | None = None
     prune: bool = True
-
-
-def _apply_pointwise(op: str, sigs: Sequence[tuple], n: int,
-                     defs: Mapping[str, FunDef]) -> tuple:
-    """Compose output vectors over n points through one operator, with the
-    evaluator's laziness for ite/and/or/=> so untaken branches swallow
-    errors."""
-    points = zip(*sigs) if sigs else [()] * n
-    if op == "ite":
-        return tuple(ERR if c is ERR else (a if c else b) for c, a, b in points)
-    if op in ("and", "or", "=>"):
-        return tuple(_connective(op, xs) for xs in points)
-    spec = OPS.get(op)
-    if spec is not None:
-        value = spec.lift if spec.operand == "bv" else spec.value
-    else:
-        f = defs.get(op)
-
-        def value(*xs):  # a defined function such as qm
-            if f is None:
-                raise UndeclaredSymbol(op)
-            return evaluate(f.body, {name: x for (name, _), x
-                                     in zip(f.params, xs)}, defs)
-    out = []
-    for xs in points:
-        if any(x is ERR for x in xs):
-            out.append(ERR)
-            continue
-        try:
-            out.append(value(*xs))
-        except DivisionByZero:
-            out.append(ERR)
-    return tuple(out)
-
-
-def _connective(op: str, xs: tuple):
-    """and/or/=> at one point: the first operand that settles the result
-    decides it, so an error there wins and an error after it is swallowed."""
-    if op == "and":
-        return next((x for x in xs if x is ERR or x is False), True)
-    if op == "or":
-        return next((x for x in xs if x is ERR or x is True), False)
-    x = next((x for x in xs[:-1] if x is ERR or x is False), None)
-    return xs[-1] if x is None else ERR if x is ERR else True
 
 
 class BudgetExpired(Exception):
@@ -98,9 +54,8 @@ class Bank(Enumerator):
                  pool: Sequence[Value], prune: bool,
                  defs: Mapping[str, FunDef] | None = None):
         super().__init__(grammar, pool)
-        self.bindings = list(bindings)
+        self.pointwise = Pointwise(bindings, dict(defs or {}))
         self.prune = prune
-        self.defs = dict(defs or {})
         self.sigs: dict[Term, tuple] = {}  # of every kept term
         self.terms: dict[str, dict[int, list[tuple[Term, tuple]]]] = {
             nt: {} for nt in grammar.rules}
@@ -131,18 +86,13 @@ class Bank(Enumerator):
         return tuple(t for t, _ in pairs)
 
     def _sig(self, t: Term) -> tuple:
-        """t's output vector over the bindings: an application's from its
-        arguments' (memoised when kept), a let's through the evaluator."""
-        if isinstance(t, Apply):
-            sigs = self.sigs
-            return _apply_pointwise(
-                t.op, [s if (s := sigs.get(a)) is not None else self._sig(a)
-                       for a in t.args], len(self.bindings), self.defs)
-        if isinstance(t, Var):
-            return tuple(b[t.name] for b in self.bindings)
-        if isinstance(t, Lit):
-            return (t.value,) * len(self.bindings)
-        return signature(t, self.bindings, self.defs)
+        """t's output vector over the bindings, an application's from its
+        arguments' (memoised when kept)."""
+        return self.pointwise.of(t, self._arg_sig)
+
+    def _arg_sig(self, t: Term) -> tuple:
+        sig = self.sigs.get(t)
+        return self._sig(t) if sig is None else sig
 
 
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:

@@ -23,6 +23,12 @@ into those slots with each child at least its least derivable size, in
 lexicographic order. Plans depend on the grammar alone and are memoized on
 it; walk_splits expands a plan slot by slot. enumerative.Bank is this
 enumeration, keeping one term per signature instead of one per term.
+
+Sampling is the stochastic solver's inner loop, so an Enumerator keeps
+sample()'s tables once built: per (nonterminal, size, divisor flag) the
+productions with a derivation and their counts, per hole sort its pool, and
+per (template, size) a tree of its slots' size choices and weights. They
+change no draw: every rng call is the one the plain recurrences make.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ class Grammar:
     _closures: dict[str, tuple[str, ...]] | None = field(
         default=None, compare=False, repr=False)
     _plans: dict[tuple[int, int], tuple] = field(
+        default_factory=dict, compare=False, repr=False)
+    _closed: dict[str, tuple[Template, ...]] = field(
         default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -109,12 +117,14 @@ class Grammar:
             hit = self._closures[nt] = tuple(order)
         return hit
 
-    def closed_productions(self, nt: str) -> Iterator[Template]:
+    def closed_productions(self, nt: str) -> tuple[Template, ...]:
         """Non-unit productions of nt's unit closure, in deterministic order."""
-        for m in self.unit_closure(nt):
-            for p in self.rule(m).productions:
-                if not isinstance(p, TNT):
-                    yield p
+        hit = self._closed.get(nt)
+        if hit is None:
+            hit = self._closed[nt] = tuple(
+                p for m in self.unit_closure(nt)
+                for p in self.rule(m).productions if not isinstance(p, TNT))
+        return hit
 
     def split_plan(self, tpl: Apply | Let, size: int) -> tuple:
         """(slots, splits) of an application or let template at `size`: slots
@@ -305,31 +315,41 @@ class Enumerator:
         self.pool = tuple(v for _, v in dict.fromkeys((type(v), v)
                                                        for v in pool))
         self._terms: dict[tuple[str, int, bool], tuple[Term, ...]] = {}
-        self._counts: dict[tuple[str, int, bool], int] = {}
+        self._menus: dict[tuple[str, int, bool], tuple[int, tuple]] = {}
         self._weights: dict[tuple[int, int], tuple[int, list]] = {}
+        self._pools: dict[tuple[Sort, bool], tuple[Value, ...]] = {}
+        self._samplers: dict[tuple[int, int], tuple] = {}
 
-    def _hole_pool(self, sort: Sort, no_zero: bool) -> list[Value]:
-        if sort.is_bv:
-            return [v for v in self.pool if value_sort(v) == sort]
-        if sort.name == "Bool":
-            return [False, True]
-        vals = [v for v in self.pool
-                if isinstance(v, int) and not isinstance(v, bool)]
-        if no_zero:
-            vals = [v for v in vals if v != 0]
-        return vals
+    def _hole_pool(self, sort: Sort, no_zero: bool) -> tuple[Value, ...]:
+        key = (sort, no_zero)
+        hit = self._pools.get(key)
+        if hit is None:
+            if sort.is_bv:
+                vals = [v for v in self.pool if value_sort(v) == sort]
+            elif sort.name == "Bool":
+                vals = [False, True]
+            else:
+                vals = [v for v in self.pool
+                        if isinstance(v, int) and not isinstance(v, bool)
+                        and not (no_zero and v == 0)]
+            hit = self._pools[key] = tuple(vals)
+        return hit
 
     # -- counting ----------------------------------------------------------
 
     def count(self, nt: str, size: int, no_zero: bool = False) -> int:
+        return self._menu(nt, size, no_zero)[0]
+
+    def _menu(self, nt: str, size: int, no_zero: bool) -> tuple[int, tuple]:
+        """(derivations, the productions of nt with a derivation at size,
+        each with its count, in closed_productions order)."""
         key = (nt, size, no_zero)
-        hit = self._counts.get(key)
+        hit = self._menus.get(key)
         if hit is None:
-            hit = 0
-            if size >= 1:
-                for p in self.g.closed_productions(nt):
-                    hit += self._count_tpl(p, size, no_zero)
-            self._counts[key] = hit
+            menu = () if size < 1 else tuple(
+                (p, c) for p in self.g.closed_productions(nt)
+                if (c := self._count_tpl(p, size, no_zero)))
+            hit = self._menus[key] = (sum(c for _, c in menu), menu)
         return hit
 
     def _count_tpl(self, tpl: Template, size: int, no_zero: bool) -> int:
@@ -399,12 +419,11 @@ class Enumerator:
 
     def sample(self, nt: str, size: int, rng: random.Random,
                no_zero: bool = False) -> SlotNode:
-        total = self.count(nt, size, no_zero)
+        total, menu = self._menu(nt, size, no_zero)
         if total == 0:
             raise SygusError(f"no derivation of {nt} at size {size}")
         pick = rng.randrange(total)
-        for p in self.g.closed_productions(nt):
-            c = self._count_tpl(p, size, no_zero)
+        for p, c in menu:
             if pick < c:
                 term, slots, own = self._sample_tpl(p, size, no_zero, rng, ())
                 return SlotNode(nt, term, size, no_zero, own, slots)
@@ -421,14 +440,9 @@ class Enumerator:
         if isinstance(tpl, TNT):
             node = self.sample(tpl.nt, size, rng, no_zero)
             return node.term, [(path, node)], 0
-        slots, _ = self.g.split_plan(tpl, size)
-        if isinstance(tpl, Apply):
-            steps, own = list(range(len(slots))), 1
-        else:
-            steps = [("d", i) for i in range(len(tpl.bindings))] + [("b",)]
-            own = 1 + len(tpl.bindings)
+        slots, steps, own, tree = self._sampler(tpl, size)
         pieces, children = [], []
-        for (c, nz), s, step in zip(slots, self._draw_sizes(tpl, size, rng),
+        for (c, nz), s, step in zip(slots, self._draw_sizes(tree, rng),
                                     steps):
             t, sub, o = self._sample_tpl(c, s, nz, rng, path + (step,))
             pieces.append(t)
@@ -436,20 +450,52 @@ class Enumerator:
             own += o
         return assemble(tpl, pieces), children, own
 
-    def _draw_sizes(self, tpl: Apply | Let, size: int,
-                      rng: random.Random) -> list[int]:
-        """Child sizes drawn slot by slot; a slot's size s is weighted by the
-        derivations of that slot at s times those of the later slots in the
-        remaining budget, and the rng is consulted only on a real choice."""
-        _, rows = self._split_weights(tpl, size)
+    def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
+        """(slots, path steps, own nodes, size tree) of an application or let
+        template at size. The size tree holds, for the first slot, its sizes
+        with a derivation, their weights and the tree of the later slots
+        under each size: a slot's size s is weighted by the derivations of
+        that slot at s times those of the later slots in the remaining
+        budget."""
+        key = (id(tpl), size)
+        hit = self._samplers.get(key)
+        if hit is None:
+            slots, _ = self.g.split_plan(tpl, size)
+            if isinstance(tpl, Apply):
+                steps, own = tuple(range(len(slots))), 1
+            else:
+                steps = tuple([("d", i) for i in range(len(tpl.bindings))]
+                              + [("b",)])
+                own = 1 + len(tpl.bindings)
+
+            rows = self._split_weights(tpl, size)[1]
+            hit = self._samplers[key] = (slots, steps, own,
+                                         _size_tree(rows, 0, len(slots)))
+        return hit
+
+    @staticmethod
+    def _draw_sizes(tree: tuple | None, rng: random.Random) -> list[int]:
+        """Child sizes drawn slot by slot down a size tree; the rng is
+        consulted only on a real choice."""
         sizes: list[int] = []
-        for i in range(len(rows[0][0])):
-            weights: dict[int, int] = {}
-            for split, suffix in rows:
-                weights[split[i]] = weights.get(split[i], 0) + suffix[i]
-            choices = list(weights)
+        while tree is not None:
+            choices, weights, later = tree
             s = (choices[0] if len(choices) == 1
-                 else rng.choices(choices, list(weights.values()))[0])
+                 else rng.choices(choices, weights)[0])
             sizes.append(s)
-            rows = [r for r in rows if r[0][i] == s]
+            tree = later[s]
         return sizes
+
+
+def _size_tree(rows: list, i: int, n: int) -> tuple | None:
+    """Slot i's sizes with a derivation, their weights (the suffix counts of
+    the split_weights rows summed per size) and, per size, the tree of the
+    later slots over the rows with that size; None past the last slot."""
+    if i == n:
+        return None
+    weights: dict[int, int] = {}
+    for split, suffix in rows:
+        weights[split[i]] = weights.get(split[i], 0) + suffix[i]
+    return (tuple(weights), tuple(weights.values()),
+            {s: _size_tree([r for r in rows if r[0][i] == s], i + 1, n)
+             for s in weights})

@@ -9,11 +9,17 @@ finds the body wrong on. Candidates that agree with every example are sent
 to the verifier; a counterexample rebuilds the scorer and re-scores the walk
 in place.
 
+A proposal is cheap to score: the scorer composes a body's signature from
+the subterms it shares with the body it was mutated from, and the walk keeps
+the wrong counts of the last WRONG_MEMO bodies it scored until the next
+counterexample, since proposals often repeat.
+
 Reproducible: one Random(seed) drives sampling, mutation, and acceptance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -27,6 +33,11 @@ from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
 from .frontend import SynthProblem
 from .grammar import Enumerator, SlotNode, term_replace
 from .terms import SygusError, Term, term_size
+
+
+# bodies whose wrong counts the walk keeps until the next counterexample,
+# least recently used dropped first; a proposal often repeats a recent one
+WRONG_MEMO = 512
 
 
 @dataclass
@@ -92,6 +103,7 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
     scorer = Scorer(p, E)
     checked: set[tuple[Term, int]] = set()
 
+    @functools.lru_cache(maxsize=WRONG_MEMO)
     def wrong_of(body: Term) -> int:
         return count_wrong(scorer, {name: body})
 
@@ -108,6 +120,7 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
         if isinstance(verdict, CounterExample) and E.add(verdict.valuation):
             enumr = Enumerator(g, pool_with_examples(base_pool, E))
             scorer = Scorer(p, E)
+            wrong_of.cache_clear()
         return None
 
     for size in cycle(cfg.size_schedule):

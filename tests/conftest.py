@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from syguskit.terms import INT, FunDef, Lit
+
 DATA = Path(__file__).parent / "data"
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
@@ -66,6 +68,26 @@ def let_grammar():
     return make_grammar("S", [("S", INT, [Var("x"), Lit(1),
                                           Apply("+", (s, s)), one, two])],
                         {"x": INT})
+
+
+SEVEN = FunDef("seven", (), INT, Lit(7))
+
+
+def div_grammar():
+    """S over x and (seven) with +, div and mod by a nonterminal of the
+    literals 0 and 2, and ite over B, whose comparisons are joined by
+    and/or/=>."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import BOOL, TNT, Apply, FunSort, Var
+    s, d, b = TNT("S"), TNT("D"), TNT("B")
+    return make_grammar("S", [
+        ("S", INT, [Var("x"), Apply("seven", ()), Apply("+", (s, s)),
+                    Apply("div", (s, d)), Apply("mod", (s, d)),
+                    Apply("ite", (b, s, s))]),
+        ("D", INT, [Lit(0), Lit(2)]),
+        ("B", BOOL, [Apply("<", (s, s)), Apply("and", (b, b)),
+                     Apply("or", (b, b)), Apply("=>", (b, b))])], {"x": INT},
+        {"seven": FunSort((), INT)})
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               UnknownReason, Valid, check_semantic,
                               check_syntactic, classify_features,
                               default_strategy, emit_smtlib, falsified,
-                              grid_points, parse_model,
+                              grid_points, int_drawer, parse_model,
                               substituted_constraints)
 from syguskit.frontend import load_problem, parse_solution, read_problem
 from syguskit.sexpr import read_sexprs
@@ -107,6 +107,25 @@ def test_random_sample_is_deterministic(max2):
     b = check_semantic(max2, s, strat)
     assert isinstance(a, CounterExample)
     assert a == b
+
+
+@pytest.mark.parametrize("lo, hi", [(-20, 20), (-2, 2), (0, 1), (5, 5),
+                                    (-7, -7), (-9, -3), (3, 1000),
+                                    (-2**70, 2**70)])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+def test_int_drawer_matches_randint(lo, hi, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    draw = int_drawer(rng, lo, hi)
+    assert [draw() for _ in range(10_000)] == \
+        [reference.randint(lo, hi) for _ in range(10_000)]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_int_drawer_of_an_empty_range_raises_as_randint():
+    with pytest.raises(ValueError):
+        random.Random(0).randint(3, 2)
+    with pytest.raises(ValueError):
+        int_drawer(random.Random(0), 3, 2)()
 
 
 @pytest.mark.parametrize("strat", [ExhaustiveSmall(1, -1), RandomSample(0, 0),

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import let_grammar, load, term
+from conftest import SEVEN, div_grammar, let_grammar, load, term
 from syguskit.cegis import (ERR, ExampleSet, Exhausted, Solved, TimedOut,
                             base_constant_pool, induced_bindings,
                             pool_with_examples, signature,
@@ -98,26 +98,6 @@ def test_grow_lsz_size_two(lsz32):
     assert len(banks0["Start"][2]) == 1
 
 
-SEVEN = FunDef("seven", (), INT, Lit(7))
-
-
-def div_grammar():
-    """S over x and (seven) with +, div and mod by a nonterminal of the
-    literals 0 and 2, and ite over B, whose comparisons are joined by
-    and/or/=>."""
-    from syguskit.grammar import make_grammar
-    from syguskit.terms import BOOL, TNT
-    s, d, b = TNT("S"), TNT("D"), TNT("B")
-    return make_grammar("S", [
-        ("S", INT, [Var("x"), Apply("seven", ()), Apply("+", (s, s)),
-                    Apply("div", (s, d)), Apply("mod", (s, d)),
-                    Apply("ite", (b, s, s))]),
-        ("D", INT, [Lit(0), Lit(2)]),
-        ("B", BOOL, [Apply("<", (s, s)), Apply("and", (b, b)),
-                     Apply("or", (b, b)), Apply("=>", (b, b))])], {"x": INT},
-        {"seven": FunSort((), INT)})
-
-
 def let_div_grammar():
     """S over x and 0 with div and a let whose body reads its binding only
     where x < 0: the binding is evaluated, and may fail, either way."""
@@ -130,7 +110,28 @@ def let_div_grammar():
                                           guarded])], {"x": INT})
 
 
-CASES = ["qm_loop", "let", "div", "hole_div", "hd17_w8", "let_div"]
+def defs_grammar():
+    """Calls of defined functions: half divides by its argument, inc is a
+    bit-vector function, and sign takes a bit-vector and an Int."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import TNT, bitvec
+    w8 = bitvec(8)
+    ctx = {"a": INT, "v": w8}
+    defs = {"half": FunDef("half", (("a", INT),), INT, term("(div 10 a)", ctx)),
+            "inc": FunDef("inc", (("v", w8),), w8, term("(bvadd v #x01)", ctx)),
+            "sign": FunDef("sign", (("v", w8), ("a", INT)), INT,
+                           term("(ite (bvult v #x80) a (- a))", ctx))}
+    s, b = TNT("S"), TNT("V")
+    g = make_grammar("S", [
+        ("S", INT, [Var("x"), Lit(0), Apply("half", (s,)), Apply("+", (s, s)),
+                    Apply("sign", (b, s))]),
+        ("V", w8, [Lit(BV(8, 1)), Lit(BV(8, 0x80)), Apply("inc", (b,)),
+                   Apply("bvadd", (b, b))])], {"x": INT},
+        {n: FunSort(f.param_sorts, f.ret) for n, f in defs.items()})
+    return g, defs
+
+
+CASES = ["qm_loop", "let", "div", "hole_div", "hd17_w8", "let_div", "defs"]
 
 
 def bank_case(case):
@@ -155,6 +156,10 @@ def bank_case(case):
         # 2 from the pool; only 2 may fill it
         g, defs, limit = default_grammar((("x", INT),), INT), {}, 4
         pool = [0, 2]
+    elif case == "defs":
+        # half(0) fails, so banks hold error tokens from a compiled body;
+        # inc and sign take bit-vectors, and inc gives one back
+        (g, defs), limit = defs_grammar(), 7
     elif case == "let_div":
         # (let ((y (div x 0))) (ite (< x 0) y x)) has size 11 and fails at
         # every point, x = 3 included

@@ -8,15 +8,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import load, term
-from syguskit.cegis import (ERR, ExampleSet, Scorer, Solved,
-                            base_constant_pool, count_wrong, make_solution,
-                            signature)
+from conftest import SEVEN, div_grammar, let_grammar, load, term
+from syguskit.cegis import (ERR, SIG_MEMO, ExampleSet, Scorer, Signatures,
+                            Solved, base_constant_pool, count_wrong,
+                            make_solution, signature)
 from syguskit.checker import falsified
 from syguskit.enumerative import EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
 from syguskit.grammar import Enumerator
-from syguskit.terms import INT
+from syguskit.terms import BOOL, BV, INT
 
 NESTED = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
@@ -101,3 +101,79 @@ def test_enum_accepts_an_error_its_verifier_never_reaches():
     ctx = {"x": INT, "y": INT}
     assert out.solution.funcs["f"].body == term("(div x y)", ctx)
     assert out.solution.funcs["h"].body == term("(ite (= y 0) 1 x)", ctx)
+
+
+# ---------------------------------------------------------------------------
+# memoised signatures against the reference signature()
+
+
+def data_grammar(name, unknown):
+    p = load(name)
+    return p.unknowns[unknown].grammar, p.defined_funs, base_constant_pool(p)
+
+
+SIG_CASES = {
+    "max2": lambda: data_grammar("max2.sl", "max2"),
+    "s8": lambda: data_grammar("s8.sl", "f2"),
+    "hd17_w8": lambda: data_grammar("hd17_w8.sl", "f"),
+    "lsz_w8": lambda: data_grammar("lsz_w8.sl", "f"),
+    "qm_loop": lambda: data_grammar("qm_loop_1.sl", "qm-loop"),
+    "let": lambda: (let_grammar(), {}, ()),
+    # the divisor D holds a literal 0, so every point of (div S D) can err
+    "div": lambda: (div_grammar(), {"seven": SEVEN}, ()),
+}
+
+
+def typed(sig):
+    """A signature with each value's type, so True and 1 differ."""
+    return [(type(v), v) for v in sig]
+
+
+@pytest.mark.parametrize("name", list(SIG_CASES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       values=st.lists(st.sampled_from([-3, -1, 0, 1, 2, 9, 0x7f, 0x80,
+                                        0xff]), min_size=1, max_size=8))
+def test_memoised_signature_matches_signature(name, seed, values):
+    g, defs, pool = SIG_CASES[name]()
+    rng = random.Random(seed)
+    bindings = [{n: (BV(s.width, v) if s.is_bv else v % 2 == 1 if s == BOOL
+                     else v) for n, s in g.var_sorts.items()}
+                for v in values]
+    sig = Signatures(bindings, defs)
+    e = Enumerator(g, pool)
+    for _ in range(30):
+        nt, size = rng.choice(sorted(g.rules)), rng.randint(1, 9)
+        if e.count(nt, size):
+            t = e.sample(nt, size, rng).term
+            assert typed(sig(t)) == typed(signature(t, bindings, defs)), t
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_cached_scores_match_uncached_past_the_memo_bound(name):
+    p = PROBLEMS[name]()
+    names = list(p.universals)
+    rng = random.Random(7)
+    E = ExampleSet({n: rng.randint(-3, 3) for n in names} for _ in range(8))
+    scorer = Scorer(p, E)
+    enums = {n: Enumerator(u.grammar, base_constant_pool(p))
+             for n, u in p.unknowns.items()}
+    largest = 0
+    for _ in range(600):
+        bodies = {}
+        for n, u in p.unknowns.items():
+            size = rng.randint(3, 15)
+            while not enums[n].count(u.grammar.start, size):
+                size -= 1
+            bodies[n] = enums[n].sample(u.grammar.start, size, rng).term
+        uncached = {n: signature(b, scorer.bindings[n], p.defined_funs)
+                    for n, b in bodies.items()}
+        want = list(scorer.wrong(bodies, uncached))
+        assert list(scorer.wrong(bodies)) == want
+        assert count_wrong(scorer, bodies) == len(want)
+        for n in p.unknowns:
+            size = len(scorer.sig[n].memo)
+            assert size <= SIG_MEMO
+            largest = max(largest, size)
+    # the naive path has no bindings, so only its terms' empty signatures
+    assert largest == SIG_MEMO or scorer.naive

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -155,9 +156,11 @@ def test_solves_bv_problem(lsz8_fixed):
                           ExhaustiveSmall()) == Valid(False)
 
 
-# Terms printed by the sampler and a mutate walk for fixed seeds. Any change to
-# how sizes are split or how the rng is consulted shows here first; the
-# stochastic solver's run time depends on its exact random stream.
+# Terms printed by the sampler and a mutate walk for fixed seeds: the first
+# nine terms of a 200-move walk, then digests of the whole walk and of the
+# rng's state after it. Any change to how sizes are split or how the rng is
+# consulted shows here first; the stochastic solver's run time depends on its
+# exact random stream.
 PINNED_STREAMS = {
     "default": ([
         "(- (* 1 2) 1)",
@@ -179,7 +182,7 @@ PINNED_STREAMS = {
         "(- (+ x (- y 0)) (+ 2 -1))",
         "(- (+ x (- y 2)) (+ 2 -1))",
         "(- (+ x (mod 0 -1)) (+ 2 -1))",
-    ]),
+    ], "cd8d3d1c589b7253", "4e0b4c5768d739c5"),
     "let": ([
         "(let ((z 1)) (+ z z))",
         "(+ (let ((z x)) (+ z z)) 1)",
@@ -200,31 +203,98 @@ PINNED_STREAMS = {
         "(+ (let ((z 1)) (+ z z)) (+ x 1))",
         "(+ (let ((z 1)) (+ z z)) (+ x x))",
         "(+ (let ((z 1)) (+ z z)) (+ x x))",
-    ]),
+    ], "4477278263122869", "783b5506d9beb9ca"),
+    "hd17_w8": ([
+        "(bvor (bvor x #x01) #x01)",
+        "(bvsub (bvor #x01 (bvor #x01 #x01)) #x01)",
+        "(bvor (bvor x #x01) (bvor #x01 (bvor #x01 x)))",
+        "(bvadd (bvand #x01 x) #x01)",
+        "(bvand (bvand #x01 x) (bvor #x01 #x01))",
+        "(bvand (bvand #x01 (bvor #x01 #x01)) (bvadd x #x01))",
+        "(bvand #x01 (bvadd #x01 #x01))",
+        "(bvand #x01 (bvadd (bvsub #x01 x) x))",
+        "(bvor (bvand #x01 (bvadd (bvsub #x01 x) x)) x)",
+    ], [
+        "(bvadd (bvadd #x01 (bvand x #x01)) (bvsub x x))",
+        "(bvadd (bvadd #x01 (bvand x #x01)) (bvsub x #x01))",
+        "(bvadd (bvadd #x01 (bvand #x01 #x01)) (bvsub x #x01))",
+        "(bvadd (bvadd #x01 (bvadd x x)) (bvsub x #x01))",
+        "(bvadd (bvadd #x01 (bvadd x x)) (bvsub #x01 #x01))",
+        "(bvadd (bvadd #x01 (bvadd x x)) (bvand x x))",
+        "(bvadd (bvadd x (bvadd x x)) (bvand x x))",
+        "(bvadd (bvadd x (bvadd x x)) (bvand #x01 x))",
+        "(bvadd (bvadd x (bvadd #x01 x)) (bvand #x01 x))",
+    ], "c2e52e183b0c3313", "59d1badf3dbe2746"),
+    "divisor": ([
+        "(+ (div x 3) 1)",
+        "(+ (div 2 (div 2 1)) 0)",
+        "(+ (div 2 (+ (div 1 1) 0)) 0)",
+        "(+ (+ -1 2) 2)",
+        "(+ (+ -1 2) (div 2 -1))",
+        "(+ (mod x (+ -1 2)) (div 2 -1))",
+        "(+ 0 (div 3 -1))",
+        "(+ 0 (div (div 3 -1) 1))",
+        "(+ 0 (div (+ 3 (+ 0 2)) 2))",
+    ], [
+        "(+ (+ 2 (+ -1 1)) (mod x 1))",
+        "(+ (+ 2 (+ -1 1)) (mod x 3))",
+        "(+ (+ 2 (+ 0 2)) (mod x 3))",
+        "(+ (+ 2 (+ 0 2)) (+ 3 x))",
+        "(+ (+ x (+ 0 2)) (+ 3 x))",
+        "(+ (+ x (+ 0 2)) (+ 2 x))",
+        "(+ (+ x (+ 0 2)) (+ 2 x))",
+        "(+ (+ x (div 1 x)) (+ 2 x))",
+        "(div 2 (div (div 3 (div 3 1)) -1))",
+    ], "fe502b10bc761503", "94018e9f6c747a74"),
 }
 
 
-@pytest.mark.parametrize("case", ["default", "let"])
+def divisor_grammar():
+    """div and mod whose divisors are nonterminals with an Int hole, so the
+    sampler draws divisors of every size, holes without zero at size 1."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import TNT, Apply, THole
+    s = TNT("S")
+    return make_grammar("S", [("S", INT, [
+        Var("x"), THole(INT), Apply("+", (s, s)), Apply("div", (s, s)),
+        Apply("mod", (Var("x"), s))])], {"x": INT})
+
+
+def digest(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(PINNED_STREAMS))
 def test_sampler_random_stream_is_pinned(case):
     from conftest import let_grammar
+    from syguskit.cegis import base_constant_pool
     from syguskit.frontend import term_to_sexpr
     from syguskit.sexpr import print_sexpr
 
     def show(t):
         return print_sexpr(term_to_sexpr(t))
 
+    sizes = (5, 7, 9)
     if case == "default":
         g = default_grammar((("x", INT), ("y", INT)), INT)
-        e, sizes = Enumerator(g, pool=[-1, 0, 1, 2]), (5, 7, 9)
-    else:
+        e = Enumerator(g, pool=[-1, 0, 1, 2])
+    elif case == "let":
         g = let_grammar()
         e, sizes = Enumerator(g), (6, 8, 10)
+    elif case == "hd17_w8":
+        p = load("hd17_w8.sl")
+        g = p.unknowns["f"].grammar
+        e = Enumerator(g, base_constant_pool(p))
+    else:
+        g = divisor_grammar()
+        e = Enumerator(g, pool=[-1, 0, 1, 2, 3])
     samples = [show(e.sample(g.start, size, random.Random(seed)).term)
                for seed in (0, 1, 2) for size in sizes]
     rng = random.Random(3)
     node = e.sample(g.start, sizes[-1], rng)
     walk = [show(node.term)]
-    for _ in range(8):
+    for _ in range(200):
         node = mutate(node, e, rng)
         walk.append(show(node.term))
-    assert (samples, walk) == PINNED_STREAMS[case]
+    assert (samples, walk[:9], digest(walk), digest(rng.getstate())) == \
+        PINNED_STREAMS[case]
