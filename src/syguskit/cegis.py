@@ -11,7 +11,9 @@ candidate gets wrong: the enumerative solver hands it the signatures from
 its banks, the stochastic one the bodies, whose signatures Scorer composes
 and memoises per unknown (Signatures). Scorer compiles its constraint
 skeletons once (terms.compile_term) and scores an example on its raw point
-followed by the candidate's raw slot values.
+followed by the candidate's raw slot values; an example the skeletons cannot
+decide is scored on the verifier's own compiled constraints
+(checker.compiled_constraints), so a candidate's meaning is the verifier's.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .checker import falsified
+from .checker import _violated_index, compiled_constraints
+from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
 from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Let, Lit, Term,
@@ -149,7 +152,9 @@ def induced_bindings(p: SynthProblem, unknown: str,
     """Parameter bindings induced by E, deduplicated in first-seen order.
 
     Also returns the map (example index, invocation index) -> binding index
-    so constraint-level checks can look a term's value back up.
+    so constraint-level checks can look a term's value back up. An
+    invocation whose arguments raise at an example, or need an unknown's
+    body, gets no entry for that example.
     """
     u = p.unknowns[unknown]
     tuples = unknown_invocations(p)[unknown]
@@ -161,8 +166,8 @@ def induced_bindings(p: SynthProblem, unknown: str,
         for ti, args in enumerate(tuples):
             try:
                 vals = tuple(evaluate(a, point, p.defined_funs) for a in args)
-            except DivisionByZero:
-                continue
+            except (DivisionByZero, UndeclaredSymbol):
+                continue  # an argument that raises or calls an unknown
             k = seen.get(vals)
             if k is None:
                 k = seen[vals] = len(bindings)
@@ -305,24 +310,22 @@ class Scorer:
 
     Each unknown invocation in a constraint becomes a slot variable, and an
     example is scored on these skeletons from the candidate's signatures over
-    the induced bindings. Where a slot is ERR or an invocation's arguments
-    raise, and everywhere when an invocation is nested in another's
-    arguments, the example is scored on the whole constraints with the
-    bodies, so an error counts only where evaluation reaches it.
+    the induced bindings. Where a slot is ERR or an invocation has no
+    binding, the example is scored on the checker's compiled constraints
+    with the bodies substituted, as the verifier scores it: an argument
+    counts only where the body reads it, an error only where it is reached.
+    naive: some example has an invocation without a binding, so signatures
+    do not decide every example and must not prune.
     """
 
     def __init__(self, p: SynthProblem, E: ExampleSet):
         self.p = p
         tuples = unknown_invocations(p)
-        self.naive = any(isinstance(s, Apply) and s.op in tuples
-                         for ts in tuples.values() for args in ts
-                         for a in args for s in subterms(a))
         self.bindings: dict[str, list[dict]] = {}
         self.sig: dict[str, Signatures] = {}
         index = {}
         for n in p.unknowns:
-            self.bindings[n], index[n] = (([], {}) if self.naive
-                                          else induced_bindings(p, n, E))
+            self.bindings[n], index[n] = induced_bindings(p, n, E)
             self.sig[n] = Signatures(self.bindings[n], p.defined_funs)
 
         def skeleton(t: Term) -> Term:
@@ -341,27 +344,26 @@ class Scorer:
                   *((f"·{n}@{ti}", p.unknowns[n].ret) for n, ti in slots)]
         self.skeletons = [compile_term(skeleton(c), params, p.defined_funs)
                           for c in p.constraints]
-        # per example: (point, raw point, [(unknown, binding index, is a
-        # bit-vector)] per slot or None)
-        self.rows: list[tuple[dict, tuple, list | None]] = []
+        # per example: (raw point, [(unknown, binding index, is a
+        # bit-vector)] per slot, or None if some slot has no binding)
+        self.rows: list[tuple[tuple, list | None]] = []
         for ei, point in enumerate(E):
             ks = [index[n].get((ei, ti)) for n, ti in slots]
-            self.rows.append((point, tuple(raw_value(point[n])
-                                           for n in p.universals),
-                              None if self.naive or None in ks else [
+            self.rows.append((tuple(raw_value(point[n]) for n in p.universals),
+                              None if None in ks else [
                 (n, k, p.unknowns[n].ret.is_bv)
                 for (n, _), k in zip(slots, ks)]))
+        self.naive = any(row is None for _, row in self.rows)
 
     def wrong(self, bodies: Mapping[str, Term],
               sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:
         """Indices of the examples at which some constraint fails under the
         bodies. sigs, when given, are the bodies' signatures over
         self.bindings; otherwise they are computed here."""
-        defs = self.p.defined_funs
         if sigs is None:
             sigs = {n: self.sig[n](b) for n, b in bodies.items()}
         whole = None
-        for ei, (point, raw, row) in enumerate(self.rows):
+        for ei, (raw, row) in enumerate(self.rows):
             if row is not None:
                 env = list(raw)
                 for n, k, is_bv in row:
@@ -379,9 +381,9 @@ class Scorer:
                         yield ei
                     continue
             if whole is None:
-                whole = dict(defs)
-                whole.update(make_solution(self.p, bodies).funcs)
-            if any(falsified(c, point, whole) for c in self.p.constraints):
+                whole = compiled_constraints(self.p,
+                                             make_solution(self.p, bodies))
+            if _violated_index(whole, raw) is not None:
                 yield ei
 
 

@@ -237,15 +237,21 @@ def _check_points(p: SynthProblem, compiled: Sequence[Callable],
     return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
 
 
+def compiled_constraints(p: SynthProblem,
+                         s: CandidateSolution) -> list[Callable]:
+    """The substituted constraints compiled over the universals: the one
+    meaning of a candidate at a raw point, which the solvers' scorer shares."""
+    params = list(p.universals.items())
+    return [compile_term(c, params, p.defined_funs)
+            for c in substituted_constraints(p, s)]
+
+
 def check_semantic(p: SynthProblem, s: CandidateSolution,
                    strat: CheckStrategy) -> VerificationResult:
-    constraints = substituted_constraints(p, s)
-    params = list(p.universals.items())
-    compiled = [compile_term(c, params, p.defined_funs) for c in constraints]
-    return _check_constraints(p, constraints, compiled, strat)
+    return _check_constraints(p, s, compiled_constraints(p, s), strat)
 
 
-def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
+def _check_constraints(p: SynthProblem, s: CandidateSolution,
                        compiled: Sequence[Callable],
                        strat: CheckStrategy) -> VerificationResult:
     if isinstance(strat, ExhaustiveSmall):
@@ -254,18 +260,20 @@ def _check_constraints(p: SynthProblem, constraints: Sequence[Term],
                              else itertools.product(*domains))
 
     if isinstance(strat, RandomSample):
+        if strat.int_lo > strat.int_hi and INT in p.universals.values():
+            return Unknown(UnknownReason.BUDGET)
         rng = random.Random(strat.seed)
         draws = [_drawer(sort, rng, strat) for sort in p.universals.values()]
         return _check_points(p, compiled, (tuple([d() for d in draws])
                                            for _ in range(strat.count)))
 
     if isinstance(strat, ExternalSMT):
-        return _check_external(p, constraints, compiled, strat)
+        return _check_external(p, s, compiled, strat)
 
     provisional: Valid | None = None
     unknown = Unknown(UnknownReason.BUDGET)
     for stage in strat.stages:
-        r = _check_constraints(p, constraints, compiled, stage)
+        r = _check_constraints(p, s, compiled, stage)
         if isinstance(r, CounterExample):
             return r
         if isinstance(r, Valid):
@@ -316,11 +324,13 @@ def _smt_term(t: Term) -> SExpr:
     return ["let", [[n, _smt_term(d)] for n, d in t.bindings], _smt_term(t.body)]
 
 
-def _emit_script(p: SynthProblem, constraints: Sequence[Term]) -> str:
+def emit_smtlib(p: SynthProblem, s: CandidateSolution) -> str:
+    """A complete SMT-LIB 2 script asserting the negated conjunction of the
+    substituted constraints; `unsat` certifies validity for all inputs."""
     logic = _SMT_LOGICS.get(p.logic)
     if logic is None:
         raise UnsupportedLogic(p.logic)
-    inlined = [expand(c, p.defined_funs) for c in constraints]
+    inlined = [expand(c, p.defined_funs) for c in substituted_constraints(p, s)]
     lines = [f"(set-logic {logic})"]
     for name, sort in p.universals.items():
         lines.append(print_sexpr(["declare-fun", name, [], _smt_sort(sort)]))
@@ -330,12 +340,6 @@ def _emit_script(p: SynthProblem, constraints: Sequence[Term]) -> str:
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
-
-
-def emit_smtlib(p: SynthProblem, s: CandidateSolution) -> str:
-    """A complete SMT-LIB 2 script asserting the negated conjunction of the
-    substituted constraints; `unsat` certifies validity for all inputs."""
-    return _emit_script(p, substituted_constraints(p, s))
 
 
 def _parse_model_value(sx: SExpr) -> Value | None:
@@ -415,11 +419,10 @@ def run_solver(command: str, script: str, timeout_s: float) -> tuple[str, str] |
     return first, text
 
 
-def _check_external(p: SynthProblem, constraints: Sequence[Term],
+def _check_external(p: SynthProblem, s: CandidateSolution,
                     compiled: Sequence[Callable],
                     strat: ExternalSMT) -> VerificationResult:
-    script = _emit_script(p, constraints)
-    res = run_solver(strat.command, script, strat.timeout_s)
+    res = run_solver(strat.command, emit_smtlib(p, s), strat.timeout_s)
     if isinstance(res, Unknown):
         return res
     first, text = res

@@ -112,7 +112,7 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
     while True:
         pool = pool_with_examples(base_constant_pool(p), E)
         scorer = Scorer(p, E)
-        # the naive path has no bindings, so it must not prune on signatures
+        # signatures do not decide an example with an unbound invocation
         banks = {n: Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
                          cfg.prune and not scorer.naive, p.defined_funs)
                  for n in names}

@@ -222,7 +222,8 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
     """Build a typed production from concrete syntax; returns (template, sort).
 
     Symbols resolve to let-bound names, then nonterminals (nts), then
-    parameters, then nullary functions. An operand is parsed against the sort
+    parameters, then nullary functions; a let-bound c also hides a nullary
+    function c applied as (c). An operand is parsed against the sort
     its position fixes (a declared function's parameter sort; for ite's
     branches, the sort expected of the ite), and an Int literal adapts to the
     bit-vector width that the context or a sibling operand fixes. apply_sort
@@ -248,6 +249,8 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
         raise SortError(f"cannot apply {print_sexpr(sx)}")
 
     op = sx[0]
+    if len(sx) == 1 and op in let_env:
+        return _expect(Var(op), let_env[op], expected, sx)
     if op == "Constant":
         if len(sx) != 2:
             raise SortError(f"malformed constant hole: {print_sexpr(sx)}")

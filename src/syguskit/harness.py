@@ -21,7 +21,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -301,25 +301,7 @@ def render_report(report: SuiteReport, fmt: str) -> bytes:
                         ";".join(b.solved_by)])
         return buf.getvalue().encode()
     if fmt == "json":
-        data = {
-            "solver_ids": list(report.solver_ids),
-            "benchmarks": [{
-                "benchmark": b.benchmark, "category": b.category,
-                "solver_count": b.solver_count,
-                "min_time": b.min_time, "max_time": b.max_time,
-                "min_size": b.min_size, "max_size": b.max_size,
-                "fastest": list(b.fastest), "smallest": list(b.smallest),
-                "solved_by": list(b.solved_by),
-            } for b in report.benchmarks],
-            "totals": {sid: {"solved": t.solved,
-                             "uniquely_solved": t.uniquely_solved}
-                       for sid, t in report.totals.items()},
-            "category_totals": {cat: {sid: {"solved": t.solved,
-                                            "uniquely_solved": t.uniquely_solved}
-                                      for sid, t in per.items()}
-                                for cat, per in report.category_totals.items()},
-        }
-        return (json.dumps(data, indent=2, sort_keys=False) + "\n").encode()
+        return (json.dumps(asdict(report), indent=2) + "\n").encode()
     if fmt == "md":
         lines = ["# Suite report", ""]
         lines.append("| solver | solved | uniquely solved |")

@@ -140,6 +140,18 @@ def test_check_that_examined_no_point_is_unknown(max2, strat):
                           strat) == Unknown(UnknownReason.BUDGET)
 
 
+def test_sampling_an_empty_int_range_is_unknown(max2):
+    empty = RandomSample(10, 0, int_lo=5, int_hi=3)
+    for body in ("x", "(ite (>= x y) x y)"):
+        assert check_semantic(max2, max2_sol(max2, body), empty) == Unknown(
+            UnknownReason.BUDGET)
+    # no universal draws from the Int range, so the one point is checked
+    p = read_problem("(set-logic LIA)\n(synth-fun f () Int)\n"
+                     "(constraint (= f 3))\n(check-synth)\n")
+    assert check_semantic(p, sol(p, "(define-fun f () Int 4)"),
+                          empty) == CounterExample({}, 0)
+
+
 def test_problem_without_universals_checks_its_one_point():
     p = read_problem("(set-logic LIA)\n(synth-fun f () Int)\n"
                      "(constraint (= f 3))\n(check-synth)\n")

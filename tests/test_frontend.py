@@ -17,9 +17,9 @@ from syguskit.frontend import (ArityMismatch, CandidateSolution,
                                UnknownFun)
 from syguskit.grammar import Enumerator
 from syguskit.sexpr import BV, print_sexpr, read_sexprs
-from syguskit.terms import (BOOL, INT, TNT, Apply, FunSort, Lit, SortError,
-                            SygusError, THole, UndeclaredSymbol, Var, bitvec,
-                            infer_sort, term_size)
+from syguskit.terms import (BOOL, INT, TNT, Apply, FunSort, Let, Lit,
+                            SortError, SygusError, THole, UndeclaredSymbol,
+                            Var, bitvec, infer_sort, term_size)
 
 REFERENCE_LISTINGS = ["lsz_bv32.sl", "max2.sl", "inv_loop.sl", "qm_loop_1.sl",
                   "hd-17-d0.sl", "hd-17-d1.sl", "hd-17-d5.sl"]
@@ -234,6 +234,21 @@ def test_int_and_bool_literal_productions_roundtrip():
     text = print_problem(p1)
     assert "(= false true)" in text
     assert read_problem(text) == p1
+
+
+def test_let_binding_hides_a_nullary_function_applied_as_a_call():
+    p = read_problem("""(set-logic LIA)
+(define-fun c () Int 7)
+(synth-fun f ((x Int)) Int ((S Int (x (c) (let ((c 1)) (+ x (c)))))))
+(declare-var x Int)
+(constraint (= (f x) (+ x 1)))
+(check-synth)
+""")
+    productions = p.unknowns["f"].grammar.rules["S"].productions
+    assert productions[1] == Apply("c", ())
+    assert productions[2] == Let((("c", Lit(1)),),
+                                 Apply("+", (Var("x"), Var("c"))))
+    assert read_problem(print_problem(p)) == p
 
 
 def test_type_soundness_over_corpus():

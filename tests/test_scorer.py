@@ -12,7 +12,8 @@ from conftest import SEVEN, div_grammar, let_grammar, load, term
 from syguskit.cegis import (ERR, SIG_MEMO, ExampleSet, Scorer, Signatures,
                             Solved, base_constant_pool, count_wrong,
                             make_solution, signature)
-from syguskit.checker import falsified
+from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
+                              falsified, substituted_constraints)
 from syguskit.enumerative import EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
 from syguskit.grammar import Enumerator
@@ -36,16 +37,41 @@ GUARDED = """(set-logic LIA)
 (constraint (or (= y 0) (= (f x y) (f y x))))
 (check-synth)"""
 
+# f's first argument raises at y = 0, which matters only to a body that
+# reads it there
+GUARDED_ARG = """(set-logic LIA)
+(synth-fun f ((a Int) (b Int)) Int
+  ((S Int (a b 0 1 (+ S S) (ite B S S)))
+   (B Bool ((<= S S)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (f (div x y) x) (ite (= y 0) 0 (div x y))))
+(check-synth)"""
+
+# dividing by the divisor D errs everywhere for 0 and where x is 0, so most
+# bodies past size 4 err at some binding; f x is reached only under a guard
+DIV = """(set-logic LIA)
+(synth-fun f ((x Int)) Int
+  ((S Int (x 1 (+ S S) (div S D) (mod S D) (ite B S S)))
+   (D Int (0 x))
+   (B Bool ((< S S) (and B B) (or B B) (=> B B)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (=> (> y 0) (>= (f x) x)))
+(constraint (or (< x y) (= (f x) (f y))))
+(check-synth)"""
+
 PROBLEMS = {"max2": lambda: load("max2.sl"), "s8": lambda: load("s8.sl"),
             "nested": lambda: read_problem(NESTED),
-            "guarded": lambda: read_problem(GUARDED)}
+            "guarded": lambda: read_problem(GUARDED),
+            "guarded_arg": lambda: read_problem(GUARDED_ARG),
+            "div": lambda: read_problem(DIV)}
 
 
 def whole_wrong(p, bodies, E):
-    defs = dict(p.defined_funs)
-    defs.update(make_solution(p, bodies).funcs)
+    constraints = substituted_constraints(p, make_solution(p, bodies))
     return [ei for ei, point in enumerate(E)
-            if any(falsified(c, point, defs) for c in p.constraints)]
+            if any(falsified(c, point, p.defined_funs) for c in constraints)]
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -101,6 +127,53 @@ def test_enum_accepts_an_error_its_verifier_never_reaches():
     ctx = {"x": INT, "y": INT}
     assert out.solution.funcs["f"].body == term("(div x y)", ctx)
     assert out.solution.funcs["h"].body == term("(ite (= y 0) 1 x)", ctx)
+
+
+def test_an_argument_the_body_never_reads_does_not_raise():
+    p = read_problem(GUARDED_ARG)
+    E = ExampleSet([{"x": -1, "y": 0}, {"x": 3, "y": 0}, {"x": 6, "y": 2}])
+    scorer = Scorer(p, E)
+    # (div x y) raises at y = 0, so those examples bind nothing
+    assert scorer.bindings["f"] == [{"a": 3, "b": 6}] and scorer.naive
+    ctx = {"a": INT, "b": INT}
+    # at x = -1 this body answers 0 without reading a; at x = 3 it reads it
+    body = term("(ite (<= b 0) 0 a)", ctx)
+    assert list(scorer.wrong({"f": body})) == [1]
+    assert list(scorer.wrong({"f": term("0", ctx)})) == [2]
+    assert list(scorer.wrong({"f": term("a", ctx)})) == [0, 1]
+
+
+def test_scorer_matches_the_verifier_where_most_bodies_err():
+    p = read_problem(DIV)
+    rng = random.Random(3)
+    E = ExampleSet({"x": rng.randint(-3, 3), "y": rng.randint(-3, 3)}
+                   for _ in range(8))
+    scorer = Scorer(p, E)
+    g = p.unknowns["f"].grammar
+    e = Enumerator(g, base_constant_pool(p))
+    erring = 0
+    for _ in range(300):
+        size = rng.randint(5, 15)
+        while not e.count(g.start, size):
+            size -= 1
+        body = e.sample(g.start, size, rng).term
+        erring += ERR in scorer.sig["f"](body)
+        assert list(scorer.wrong({"f": body})) == whole_wrong(p, {"f": body},
+                                                              E), body
+    assert erring > 150
+
+
+def test_enum_solves_when_an_argument_always_raises():
+    # (div x 0) raises everywhere, but the body 1 never reads its argument
+    p = read_problem("""(set-logic LIA)
+    (synth-fun f ((a Int)) Int ((S Int (a 1 (+ S S)))))
+    (declare-var x Int)
+    (constraint (= (f (div x 0)) 1))
+    (check-synth)""")
+    out = solve_enumerative(p, EnumConfig(max_size=16, budget_s=60))
+    assert isinstance(out, Solved)
+    assert out.solution.funcs["f"].body == term("1")
+    assert check_semantic(p, out.solution, ExhaustiveSmall()) == Valid(False)
 
 
 # ---------------------------------------------------------------------------
