@@ -4,20 +4,22 @@ one candidate scorer.
 Counterexamples are valuations of the problem's universal variables. For
 every example and every syntactically distinct invocation of an unknown, the
 argument terms are evaluated at the example to bind the unknown's parameters;
-a term's signature is its output vector over these induced bindings,
-composed pointwise from its arguments' signatures (Pointwise); signature()
-is the reference tree walk. Both solvers ask Scorer which examples a
+a term's signature is its output vector over these induced bindings, in the
+raw values terms.compile_term uses (a bit-vector as its masked int), composed
+pointwise from its arguments' signatures (Pointwise); signature() is the
+reference tree walk, over BV values. Both solvers ask Scorer which examples a
 candidate gets wrong: the enumerative solver hands it the signatures from
 its banks, the stochastic one the bodies, whose signatures Scorer composes
-and memoises per unknown (Signatures). Scorer compiles its constraint
-skeletons once (terms.compile_term) and scores an example on its raw point
-followed by the candidate's raw slot values; an example the skeletons cannot
+and memoises per unknown (Signatures). Scorer compiles the conjunction of
+its constraint skeletons once (terms.compile_term) and scores an example on
+its raw point and the candidate's slot values; an example the skeletons cannot
 decide is scored on the verifier's own compiled constraints
 (checker.compiled_constraints), so a candidate's meaning is the verifier's.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -26,9 +28,9 @@ from .checker import _violated_index, compiled_constraints
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Let, Lit, Term,
-                    UndeclaredSymbol, Value, Var, compile_term, evaluate,
-                    raw_value, subterms)
+from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, FunSort, Lit,
+                    Sort, Term, UndeclaredSymbol, Value, Var, compile_term,
+                    evaluate, infer_sort, raw_value, subterms, value_sort)
 
 
 @dataclass
@@ -189,34 +191,39 @@ def signature(t: Term, bindings: Sequence[Mapping[str, Value]],
 
 
 class Pointwise:
-    """Signatures over one list of bindings, each composed pointwise from its
-    arguments' signatures, so a term costs one operator application per
-    point and not a tree walk. ite/and/or/=> keep the evaluator's laziness,
-    so an untaken branch swallows its errors; a defined function such as qm
-    runs its body compiled once (terms.compile_term); a let goes through the
-    reference signature()."""
+    """Raw signatures over one list of bindings, an application's composed
+    pointwise from its arguments', so a term costs one operator application
+    per point and not a tree walk. A bit-vector operator applies at its
+    first operand's width (width()); ite/and/or/=> keep the evaluator's
+    laziness, so an untaken branch swallows its errors; a defined function
+    runs its body compiled once; a let goes through signature()."""
 
     def __init__(self, bindings: Sequence[Mapping[str, Value]],
                  defs: Mapping[str, FunDef]):
         self.bindings = list(bindings)
         self.defs = defs
-        self._calls: dict[str, Callable[..., Value]] = {}
+        self.funs = {n: FunSort(f.param_sorts, f.ret) for n, f in defs.items()}
+        # variables sorted by their values in the first binding
+        self.sorts = {n: value_sort(v) for b in self.bindings[:1]
+                      for n, v in b.items()}
+        self._values: dict[tuple[str, int | None], Callable[..., Value]] = {}
 
-    def of(self, t: Term, arg: Callable[[Term], tuple]) -> tuple:
-        """t's signature; an application's from arg(a) of each argument a."""
-        if isinstance(t, Apply):
-            return self.apply(t.op, [arg(a) for a in t.args])
+    def leaf(self, t: Term) -> tuple:
+        """The signature of a variable, a literal or a let."""
         if isinstance(t, Var):
             # built from a list here and below: tuple() of an iterator of
             # unknown length resizes its result, which fills CPython's free
             # list of tuples of the signature's length (up to 2,000 of them)
-            return tuple([b[t.name] for b in self.bindings])
+            return tuple([raw_value(b[t.name]) for b in self.bindings])
         if isinstance(t, Lit):
-            return (t.value,) * len(self.bindings)
-        return signature(t, self.bindings, self.defs)
+            return (raw_value(t.value),) * len(self.bindings)
+        return tuple([raw_value(v)
+                      for v in signature(t, self.bindings, self.defs)])
 
-    def apply(self, op: str, sigs: Sequence[tuple]) -> tuple:
-        """The signature of op applied to arguments of these signatures."""
+    def apply(self, op: str, sigs: Sequence[tuple],
+              width: int | None = None) -> tuple:
+        """The signature of op applied to arguments of these signatures;
+        width is a bit-vector operator's operand width."""
         n = len(self.bindings)
         if not n:
             return ()
@@ -225,14 +232,14 @@ class Pointwise:
                           for c, a, b in zip(*sigs)])
         if op in ("and", "or", "=>"):
             return tuple([_connective(op, xs) for xs in zip(*sigs)])
-        spec = OPS.get(op)
-        if spec is not None:
-            value = spec.lift if spec.operand == "bv" else spec.value
+        value = self._values.get((op, width)) or self._value(op, width)
+        for s in sigs:
+            if ERR in s:
+                break
         else:
-            value = self._calls.get(op) or self._call(op)
-        if sigs and not any(ERR in s for s in sigs):
             try:
-                return tuple(list(map(value, *sigs)))
+                return tuple(list(map(value, *sigs)) if sigs else
+                             [value()] * n)
             except DivisionByZero:
                 pass
         out = []
@@ -246,24 +253,29 @@ class Pointwise:
                 out.append(ERR)
         return tuple(out)
 
-    def _call(self, op: str) -> Callable[..., Value]:
-        """A defined function's value at signature values: bit-vector
-        arguments go in as their raw ints, a bit-vector result comes back
-        as a BV."""
-        f = self.defs.get(op)
-        if f is None:
+    def width(self, t: Apply, nts: Mapping[str, Sort] | None = None
+              ) -> int | None:
+        """The width a bit-vector operator applies at: that of t's first
+        operand, sorted with nts for a template; None for other operators."""
+        spec = OPS.get(t.op)
+        if spec is None or spec.operand != "bv" or not self.bindings:
+            return None
+        return infer_sort(t.args[0], self.sorts, nts, self.funs).width
+
+    def _value(self, op: str, width: int | None) -> Callable[..., Value]:
+        """op's value at raw values: an OPS entry, with the width bound for
+        a bit-vector operator, or a defined function's compiled body."""
+        spec = OPS.get(op)
+        if spec is not None:
+            value = (functools.partial(spec.value, width)
+                     if spec.operand == "bv" else spec.value)
+        elif op in self.defs:
+            body = compile_term(self.defs[op].body, self.defs[op].params,
+                                self.defs)
+            value = lambda *xs: body(xs)  # noqa: E731
+        else:
             raise UndeclaredSymbol(op)
-        body = compile_term(f.body, f.params, self.defs)
-        raw = [s.is_bv for _, s in f.params]
-        w = f.ret.width if f.ret.is_bv else None
-
-        def value(*xs):
-            if True in raw:
-                xs = tuple([x.value if r else x for x, r in zip(xs, raw)])
-            out = body(xs)
-            return out if w is None else BV(w, out)
-
-        self._calls[op] = value
+        self._values[(op, width)] = value
         return value
 
 
@@ -283,11 +295,11 @@ SIG_MEMO = 256
 
 
 class Signatures(Pointwise):
-    """signature() over fixed bindings as a callable, composed pointwise and
-    memoised for the last SIG_MEMO terms by identity: a stochastic move
-    rebuilds only the path to the subtree it replaced, so a proposal shares
-    every other subterm object with the body it came from. A memo entry
-    keeps its term alive, so no other term can have its id."""
+    """signature() in raw values over fixed bindings as a callable, composed
+    pointwise and memoised for the last SIG_MEMO terms by identity: a
+    stochastic move rebuilds only the path to the subtree it replaced, so a
+    proposal shares every other subterm object with the body it came from.
+    A memo entry keeps its term alive, so no other term can have its id."""
 
     def __init__(self, bindings: Sequence[Mapping[str, Value]],
                  defs: Mapping[str, FunDef]):
@@ -298,7 +310,10 @@ class Signatures(Pointwise):
         hit = self.memo.get(id(t))
         if hit is not None:
             return hit[1]
-        sig = self.of(t, self)
+        # an argument's signature is usually memoised: look it up in place
+        sig = (self.apply(t.op, [h[1] if (h := self.memo.get(id(a))) else
+                                 self(a) for a in t.args], self.width(t))
+               if isinstance(t, Apply) else self.leaf(t))
         if len(self.memo) >= SIG_MEMO:
             del self.memo[next(iter(self.memo))]
         self.memo[id(t)] = (t, sig)
@@ -333,53 +348,44 @@ class Scorer:
                 if t.op in tuples:
                     return Var(f"·{t.op}@{tuples[t.op].index(t.args)}")
                 return Apply(t.op, tuple(skeleton(a) for a in t.args))
-            if isinstance(t, Let):
-                return Let(tuple((n, skeleton(d)) for n, d in t.bindings),
-                           skeleton(t.body))
             return t
 
         slots = [(n, ti) for n, ts in tuples.items() for ti in range(len(ts))]
-        # the skeletons, compiled over the universals, then the slots
+        # the skeletons' lazy conjunction, compiled over the universals,
+        # then the slots
         params = [*p.universals.items(),
                   *((f"·{n}@{ti}", p.unknowns[n].ret) for n, ti in slots)]
-        self.skeletons = [compile_term(skeleton(c), params, p.defined_funs)
-                          for c in p.constraints]
-        # per example: (raw point, [(unknown, binding index, is a
-        # bit-vector)] per slot, or None if some slot has no binding)
+        self.holds = compile_term(
+            Apply("and", tuple(skeleton(c) for c in p.constraints))
+            if p.constraints else Lit(True), params, p.defined_funs)
+        # per example: (raw point, [(unknown, binding index)] per slot, or
+        # None if some slot has no binding)
         self.rows: list[tuple[tuple, list | None]] = []
         for ei, point in enumerate(E):
             ks = [index[n].get((ei, ti)) for n, ti in slots]
             self.rows.append((tuple(raw_value(point[n]) for n in p.universals),
                               None if None in ks else [
-                (n, k, p.unknowns[n].ret.is_bv)
-                for (n, _), k in zip(slots, ks)]))
+                (n, k) for (n, _), k in zip(slots, ks)]))
         self.naive = any(row is None for _, row in self.rows)
 
     def wrong(self, bodies: Mapping[str, Term],
               sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:
         """Indices of the examples at which some constraint fails under the
-        bodies. sigs, when given, are the bodies' signatures over
+        bodies. sigs, when given, are the bodies' raw signatures over
         self.bindings; otherwise they are computed here."""
         if sigs is None:
             sigs = {n: self.sig[n](b) for n, b in bodies.items()}
         whole = None
         for ei, (raw, row) in enumerate(self.rows):
-            if row is not None:
-                env = list(raw)
-                for n, k, is_bv in row:
-                    v = sigs[n][k]
-                    if v is ERR:
-                        break
-                    env.append(v.value if is_bv else v)
-                else:
-                    env = tuple(env)
-                    try:
-                        bad = any(not c(env) for c in self.skeletons)
-                    except DivisionByZero:
-                        bad = True
-                    if bad:
-                        yield ei
-                    continue
+            vals = row and tuple([sigs[n][k] for n, k in row])
+            if row is not None and ERR not in vals:
+                try:
+                    bad = not self.holds(raw + vals)
+                except DivisionByZero:
+                    bad = True
+                if bad:
+                    yield ei
+                continue
             if whole is None:
                 whole = compiled_constraints(self.p,
                                              make_solution(self.p, bodies))

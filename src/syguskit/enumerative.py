@@ -1,16 +1,18 @@
 """Enumerative CEGIS: size-ordered search with observational-equivalence
 pruning against the current counterexample set.
 
-A Bank is the grammar's Enumerator walking one unknown's grammar by size,
-keyed by signature: a term's output vector over the induced parameter
-bindings, built from its arguments' kept signatures. A term is kept only if
-its signature is unseen within its (nonterminal, size), and nonterminal slots
-draw from the kept terms. Candidates are tried in nondecreasing total size
-(joint size over the unknowns, compositions in lexicographic order); the
-first candidate that cegis.Scorer finds wrong on no example, given its bank
-signatures, goes to the verifier, a counterexample restarts enumeration from
-size 1 with the refreshed pool and scorer, and Valid wins. Unpruned mode
-keeps every term, which makes the returned solution minimal outright.
+A Bank is the grammar's sized walk over one unknown's grammar, carrying
+(term, signature) pairs: a signature is a term's raw output vector over the
+induced parameter bindings (cegis.Pointwise), and an application's is
+composed from its slots' kept signatures before its term is built. A pruned
+bank keeps the first term of each signature in its (nonterminal, size) and
+builds no other; nonterminal slots draw from the kept pairs. Candidates are
+tried in nondecreasing total size (joint size over the unknowns,
+compositions in lexicographic order); the first that cegis.Scorer finds
+wrong on no example, given its bank signatures, goes to the verifier, a
+counterexample restarts enumeration from size 1 with the refreshed pool and
+scorer, and Valid wins. Unpruned mode keeps every term, which makes the
+returned solution minimal outright.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterator, Mapping, Sequence
 
 from .cegis import (Deadline, ExampleSet, Exhausted, Pointwise, Scorer,
                     Solved, SolveOutcome, TimedOut, base_constant_pool,
@@ -28,8 +30,9 @@ from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
-from .grammar import Enumerator, compositions
-from .terms import FunDef, Term, Value
+from .grammar import Enumerator, compositions, walk_splits
+from .terms import (TNT, Apply, FunDef, Let, Lit, Template, Term, THole,
+                    Value)
 from .terms import evaluate  # noqa: F401 (perfbench/tracing.py wraps it)
 
 
@@ -46,9 +49,12 @@ class BudgetExpired(Exception):
 
 
 class Bank(Enumerator):
-    """Per-unknown banks: the grammar's sized walk, keeping one term per
-    signature in each (nonterminal, size) when pruning and one per term
-    otherwise, so nonterminal slots draw from the kept terms."""
+    """Per-unknown banks: the grammar's sized walk over (term, signature)
+    pairs, keeping one pair per signature in each (nonterminal, size) when
+    pruning and one per term otherwise, so nonterminal slots draw from the
+    kept pairs and enumerate() gives the kept terms. An application's
+    signature is composed from its slots' before its term is built, which a
+    pruned bank does only for a signature it keeps."""
 
     def __init__(self, grammar, bindings: Sequence[Mapping[str, Value]],
                  pool: Sequence[Value], prune: bool,
@@ -56,9 +62,10 @@ class Bank(Enumerator):
         super().__init__(grammar, pool)
         self.pointwise = Pointwise(bindings, dict(defs or {}))
         self.prune = prune
-        self.sigs: dict[Term, tuple] = {}  # of every kept term
         self.terms: dict[str, dict[int, list[tuple[Term, tuple]]]] = {
             nt: {} for nt in grammar.rules}
+        self._kept: dict[tuple, list[tuple[Term, tuple]]] = {}
+        self._widths: dict[int, int | None] = {}
         self._deadline: Deadline | None = None
         self._seen = 0
 
@@ -67,32 +74,67 @@ class Bank(Enumerator):
         self._deadline = deadline
         for s in range(1, size + 1):
             for nt in self.g.rules:
-                self.enumerate(nt, s)
+                self.pairs(nt, s)
 
-    def _distinct(self, key: tuple, walk: Iterable[Term]) -> tuple[Term, ...]:
-        kept: dict = {}
-        for t in walk:
-            self._seen += 1
-            if self._seen % 4096 == 0 and self._deadline is not None \
-                    and self._deadline.expired():
-                raise BudgetExpired
-            sig = self._sig(t)
-            kept.setdefault(sig if self.prune else t, (t, sig))
-        pairs = list(kept.values())
-        self.sigs.update(pairs)
-        nt, size, no_zero = key
-        if not no_zero:
-            self.terms[nt][size] = pairs
-        return tuple(t for t, _ in pairs)
+    def enumerate(self, nt: str, size: int,
+                  no_zero: bool = False) -> tuple[Term, ...]:
+        # Enumerator's walk of a let template draws its slots from here
+        return tuple([t for t, _ in self.pairs(nt, size, no_zero)])
 
-    def _sig(self, t: Term) -> tuple:
-        """t's output vector over the bindings, an application's from its
-        arguments' (memoised when kept)."""
-        return self.pointwise.of(t, self._arg_sig)
+    def pairs(self, nt: str, size: int,
+              no_zero: bool = False) -> list[tuple[Term, tuple]]:
+        """The kept (term, signature) pairs of nt at size, in walk order."""
+        key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
+        hit = self._kept.get(key)
+        if hit is None:
+            kept: dict = {}
+            for p in self.g.closed_productions(nt):
+                for t, sig in self._walk(p, size, no_zero,
+                                         kept if self.prune else ()):
+                    kept.setdefault(sig if self.prune else t, (t, sig))
+            hit = self._kept[key] = list(kept.values())
+            if not key[2]:
+                self.terms[nt][size] = hit
+        return hit
 
-    def _arg_sig(self, t: Term) -> tuple:
-        sig = self.sigs.get(t)
-        return self._sig(t) if sig is None else sig
+    def _walk(self, tpl: Template, size: int, no_zero: bool,
+              skip: Container = ()) -> Iterator[tuple[Term, tuple]]:
+        """The (term, signature) pairs of a production, or of a slot of one,
+        at size, but for applications whose signature is in skip: their
+        terms are never built."""
+        if isinstance(tpl, Apply):
+            slots, splits = self.g.split_plan(tpl, size)
+
+            def inst(i: int, s: int) -> list[tuple[Term, tuple]]:
+                c, nz = slots[i]
+                return (self.pairs(c.nt, s, nz) if isinstance(c, TNT)
+                        else list(self._walk(c, s, nz)))
+
+            if id(tpl) not in self._widths:
+                self._widths[id(tpl)] = self.pointwise.width(
+                    tpl, {nt: r.sort for nt, r in self.g.rules.items()})
+            op, width = tpl.op, self._widths[id(tpl)]
+            apply = self.pointwise.apply
+            for chosen in walk_splits(splits, inst):
+                self._poll()
+                sig = apply(op, [s for _, s in chosen], width)
+                if sig not in skip:
+                    yield Apply(op, tuple([t for t, _ in chosen])), sig
+        elif isinstance(tpl, Let):
+            # the body reads bound names: only the whole let has a signature
+            for t in self._enum_tpl(tpl, size, no_zero):
+                self._poll()
+                yield t, self.pointwise.leaf(t)
+        elif size == 1:
+            for t in ([Lit(v) for v in self._hole_pool(tpl.sort, no_zero)]
+                      if isinstance(tpl, THole) else [tpl]):
+                yield t, self.pointwise.leaf(t)
+
+    def _poll(self):
+        self._seen += 1
+        if self._seen % 4096 == 0 and self._deadline is not None \
+                and self._deadline.expired():
+            raise BudgetExpired
 
 
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:

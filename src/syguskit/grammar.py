@@ -21,8 +21,8 @@ size) gives the child slots of an application or let template, each flagged
 when it is a div/mod divisor, and every composition of the remaining size
 into those slots with each child at least its least derivable size, in
 lexicographic order. Plans depend on the grammar alone and are memoized on
-it; walk_splits expands a plan slot by slot. enumerative.Bank is this
-enumeration, keeping one term per signature instead of one per term.
+it; walk_splits expands a plan slot by slot. enumerative.Bank walks the same
+plans over (term, signature) pairs, keeping one per signature.
 
 Sampling is the stochastic solver's inner loop, so an Enumerator keeps
 sample()'s tables once built: per (nonterminal, size, divisor flag) the
@@ -174,6 +174,10 @@ def walk_splits(splits: Sequence[tuple[int, ...]],
         return
     for s, group in groupby(splits, itemgetter(i)):
         group = tuple(group)
+        if i == len(group[0]) - 1:  # the last slot: no generator per item
+            for item in inst(i, s):
+                yield chosen + (item,)
+            continue
         for item in inst(i, s):
             yield from walk_splits(group, inst, chosen + (item,))
 
@@ -390,14 +394,10 @@ class Enumerator:
         key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
         hit = self._terms.get(key)
         if hit is None:
-            hit = self._terms[key] = self._distinct(key, (
+            hit = self._terms[key] = tuple(dict.fromkeys(
                 t for p in self.g.closed_productions(nt)
                 for t in self._enum_tpl(p, size, no_zero)))
         return hit
-
-    def _distinct(self, key: tuple, walk: Iterable[Term]) -> tuple[Term, ...]:
-        """The walk's terms that enumerate() keeps at key: each term once."""
-        return tuple(dict.fromkeys(walk))
 
     def _enum_tpl(self, tpl: Template, size: int, no_zero: bool) -> Iterator[Term]:
         if isinstance(tpl, (Var, Lit)):

@@ -17,8 +17,8 @@ the unknowns).
 greatest arity, its operand and result sorts and its value function, which
 takes a bit-vector as the width and a masked unsigned int. `apply_sort`
 types an application from it (for `infer_sort` and the frontend);
-`evaluate`, the enumerator's bank and `compile_term` compute values with it,
-and only the lazy ite/and/or/=> are evaluated in place.
+`evaluate`, the pointwise signatures and `compile_term` compute values with
+it, and only the lazy ite/and/or/=> are evaluated in place.
 
 `evaluate` is the reference tree walk over BV values. `compile_term` turns a
 term once into a closure over a tuple of raw values (a bit-vector as its
@@ -288,8 +288,8 @@ class Op:
     condition, then two branches of one sort); result None means the shared
     operand sort (the branch sort for ite). value maps operand values to the
     result; a "bv" operator's takes the width first and bit-vectors as
-    masked unsigned ints, which `lift` wraps back into BV values. value is
-    None for the lazy ite/and/or/=>, which callers evaluate in place."""
+    masked unsigned ints, and `lift` wraps it over BV values for `evaluate`,
+    its one caller. value is None for the lazy ite/and/or/=>."""
 
     lo: int                                 # least arity
     hi: int | None                          # greatest arity; None: unbounded

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from syguskit.terms import INT, FunDef, Lit
+from syguskit.cegis import signature
+from syguskit.terms import INT, FunDef, Lit, raw_value
 
 DATA = Path(__file__).parent / "data"
 BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
@@ -88,6 +89,34 @@ def div_grammar():
         ("B", BOOL, [Apply("<", (s, s)), Apply("and", (b, b)),
                      Apply("or", (b, b)), Apply("=>", (b, b))])], {"x": INT},
         {"seven": FunSort((), INT)})
+
+
+def two_width_grammar():
+    """W over an 8-bit x and N over a 4-bit y, with a 4-bit constant hole,
+    joined only through B's comparisons: an operator applied at the other
+    nonterminal's width gets a wrong value."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import BOOL, BV, TNT, Apply, THole, Var, bitvec
+    w, n, b = TNT("W"), TNT("N"), TNT("B")
+    return make_grammar("W", [
+        ("W", bitvec(8), [Var("x"), Lit(BV(8, 1)), Apply("bvadd", (w, w)),
+                          Apply("bvnot", (w,)), Apply("ite", (b, w, w))]),
+        ("N", bitvec(4), [Var("y"), THole(bitvec(4)), Apply("bvadd", (n, n)),
+                          Apply("bvnot", (n,)), Apply("bvlshr", (n, n))]),
+        ("B", BOOL, [Apply("bvult", (w, w)), Apply("bvslt", (n, n)),
+                     Apply("=", (n, n))])],
+        {"x": bitvec(8), "y": bitvec(4)})
+
+
+def raw_signature(t, bindings, defs):
+    """cegis.signature in the raw values of bank signatures: a bit-vector
+    as its masked int."""
+    return tuple(raw_value(v) for v in signature(t, bindings, defs))
+
+
+def typed(sig):
+    """A signature with each value's type, so True and 1 differ."""
+    return tuple((type(v), v) for v in sig)
 
 
 @pytest.fixture(scope="session")

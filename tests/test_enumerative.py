@@ -1,13 +1,15 @@
 import pytest
 
-from conftest import SEVEN, div_grammar, let_grammar, load, term
-from syguskit.cegis import (ERR, ExampleSet, Exhausted, Solved, TimedOut,
-                            base_constant_pool, induced_bindings,
+from conftest import (SEVEN, div_grammar, let_grammar, load, raw_signature,
+                      term, two_width_grammar, typed)
+from syguskit.cegis import (ERR, Deadline, ExampleSet, Exhausted, Solved,
+                            TimedOut, base_constant_pool, induced_bindings,
                             pool_with_examples, signature,
                             unknown_invocations)
 from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
                               check_syntactic)
-from syguskit.enumerative import Bank, EnumConfig, solve_enumerative
+from syguskit.enumerative import (Bank, BudgetExpired, EnumConfig,
+                                  solve_enumerative)
 from syguskit.frontend import read_problem
 from syguskit.terms import BV, INT, Apply, FunDef, FunSort, Lit, Var
 
@@ -131,7 +133,8 @@ def defs_grammar():
     return g, defs
 
 
-CASES = ["qm_loop", "let", "div", "hole_div", "hd17_w8", "let_div", "defs"]
+CASES = ["qm_loop", "let", "div", "hole_div", "hd17_w8", "let_div", "defs",
+         "two_widths"]
 
 
 def bank_case(case):
@@ -160,6 +163,13 @@ def bank_case(case):
         # half(0) fails, so banks hold error tokens from a compiled body;
         # inc and sign take bit-vectors, and inc gives one back
         (g, defs), limit = defs_grammar(), 7
+    elif case == "two_widths":
+        # 8- and 4-bit operators, each applied at its own operands' width
+        g, defs, limit = two_width_grammar(), {}, 7
+        bindings = [{"x": BV(8, x), "y": BV(4, y)}
+                    for x, y in ((0x00, 0x8), (0x7f, 0xf), (0x80, 0x7),
+                                 (0xff, 0x0))]
+        pool = [BV(4, 9), BV(8, 0x80)]
     elif case == "let_div":
         # (let ((y (div x 0))) (ite (< x 0) y x)) has size 11 and fails at
         # every point, x = 3 included
@@ -182,7 +192,7 @@ def test_unpruned_grow_matches_enumeration(case):
             entries = banks[nt].get(size, [])
             assert [t for t, _ in entries] == list(e.enumerate(nt, size))
             for t, sig in entries:
-                assert sig == signature(t, bindings, defs), t
+                assert typed(sig) == typed(raw_signature(t, bindings, defs)), t
     if case == "div":
         kept = dict(pair for by_size in banks["B"].values() for pair in by_size)
         ctx, funs = {"x": INT}, {"seven": FunSort((), INT)}
@@ -203,10 +213,20 @@ def test_pruned_grow_keeps_each_signature_once(case):
     e = Enumerator(g, pool)
     for nt in g.rules:
         for size in range(1, limit + 1):
-            sigs = [sig for _, sig in banks[nt].get(size, [])]
+            sigs = [typed(sig) for _, sig in banks[nt].get(size, [])]
             assert len(set(sigs)) == len(sigs)
-            assert set(sigs) == {signature(t, bindings, defs)
+            assert set(sigs) == {typed(raw_signature(t, bindings, defs))
                                  for t in e.enumerate(nt, size)}, (nt, size)
+
+
+def test_bank_build_polls_its_deadline():
+    g = load("hd17_w8.sl").unknowns["f"].grammar
+    bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
+    # size 6 is 272 candidates, short of the first poll at 4,096
+    Bank(g, bindings, [], False).build_to(6, Deadline(0))
+    # size 7 adds 5,120 more
+    with pytest.raises(BudgetExpired):
+        Bank(g, bindings, [], False).build_to(7, Deadline(0))
 
 
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):
