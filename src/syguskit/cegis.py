@@ -28,9 +28,9 @@ from .checker import _violated_index, compiled_constraints
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, FunSort, Lit,
-                    Sort, Term, UndeclaredSymbol, Value, Var, compile_term,
-                    evaluate, infer_sort, raw_value, subterms, value_sort)
+from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort, Term,
+                    UndeclaredSymbol, Value, Var, compile_term, evaluate,
+                    infer_sort, raw_value, subterms, value_sort)
 
 
 @dataclass
@@ -202,7 +202,7 @@ class Pointwise:
                  defs: Mapping[str, FunDef]):
         self.bindings = list(bindings)
         self.defs = defs
-        self.funs = {n: FunSort(f.param_sorts, f.ret) for n, f in defs.items()}
+        self.funs = {n: f.fun_sort for n, f in defs.items()}
         # variables sorted by their values in the first binding
         self.sorts = {n: value_sort(v) for b in self.bindings[:1]
                       for n, v in b.items()}

@@ -422,7 +422,11 @@ def run_solver(command: str, script: str, timeout_s: float) -> tuple[str, str] |
 def _check_external(p: SynthProblem, s: CandidateSolution,
                     compiled: Sequence[Callable],
                     strat: ExternalSMT) -> VerificationResult:
-    res = run_solver(strat.command, emit_smtlib(p, s), strat.timeout_s)
+    try:
+        script = emit_smtlib(p, s)
+    except UnsupportedLogic:  # no SMT-LIB logic states the problem
+        return Unknown(UnknownReason.SOLVER_UNAVAILABLE)
+    res = run_solver(strat.command, script, strat.timeout_s)
     if isinstance(res, Unknown):
         return res
     first, text = res

@@ -104,9 +104,8 @@ class SynthProblem:
     inv_components: tuple[str, str, str, str] | None = None  # inv pre trans post
 
     def fun_sorts(self) -> dict[str, FunSort]:
-        out = {n: FunSort(f.param_sorts, f.ret) for n, f in self.defined_funs.items()}
-        out.update({n: u.fun_sort for n, u in self.unknowns.items()})
-        return out
+        return {n: f.fun_sort for funs in (self.defined_funs, self.unknowns)
+                for n, f in funs.items()}
 
 
 @dataclass
@@ -405,9 +404,8 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             raise DuplicateDeclaration(name)
 
     def fun_sorts() -> dict[str, FunSort]:
-        out = {n: FunSort(f.param_sorts, f.ret) for n, f in defined.items()}
-        out.update({n: u.fun_sort for n, u in unknowns.items()})
-        return out
+        return {n: f.fun_sort for funs in (defined, unknowns)
+                for n, f in funs.items()}
 
     for cmd in cmds:
         if saw_check:
@@ -635,16 +633,13 @@ def parse_solution(text: str, problem: SynthProblem) -> CandidateSolution:
     """
     funcs: dict[str, FunDef] = {}
     helpers: dict[str, FunDef] = {}
-    base_funs = {n: FunSort(f.param_sorts, f.ret)
-                 for n, f in problem.defined_funs.items()}
     for sx in read_sexprs(text):
         if not (isinstance(sx, list) and len(sx) == 5 and sx[0] == "define-fun"
                 and isinstance(sx[1], str)):
             raise UnknownCommand(print_sexpr(sx))
         name, params, ret = sx[1], _parse_params(sx[2]), parse_sort(sx[3])
-        ctx_funs = dict(base_funs)
-        ctx_funs.update({n: FunSort(f.param_sorts, f.ret)
-                         for n, f in helpers.items()})
+        ctx_funs = {n: f.fun_sort for funs in (problem.defined_funs, helpers)
+                    for n, f in funs.items()}
         body, _ = parse_term(sx[4], dict(params), ctx_funs, ret)
         body = expand(body, helpers)
         u = problem.unknowns.get(name)

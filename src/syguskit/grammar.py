@@ -26,9 +26,12 @@ plans over (term, signature) pairs, keeping one per signature.
 
 Sampling is the stochastic solver's inner loop, so an Enumerator keeps
 sample()'s tables once built: per (nonterminal, size, divisor flag) the
-productions with a derivation and their counts, per hole sort its pool, and
-per (template, size) a tree of its slots' size choices and weights. They
-change no draw: every rng call is the one the plain recurrences make.
+productions with a derivation, their counts and own nodes, per hole sort its
+pool, and per (template, size) a tree of its slots' size choices and
+weights. They change no draw: every rng call is the one the plain
+recurrences make. sample() gives a Derivation, the term and a flat
+pre-order tuple of its nonterminal instances with their paths from the
+root, so a move replaces an instance by splicing that tuple.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .terms import (Apply, FunSort, Let, Lit, Sort, SortError, SygusError,
                     Template, Term, THole, TNT, UnknownNonterminal, Value,
@@ -287,20 +291,18 @@ def term_replace(t: Term, path: Path, sub: Term) -> Term:
     return Let(t.bindings, term_replace(t.body, rest, sub))
 
 
-@dataclass
-class SlotNode:
-    """One production instance in a sampled derivation.
+class Derivation(NamedTuple):
+    """A sampled derivation: its term and its nonterminal instances in
+    pre-order, each (path, nonterminal, size, divisor flag, own nodes).
 
-    own_nodes counts the term nodes this instance's template contributed, so
-    choosing a slot with probability proportional to own_nodes is a uniform
+    An instance's path locates its subterm from the root of term, and its
+    descendants are the entries right after it whose paths extend that path.
+    Own nodes counts the term nodes its production contributed, so choosing
+    an instance with probability proportional to own nodes is a uniform
     choice over parse-tree nodes.
     """
-    nt: str
     term: Term
-    size: int
-    no_zero: bool
-    own_nodes: int
-    children: list[tuple[Path, "SlotNode"]]
+    entries: tuple[tuple[Path, str, int, bool, int], ...]
 
 
 class Enumerator:
@@ -346,14 +348,16 @@ class Enumerator:
 
     def _menu(self, nt: str, size: int, no_zero: bool) -> tuple[int, tuple]:
         """(derivations, the productions of nt with a derivation at size,
-        each with its count, in closed_productions order)."""
+        each with its count and own nodes, in closed_productions order)."""
         key = (nt, size, no_zero)
         hit = self._menus.get(key)
         if hit is None:
+            zero = dict.fromkeys(self.g.rules, 0)
             menu = () if size < 1 else tuple(
-                (p, c) for p in self.g.closed_productions(nt)
+                (p, c, term_size(p, zero))
+                for p in self.g.closed_productions(nt)
                 if (c := self._count_tpl(p, size, no_zero)))
-            hit = self._menus[key] = (sum(c for _, c in menu), menu)
+            hit = self._menus[key] = (sum(c for _, c, _ in menu), menu)
         return hit
 
     def _count_tpl(self, tpl: Template, size: int, no_zero: bool) -> int:
@@ -418,58 +422,56 @@ class Enumerator:
     # -- uniform sampling (by derivation count) -----------------------------
 
     def sample(self, nt: str, size: int, rng: random.Random,
-               no_zero: bool = False) -> SlotNode:
+               no_zero: bool = False, prefix: Path = ()) -> Derivation:
+        """A derivation of nt at size, uniform over derivations; its entries'
+        paths start with prefix."""
+        entries: list = []
+        term = self._draw(nt, size, no_zero, rng, prefix, entries)
+        return Derivation(term, tuple(entries))
+
+    def _draw(self, nt: str, size: int, no_zero: bool, rng: random.Random,
+              path: Path, entries: list) -> Term:
         total, menu = self._menu(nt, size, no_zero)
         if total == 0:
             raise SygusError(f"no derivation of {nt} at size {size}")
         pick = rng.randrange(total)
-        for p, c in menu:
+        for p, c, own in menu:
             if pick < c:
-                term, slots, own = self._sample_tpl(p, size, no_zero, rng, ())
-                return SlotNode(nt, term, size, no_zero, own, slots)
+                entries.append((path, nt, size, no_zero, own))
+                return self._sample_tpl(p, size, no_zero, rng, path, entries)
             pick -= c
         raise AssertionError("count/sample recurrences disagree")
 
     def _sample_tpl(self, tpl: Template, size: int, no_zero: bool,
-                    rng: random.Random, path: Path):
+                    rng: random.Random, path: Path, entries: list) -> Term:
         if isinstance(tpl, (Var, Lit)):
-            return tpl, [], 1
+            return tpl
         if isinstance(tpl, THole):
             vals = self._hole_pool(tpl.sort, no_zero)
-            return Lit(vals[rng.randrange(len(vals))]), [], 1
+            return Lit(vals[rng.randrange(len(vals))])
         if isinstance(tpl, TNT):
-            node = self.sample(tpl.nt, size, rng, no_zero)
-            return node.term, [(path, node)], 0
-        slots, steps, own, tree = self._sampler(tpl, size)
-        pieces, children = [], []
-        for (c, nz), s, step in zip(slots, self._draw_sizes(tree, rng),
-                                    steps):
-            t, sub, o = self._sample_tpl(c, s, nz, rng, path + (step,))
-            pieces.append(t)
-            children.extend(sub)
-            own += o
-        return assemble(tpl, pieces), children, own
+            return self._draw(tpl.nt, size, no_zero, rng, path, entries)
+        slots, steps, tree = self._sampler(tpl, size)
+        return assemble(tpl, [
+            self._sample_tpl(c, s, nz, rng, path + (step,), entries)
+            for (c, nz), s, step in zip(slots, self._draw_sizes(tree, rng),
+                                        steps)])
 
     def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
-        """(slots, path steps, own nodes, size tree) of an application or let
-        template at size. The size tree holds, for the first slot, its sizes
-        with a derivation, their weights and the tree of the later slots
-        under each size: a slot's size s is weighted by the derivations of
-        that slot at s times those of the later slots in the remaining
-        budget."""
+        """(slots, path steps, size tree) of an application or let template
+        at size. The size tree holds, for the first slot, its sizes with a
+        derivation, their weights and the tree of the later slots under each
+        size: a slot's size s is weighted by the derivations of that slot at
+        s times those of the later slots in the remaining budget."""
         key = (id(tpl), size)
         hit = self._samplers.get(key)
         if hit is None:
             slots, _ = self.g.split_plan(tpl, size)
-            if isinstance(tpl, Apply):
-                steps, own = tuple(range(len(slots))), 1
-            else:
-                steps = tuple([("d", i) for i in range(len(tpl.bindings))]
-                              + [("b",)])
-                own = 1 + len(tpl.bindings)
-
+            steps = (tuple(range(len(slots))) if isinstance(tpl, Apply)
+                     else tuple([("d", i) for i in range(len(tpl.bindings))]
+                                + [("b",)]))
             rows = self._split_weights(tpl, size)[1]
-            hit = self._samplers[key] = (slots, steps, own,
+            hit = self._samplers[key] = (slots, steps,
                                          _size_tree(rows, 0, len(slots)))
         return hit
 

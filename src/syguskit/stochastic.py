@@ -9,6 +9,10 @@ finds the body wrong on. Candidates that agree with every example are sent
 to the verifier; a counterexample rebuilds the scorer and re-scores the walk
 in place.
 
+The walk holds a grammar.Derivation: a move splices the replacement's
+instances over the chosen one and its descendants and rebuilds only the
+terms on the replaced path.
+
 A proposal is cheap to score: the scorer composes a body's signature from
 the subterms it shares with the body it was mutated from, and the walk keeps
 the wrong counts of the last WRONG_MEMO bodies it scored until the next
@@ -31,7 +35,7 @@ from .cegis import (Deadline, ExampleSet, Exhausted, Scorer, Solved,
 from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
                       default_strategy)
 from .frontend import SynthProblem
-from .grammar import Enumerator, SlotNode, term_replace
+from .grammar import Derivation, Enumerator, term_replace
 from .terms import SygusError, Term, term_size
 
 
@@ -51,41 +55,27 @@ class StochConfig:
     trace: list | None = None  # test mode: (wrong, wrong_new, prob, u, accepted)
 
 
-def _collect_slots(node: SlotNode, prefix: tuple = ()):
-    out = [(prefix, node)]
-    for i, (_, child) in enumerate(node.children):
-        out.extend(_collect_slots(child, prefix + (i,)))
-    return out
-
-
-def _rebuild(node: SlotNode, tree_path: tuple, new_sub: SlotNode) -> SlotNode:
-    if not tree_path:
-        return new_sub
-    i = tree_path[0]
-    term_path, child = node.children[i]
-    child2 = _rebuild(child, tree_path[1:], new_sub)
-    children = list(node.children)
-    children[i] = (term_path, child2)
-    return SlotNode(node.nt, term_replace(node.term, term_path, child2.term),
-                    node.size, node.no_zero, node.own_nodes, children)
-
-
-def mutate(node: SlotNode, enumr: Enumerator, rng: random.Random) -> SlotNode:
-    """One size-preserving edit: resample the subtree under a node chosen
-    uniformly over the parse tree (weights = nodes each instance contributed)."""
-    slots = _collect_slots(node)
-    weights = [n.own_nodes for _, n in slots]
-    pick = rng.choices(range(len(slots)), weights)[0]
-    path, chosen = slots[pick]
-    new_sub = enumr.sample(chosen.nt, chosen.size, rng, chosen.no_zero)
-    return _rebuild(node, path, new_sub)
+def mutate(d: Derivation, enumr: Enumerator, rng: random.Random) -> Derivation:
+    """One size-preserving edit: resample the subtree under an instance chosen
+    uniformly over the parse tree (weights = nodes each instance contributed)
+    and splice the replacement's entries over the instance and its
+    descendants."""
+    entries = d.entries
+    pick = rng.choices(range(len(entries)), [e[4] for e in entries])[0]
+    path, nt, size, no_zero, _ = entries[pick]
+    new = enumr.sample(nt, size, rng, no_zero, path)
+    end, depth = pick + 1, len(path)
+    while end < len(entries) and entries[end][0][:depth] == path:
+        end += 1
+    return Derivation(term_replace(d.term, path, new.term),
+                      entries[:pick] + new.entries + entries[end:])
 
 
 def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
     if len(p.unknowns) != 1:
         raise SygusError("the stochastic solver handles a single unknown")
-    if cfg.beta <= 0:
-        raise SygusError("beta must be positive")
+    if not (math.isfinite(cfg.beta) and cfg.beta > 0):
+        raise SygusError("beta must be positive and finite")
     if not cfg.size_schedule or \
             list(cfg.size_schedule) != sorted(cfg.size_schedule):
         raise SygusError("size schedule must be a nonempty nondecreasing sweep")
@@ -140,7 +130,10 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
                 return TimedOut(cfg.budget_s)
             proposal = mutate(current, enumr, rng)
             wrong_new = wrong_of(proposal.term)
-            prob = min(1.0, math.exp(-cfg.beta * (wrong_new - wrong)))
+            # a proposal no worse is accepted without exp, which overflows
+            # once beta * (wrong - wrong_new) passes about 709
+            prob = (1.0 if wrong_new <= wrong
+                    else math.exp(-cfg.beta * (wrong_new - wrong)))
             unif = rng.random()
             accepted = unif < prob  # rng.random() < 1.0 always, so prob=1 accepts
             if cfg.trace is not None:

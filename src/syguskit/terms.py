@@ -189,6 +189,10 @@ class FunDef:
     def param_sorts(self) -> tuple[Sort, ...]:
         return tuple(s for _, s in self.params)
 
+    @property
+    def fun_sort(self) -> FunSort:
+        return FunSort(self.param_sorts, self.ret)
+
 
 @dataclass(frozen=True)
 class FunSort:
@@ -511,7 +515,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
     compiled once and called positionally, a let extends the tuple, and
     ite/and/or/=> stay lazy."""
     defs = defs or {}
-    funs = {name: FunSort(f.param_sorts, f.ret) for name, f in defs.items()}
+    funs = {name: f.fun_sort for name, f in defs.items()}
     bodies: dict[str, Callable] = {}
 
     def comp(t: Term, env: list[tuple[str, Sort]]):

@@ -159,6 +159,15 @@ def hd17_w8():
     return load("hd17_w8.sl")
 
 
+# A grammar problem with no set-logic: its logic is ALL, which no SMT-LIB
+# logic that emit_smtlib knows states. enum solves it with (+ x 1).
+NO_LOGIC = """(synth-fun f ((x Int)) Int ((S Int (x 1 (+ S S)))))
+(declare-var x Int)
+(constraint (= (f x) (+ x 1)))
+(check-synth)
+"""
+
+
 def fake_solver_script(tmp_path, stdout: str, name="fakesmt.py") -> str:
     """A stand-in SMT solver command printing a canned response."""
     path = tmp_path / name

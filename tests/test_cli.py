@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, deep_problem, fake_solver_script
+from conftest import DATA, NO_LOGIC, deep_problem, fake_solver_script
 from test_frontend import CROSS_UNKNOWN_GRAMMAR, LITERAL_EQ_GRAMMAR
 from syguskit.sexpr import MAX_DEPTH
 
@@ -131,6 +131,17 @@ def test_check_uses_smt_env_var(tmp_path):
             env_extra={"SYGUSKIT_SMT": cmd})
     assert r.returncode == 0
     assert "semantic: valid\n" in r.stdout  # certified, no (on budget)
+
+
+def test_solve_keeps_a_grid_verified_solution_the_smt_stage_cannot_state(
+        tmp_path):
+    f = tmp_path / "plain.sl"
+    f.write_text(NO_LOGIC)
+    cmd = fake_solver_script(tmp_path, "unsat\n")
+    r = cli("solve", str(f), "--strategy", "enum", "--smt", cmd,
+            "--timeout", "30")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "(define-fun f ((x Int)) Int (+ x 1))\n"
 
 
 def test_solve_prints_solution_on_stdout_only():

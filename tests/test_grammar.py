@@ -302,10 +302,5 @@ def test_slot_nodes_account_for_every_parse_tree_node():
     rng = random.Random(3)
     for _ in range(50):
         node = e.sample("StartInt", 9, rng)
-        total = node.own_nodes
-        stack = list(node.children)
-        while stack:
-            _, child = stack.pop()
-            total += child.own_nodes
-            stack.extend(child.children)
+        total = sum(own for *_, own in node.entries)
         assert total == term_size(node.term) == 9

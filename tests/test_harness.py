@@ -3,8 +3,9 @@ import time
 import pytest
 
 import stub_suite
-from conftest import DATA, deep_problem
+from conftest import DATA, NO_LOGIC, deep_problem, fake_solver_script
 from syguskit.cegis import Solved, TimedOut
+from syguskit.checker import ExhaustiveSmall, ExternalSMT, Layered, Valid
 from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
                               aggregate, bucket, classify_suite,
                               register_solver, render_report,
@@ -61,9 +62,10 @@ def test_parse_failure_recorded_not_raised(tmp_path):
     assert not rec.solved
 
 
-def _records_beside_max2(tmp_path, monkeypatch, name: str, data: bytes):
+def _records_beside_max2(tmp_path, monkeypatch, name: str, data: bytes,
+                         check=None, solved=1):
     """The enum records of a suite run over max2.sl and a file `name`
-    holding `data`, sorted by path."""
+    holding `data`, sorted by path; `solved` of them are solved."""
     import syguskit.harness as harness
     (tmp_path / name).write_bytes(data)
     (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())
@@ -74,8 +76,8 @@ def _records_beside_max2(tmp_path, monkeypatch, name: str, data: bytes):
         return aggregate(recs, solver_ids)
 
     monkeypatch.setattr(harness, "aggregate", keep)
-    report = run_suite(tmp_path, ["enum"], LIMITS)
-    assert report.totals["enum"].solved == 1
+    report = run_suite(tmp_path, ["enum"], LIMITS, check=check)
+    assert report.totals["enum"].solved == solved
     return sorted(records, key=lambda r: r.benchmark)
 
 
@@ -93,6 +95,18 @@ def test_non_utf8_file_is_one_parse_failure_record(tmp_path, monkeypatch):
     assert raw.error is not None and "parse failure" in raw.error
     assert "not UTF-8" in raw.error
     assert max2.error is None and max2.solved
+
+
+def test_external_stage_without_a_logic_keeps_the_grid_verdict(
+        tmp_path, monkeypatch):
+    # no set-logic gives logic ALL, which emit_smtlib cannot state
+    check = Layered((ExhaustiveSmall(),
+                     ExternalSMT(fake_solver_script(tmp_path, "unsat\n"))))
+    max2, plain = _records_beside_max2(tmp_path, monkeypatch, "plain.sl",
+                                       NO_LOGIC.encode(), check, solved=2)
+    assert plain.error is None and plain.solved
+    assert plain.semantic == Valid(certified=False)
+    assert max2.solved and max2.semantic == Valid(certified=True)
 
 
 def test_sleep_forever_stub_times_out_within_two_seconds(tmp_path):

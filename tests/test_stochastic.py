@@ -65,12 +65,7 @@ def test_mutated_tree_keeps_consistent_slot_accounting():
     node = e.sample("StartInt", 9, rng)
     for _ in range(200):
         node = mutate(node, e, rng)
-        total = node.own_nodes
-        stack = list(node.children)
-        while stack:
-            _, child = stack.pop()
-            total += child.own_nodes
-            stack.extend(child.children)
+        total = sum(own for *_, own in node.entries)
         assert total == term_size(node.term) == 9
 
 
@@ -108,6 +103,25 @@ def test_worse_proposals_rarely_accepted_at_high_beta(lsz8):
     assert len(worse) > 100
     accepted_worse = sum(1 for t in worse if t[4])
     assert accepted_worse / len(worse) < 0.01
+
+
+def test_large_beta_accepts_no_worse_proposals_without_exp(max2):
+    # exp(beta * (wrong - wrong_new)) overflows once it passes about 709
+    trace: list = []
+    out = solve_stochastic(max2, StochConfig(beta=1000.0, seed=1,
+                                             budget_s=120, trace=trace))
+    assert isinstance(out, Solved)
+    assert any(wrong_new < wrong for wrong, wrong_new, *_ in trace)
+    for wrong, wrong_new, prob, unif, accepted in trace:
+        assert prob == (1.0 if wrong_new <= wrong
+                        else math.exp(-1000.0 * (wrong_new - wrong)))
+        assert accepted == (unif < prob)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_beta_must_be_positive_and_finite(max2, beta):
+    with pytest.raises(SygusError, match="beta"):
+        solve_stochastic(max2, StochConfig(beta=beta, seed=0, budget_s=1))
 
 
 def test_tiny_budget_times_out(max2):
@@ -264,15 +278,10 @@ def digest(x) -> str:
     return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("case", list(PINNED_STREAMS))
-def test_sampler_random_stream_is_pinned(case):
+def stream_case(case):
+    """(grammar, enumerator, sample sizes) of a PINNED_STREAMS case."""
     from conftest import let_grammar
     from syguskit.cegis import base_constant_pool
-    from syguskit.frontend import term_to_sexpr
-    from syguskit.sexpr import print_sexpr
-
-    def show(t):
-        return print_sexpr(term_to_sexpr(t))
 
     sizes = (5, 7, 9)
     if case == "default":
@@ -288,6 +297,18 @@ def test_sampler_random_stream_is_pinned(case):
     else:
         g = divisor_grammar()
         e = Enumerator(g, pool=[-1, 0, 1, 2, 3])
+    return g, e, sizes
+
+
+@pytest.mark.parametrize("case", list(PINNED_STREAMS))
+def test_sampler_random_stream_is_pinned(case):
+    from syguskit.frontend import term_to_sexpr
+    from syguskit.sexpr import print_sexpr
+
+    def show(t):
+        return print_sexpr(term_to_sexpr(t))
+
+    g, e, sizes = stream_case(case)
     samples = [show(e.sample(g.start, size, random.Random(seed)).term)
                for seed in (0, 1, 2) for size in sizes]
     rng = random.Random(3)
@@ -298,3 +319,72 @@ def test_sampler_random_stream_is_pinned(case):
         walk.append(show(node.term))
     assert (samples, walk[:9], digest(walk), digest(rng.getstate())) == \
         PINNED_STREAMS[case]
+
+
+
+def subterm_at(t, path):
+    for step in path:
+        if isinstance(step, int):
+            t = t.args[step]
+        elif step[0] == "d":
+            t = t.bindings[step[1]][1]
+        else:
+            t = t.body
+    return t
+
+
+def nest(entries):
+    """Pre-order entries as a tree: [entry with its path relative to its
+    parent's, children]."""
+    top = [None, []]
+    stack = [((), top)]
+    for path, *rest in entries:
+        while path[:len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        above, parent = stack[-1]
+        node = [(path[len(above):], *rest), []]
+        parent[1].append(node)
+        stack.append((path, node))
+    (root,) = top[1]
+    return root
+
+
+def preorder(node):
+    out = [node]
+    for child in node[1]:
+        out.extend(preorder(child))
+    return out
+
+
+def flatten(node, prefix=()):
+    """A tree's entries in pre-order, with paths from the root."""
+    (step, *rest), children = node
+    yield (prefix + step, *rest)
+    for child in children:
+        yield from flatten(child, prefix + step)
+
+
+@pytest.mark.parametrize("case", list(PINNED_STREAMS))
+def test_walk_keeps_entries_of_a_fresh_preorder_walk(case):
+    # the oracle moves a tree: a mirrored rng picks the same pre-order
+    # position and draws the same replacement, whose tree is grafted there
+    g, e, sizes = stream_case(case)
+    rng = random.Random(3)
+    node = e.sample(g.start, sizes[-1], rng)
+    tree = nest(node.entries)
+    for _ in range(200):
+        mirror = random.Random()
+        mirror.setstate(rng.getstate())
+        node = mutate(node, e, rng)
+        nodes = preorder(tree)
+        pick = mirror.choices(range(len(nodes)), [n[0][4] for n in nodes])[0]
+        old = nodes[pick]
+        _, nt, size, no_zero, _ = old[0]
+        fresh = nest(e.sample(nt, size, mirror, no_zero).entries)
+        old[:] = [(old[0][0], *fresh[0][1:]), fresh[1]]
+        assert mirror.getstate() == rng.getstate()
+        assert node.entries == tuple(flatten(tree))
+        for path, nt, size, _, _ in node.entries:
+            sub = subterm_at(node.term, path)
+            assert term_size(sub) == size
+            assert derives(g, nt, sub)
