@@ -331,6 +331,10 @@ class Scorer:
     counts only where the body reads it, an error only where it is reached.
     naive: some example has an invocation without a binding, so signatures
     do not decide every example and must not prune.
+
+    stages() splits the skeletons by the last unknown each invokes, for a
+    walk that binds the unknowns one at a time; what a stage rejects, wrong()
+    rejects too.
     """
 
     def __init__(self, p: SynthProblem, E: ExampleSet):
@@ -350,23 +354,73 @@ class Scorer:
                 return Apply(t.op, tuple(skeleton(a) for a in t.args))
             return t
 
-        slots = [(n, ti) for n, ts in tuples.items() for ti in range(len(ts))]
+        self.index = index
+        self.slots = [(n, ti) for n, ts in tuples.items()
+                      for ti in range(len(ts))]
+        self.skeletons = [skeleton(c) for c in p.constraints]
         # the skeletons' lazy conjunction, compiled over the universals,
         # then the slots
-        params = [*p.universals.items(),
-                  *((f"·{n}@{ti}", p.unknowns[n].ret) for n, ti in slots)]
-        self.holds = compile_term(
-            Apply("and", tuple(skeleton(c) for c in p.constraints))
-            if p.constraints else Lit(True), params, p.defined_funs)
+        self.holds = self._compile(self.skeletons, self.slots)
         # per example: (raw point, [(unknown, binding index)] per slot, or
         # None if some slot has no binding)
         self.rows: list[tuple[tuple, list | None]] = []
         for ei, point in enumerate(E):
-            ks = [index[n].get((ei, ti)) for n, ti in slots]
+            ks = [index[n].get((ei, ti)) for n, ti in self.slots]
             self.rows.append((tuple(raw_value(point[n]) for n in p.universals),
                               None if None in ks else [
-                (n, k) for (n, _), k in zip(slots, ks)]))
+                (n, k) for (n, _), k in zip(self.slots, ks)]))
         self.naive = any(row is None for _, row in self.rows)
+
+    def _compile(self, skeletons: Sequence[Term],
+                 slots: Sequence[tuple[str, int]]) -> Callable[[tuple], bool]:
+        """The skeletons' lazy conjunction over the universals, then slots."""
+        params = [*self.p.universals.items(),
+                  *((f"·{n}@{ti}", self.p.unknowns[n].ret) for n, ti in slots)]
+        return compile_term(Apply("and", tuple(skeletons)) if skeletons
+                            else Lit(True), params, self.p.defined_funs)
+
+    def stages(self, names: Sequence[str]
+               ) -> list[Callable[[Sequence[tuple]], bool] | None]:
+        """Checks for a walk that binds the unknowns (all of them) in the
+        order of names. Entry d takes the signatures of names[:d+1] and is
+        False when a constraint that invokes names[d] and no later unknown is
+        false or raises at an example where every slot it reads is bound and
+        not ERR: its skeleton's value there is the verifier's, so the example
+        is wrong for every completion. None for a depth with nothing to
+        decide."""
+        depth = {n: d for d, n in enumerate(names)}
+        groups: list[list[Term]] = [[] for _ in names]
+        for sk in self.skeletons:
+            free = {t.name for t in subterms(sk) if isinstance(t, Var)}
+            ds = [depth[n] for n, ti in self.slots if f"·{n}@{ti}" in free]
+            if ds:
+                groups[max(ds)].append(sk)
+        return [self._stage(g, depth) if g else None for g in groups]
+
+    def _stage(self, skeletons: list[Term], depth: Mapping[str, int]
+               ) -> Callable[[Sequence[tuple]], bool] | None:
+        free = {t.name for sk in skeletons for t in subterms(sk)
+                if isinstance(t, Var)}
+        read = [(n, ti) for n, ti in self.slots if f"·{n}@{ti}" in free]
+        holds = self._compile(skeletons, read)
+        # per example with every read slot bound: (raw point, [(depth,
+        # binding index)] per read slot)
+        rows = [(raw, [(depth[n], self.index[n][ei, ti]) for n, ti in read])
+                for ei, (raw, _) in enumerate(self.rows)
+                if all((ei, ti) in self.index[n] for n, ti in read)]
+
+        def check(sigs: Sequence[tuple]) -> bool:
+            for raw, row in rows:
+                vals = tuple([sigs[d][k] for d, k in row])
+                if ERR in vals:
+                    continue
+                try:
+                    if not holds(raw + vals):
+                        return False
+                except DivisionByZero:
+                    return False
+            return True
+        return check if rows else None
 
     def wrong(self, bodies: Mapping[str, Term],
               sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:

@@ -9,9 +9,11 @@ command for `check` and `solve`.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .cegis import Exhausted, Solved
 from .checker import (CheckStrategy, CounterExample, ExhaustiveSmall,
@@ -26,6 +28,16 @@ from .stochastic import StochConfig, solve_stochastic
 from .terms import SygusError
 
 SMT_ENV = "SYGUSKIT_SMT"
+
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse type: a finite kind above 0, else a usage error."""
+    def parse(text: str) -> float:
+        if not (math.isfinite(value := kind(text)) and value > 0):
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"positive {kind.__name__}"  # argparse's error names it
+    return parse
 
 
 def _smt_command(arg: str | None) -> str | None:
@@ -150,17 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="synthesize; solution on stdout")
     p.add_argument("file")
     p.add_argument("--strategy", choices=["enum", "stoch"], default="enum")
-    p.add_argument("--max-size", type=int, default=16)
+    p.add_argument("--max-size", type=_positive(int), default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive(float), default=60.0)
     p.add_argument("--smt", default=None)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("bench", help="run solvers over a benchmark directory")
     p.add_argument("dir")
     p.add_argument("--solvers", default="enum,stoch")
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--timeout", type=_positive(float), default=60.0)
+    p.add_argument("--parallel", type=_positive(int), default=1)
     p.add_argument("--report", default=None,
                    help="write a report (.csv, .json, or .md)")
     p.set_defaults(fn=_cmd_bench)

@@ -8,8 +8,12 @@ composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
 builds no other; nonterminal slots draw from the kept pairs. Candidates are
 tried in nondecreasing total size (joint size over the unknowns,
-compositions in lexicographic order); the first that cegis.Scorer finds
-wrong on no example, given its bank signatures, goes to the verifier, a
+compositions in lexicographic order). A composition is walked one unknown
+at a time, in product's order: once a prefix's unknowns are bound, the
+constraints that invoke only them are checked on their slots
+(Scorer.stages), and a prefix that fails one is skipped with every
+combination below it. The first combination that cegis.Scorer finds wrong
+on no example, given its bank signatures, goes to the verifier, a
 counterexample restarts enumeration from size 1 with the refreshed pool and
 scorer, and Valid wins. Unpruned mode keeps every term, which makes the
 returned solution minimal outright.
@@ -19,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Container, Iterator, Mapping, Sequence
+from itertools import count
+from typing import Callable, Container, Iterator, Mapping, Sequence
 
 from .cegis import (Deadline, ExampleSet, Exhausted, Pointwise, Scorer,
                     Solved, SolveOutcome, TimedOut, base_constant_pool,
@@ -155,50 +159,69 @@ def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
         pool = pool_with_examples(base_constant_pool(p), E)
         scorer = Scorer(p, E)
         # signatures do not decide an example with an unbound invocation
-        banks = {n: Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
-                         cfg.prune and not scorer.naive, p.defined_funs)
-                 for n in names}
-
-        restart = False
-        poll = 0
-        for total in range(sum(mins), cfg.max_size + 1):
-            try:
-                for n, m in zip(names, mins):
-                    banks[n].build_to(total - (sum(mins) - m), deadline)
-            except BudgetExpired:
-                return TimedOut(cfg.budget_s)
-            if deadline.expired():
-                return TimedOut(cfg.budget_s)
-            for split in compositions(total, mins):
-                pieces = [banks[n].terms[banks[n].g.start].get(s, [])
-                          for n, s in zip(names, split)]
-                if any(not piece for piece in pieces):
+        banks = [Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
+                      cfg.prune and not scorer.naive, p.defined_funs)
+                 for n in names]
+        try:
+            for split, combo in _candidates(banks, mins, scorer.stages(names),
+                                            cfg.max_size, deadline):
+                bodies = {n: t for n, (t, _) in zip(names, combo)}
+                sigs = {n: s for n, (_, s) in zip(names, combo)}
+                if next(scorer.wrong(bodies, sigs), None) is not None:
                     continue
-                for combo in product(*pieces):
-                    poll += 1
-                    if poll % 256 == 0 and deadline.expired():
-                        return TimedOut(cfg.budget_s)
-                    bodies = {n: t for n, (t, _) in zip(names, combo)}
-                    sigs = {n: s for n, (_, s) in zip(names, combo)}
-                    if next(scorer.wrong(bodies, sigs), None) is not None:
-                        continue
-                    if deadline.expired():
-                        return TimedOut(cfg.budget_s)
-                    sol = make_solution(p, bodies)
-                    verdict = check_semantic(p, sol, verifier)
-                    if isinstance(verdict, Valid):
-                        sizes = dict(zip(names, split))
-                        return Solved(sol, deadline.elapsed(), sizes)
-                    if isinstance(verdict, CounterExample):
-                        if E.add(verdict.valuation):
-                            restart = True
-                            break
-                        continue  # stale point; keep enumerating
-                if restart:
-                    break
-            if restart:
-                break
-        if not restart:
-            return Exhausted(cfg.max_size)
+                if deadline.expired():
+                    return TimedOut(cfg.budget_s)
+                sol = make_solution(p, bodies)
+                verdict = check_semantic(p, sol, verifier)
+                if isinstance(verdict, Valid):
+                    return Solved(sol, deadline.elapsed(),
+                                  dict(zip(names, split)))
+                if isinstance(verdict, CounterExample) \
+                        and E.add(verdict.valuation):
+                    break  # not a stale point: restart with it
+            else:
+                return Exhausted(cfg.max_size)
+        except BudgetExpired:
+            return TimedOut(cfg.budget_s)
         if deadline.expired():
             return TimedOut(cfg.budget_s)
+
+
+def _candidates(banks: Sequence[Bank], mins: Sequence[int],
+                stages: Sequence[Callable[[Sequence[tuple]], bool] | None],
+                max_size: int, deadline: Deadline
+                ) -> Iterator[tuple[tuple[int, ...], list]]:
+    """(split, a kept (term, signature) pair per bank) in nondecreasing total
+    size, a total's compositions in order and a composition's pairs in
+    product's order, but for what lies below a prefix whose last pair its
+    depth's stage (Scorer.stages) rejects. The pairs come as one list,
+    refilled. BudgetExpired past the deadline, polled every 256 pairs."""
+    chosen: list = [None] * len(banks)
+    sigs: list = [None] * len(banks)
+    visits = count(1)
+
+    def walk(pieces: list, d: int) -> Iterator[list]:
+        if d == len(pieces):
+            yield chosen
+            return
+        stage = stages[d]
+        for pair in pieces[d]:
+            if next(visits) % 256 == 0 and deadline.expired():
+                raise BudgetExpired
+            sigs[d] = pair[1]
+            if stage is not None and not stage(sigs):
+                continue
+            chosen[d] = pair
+            yield from walk(pieces, d + 1)
+
+    for total in range(sum(mins), max_size + 1):
+        for bank, m in zip(banks, mins):
+            bank.build_to(total - (sum(mins) - m), deadline)
+        if deadline.expired():
+            raise BudgetExpired
+        for split in compositions(total, mins):
+            pieces = [b.terms[b.g.start].get(s, [])
+                      for b, s in zip(banks, split)]
+            if all(pieces):
+                for combo in walk(pieces, 0):
+                    yield split, combo

@@ -48,6 +48,11 @@ class RunLimits:
     wallclock_s: float = 3600.0
     grace_s: float = 5.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.wallclock_s) and self.wallclock_s > 0):
+            raise ValueError("wallclock_s must be positive and finite, "
+                             f"got {self.wallclock_s}")
+
 
 SolverFn = Callable[[SynthProblem, float], SolveOutcome]
 

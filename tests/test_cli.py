@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -232,6 +233,39 @@ def test_bench_checks_report_format_before_running(tmp_path, monkeypatch,
     assert ran == []
     assert "error: unknown report format 'txt'" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+MAX2 = str(DATA / "max2.sl")
+SUITE = str(PKG / "benchmarks" / "compileropts")
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", MAX2, "--timeout", "nan"], ["solve", MAX2, "--timeout", "-1"],
+    ["solve", MAX2, "--timeout", "0"], ["solve", MAX2, "--max-size", "-3"],
+    ["solve", MAX2, "--max-size", "0"], ["bench", SUITE, "--timeout", "inf"],
+    ["bench", SUITE, "--timeout", "nan"], ["bench", SUITE, "--parallel", "0"]])
+def test_numeric_options_out_of_range_are_usage_errors(args, capsys):
+    from syguskit import cli as cli_module
+    with pytest.raises(SystemExit) as exit_:
+        cli_module.main(args)
+    assert exit_.value.code == 2
+    kind = "float" if args[-2] == "--timeout" else "int"
+    assert (f"argument {args[-2]}: invalid positive {kind} value: "
+            f"'{args[-1]}'") in capsys.readouterr().err
+
+
+def test_bench_with_an_infinite_timeout_exits_2_without_a_traceback():
+    r = cli("bench", SUITE, "--timeout", "inf")
+    assert r.returncode == 2
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("wallclock_s", [math.inf, math.nan, 0.0, -1.0])
+def test_run_limits_reject_a_budget_that_is_not_positive_and_finite(
+        wallclock_s):
+    from syguskit.harness import RunLimits
+    with pytest.raises(ValueError, match="wallclock_s"):
+        RunLimits(wallclock_s=wallclock_s)
 
 
 def test_classify_prints_table():

@@ -1,16 +1,22 @@
+from itertools import product
+
 import pytest
 
 from conftest import (SEVEN, div_grammar, let_grammar, load, raw_signature,
                       term, two_width_grammar, typed)
-from syguskit.cegis import (ERR, Deadline, ExampleSet, Exhausted, Solved,
-                            TimedOut, base_constant_pool, induced_bindings,
+from test_scorer import PROBLEMS
+from syguskit.cegis import (ERR, Deadline, ExampleSet, Exhausted, Scorer,
+                            Solved, TimedOut, base_constant_pool,
+                            induced_bindings, make_solution,
                             pool_with_examples, signature,
                             unknown_invocations)
-from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
-                              check_syntactic)
+from syguskit.checker import (CounterExample, ExhaustiveSmall, Valid,
+                              check_semantic, check_syntactic,
+                              default_strategy)
 from syguskit.enumerative import (Bank, BudgetExpired, EnumConfig,
                                   solve_enumerative)
 from syguskit.frontend import read_problem
+from syguskit.grammar import compositions
 from syguskit.terms import BV, INT, Apply, FunDef, FunSort, Lit, Var
 
 EX8 = ExhaustiveSmall()
@@ -351,3 +357,114 @@ def test_nested_invocation_takes_the_naive_path():
     assert out.total_size == 3
     assert out.solution.funcs["f"].body == term("(+ x 1)", {"x": INT})
     assert check_semantic(p, out.solution, EX8) == Valid(False)
+
+
+def test_a_problem_without_unknowns_is_solved_by_no_definitions():
+    p = read_problem("""(set-logic LIA)
+    (declare-var x Int)
+    (constraint (= x x))
+    (check-synth)""")
+    out = solve_enumerative(p, EnumConfig(max_size=3, budget_s=60))
+    assert isinstance(out, Solved)
+    assert out.sizes == {} and out.solution.funcs == {}
+
+
+def reference_calls(p, max_size):
+    """The bodies the verifier is asked about when every combination of
+    the banks' kept pairs is scored whole, in product's order."""
+    names, calls, E = list(p.unknowns), [], ExampleSet()
+    mins = [u.grammar.min_sizes()[u.grammar.start]
+            for u in p.unknowns.values()]
+
+    def one_round():
+        """True once a new counterexample joined E."""
+        pool = pool_with_examples(base_constant_pool(p), E)
+        scorer = Scorer(p, E)
+        banks = [Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
+                      not scorer.naive, p.defined_funs) for n in names]
+        for total in range(sum(mins), max_size + 1):
+            for bank, m in zip(banks, mins):
+                bank.build_to(total - (sum(mins) - m))
+            for split in compositions(total, mins):
+                pieces = [b.terms[b.g.start].get(s, [])
+                          for b, s in zip(banks, split)]
+                for combo in product(*pieces):
+                    bodies = {n: t for n, (t, _) in zip(names, combo)}
+                    sigs = {n: s for n, (_, s) in zip(names, combo)}
+                    if next(scorer.wrong(bodies, sigs), None) is not None:
+                        continue
+                    calls.append(bodies)
+                    verdict = check_semantic(p, make_solution(p, bodies),
+                                             default_strategy(p))
+                    if isinstance(verdict, Valid):
+                        return False
+                    if isinstance(verdict, CounterExample) \
+                            and E.add(verdict.valuation):
+                        return True
+        return False
+
+    while one_round():
+        pass
+    return calls
+
+
+@pytest.mark.parametrize("name", ["s8", "unreached", "three"])
+def test_staged_walk_asks_the_verifier_what_a_whole_product_asks(
+        name, monkeypatch):
+    import syguskit.enumerative as en
+    calls = []
+    real = en.check_semantic
+
+    def spy(p, sol, strat):
+        calls.append({n: f.body for n, f in sol.funcs.items()})
+        return real(p, sol, strat)
+
+    p = PROBLEMS[name]()
+    monkeypatch.setattr(en, "check_semantic", spy)
+    out = solve_enumerative(p, EnumConfig(max_size=9, budget_s=60))
+    assert isinstance(out, Solved)
+    assert calls == reference_calls(p, 9)
+
+
+def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(
+        monkeypatch):
+    # each of g's 160 bodies is false, so once an example is known the
+    # stage of depth 1 rejects each of them under each of f's 11: 1,771
+    # pieces visited at the first size, and no combination left to count
+    p = read_problem(f"""(set-logic LIA)
+    (synth-fun f ((x Int)) Int ((F Int (x {' '.join(map(str, range(10)))}))))
+    (synth-fun g ((x Int)) Bool
+      ((B Bool ((< N M))) (N Int ({' '.join(map(str, range(10, 26)))}))
+       (M Int ({' '.join(map(str, range(10)))}))))
+    (declare-var x Int)
+    (constraint (g x))
+    (check-synth)""")
+    import syguskit.enumerative as en
+    rejected, after = [], []
+
+    class Expires(Deadline):
+        """Expires at the first rejection."""
+
+        def expired(self):
+            return bool(rejected)
+
+    def stages(scorer, names):
+        def spied(stage):
+            def run(sigs):
+                if rejected:
+                    after.append(sigs)
+                ok = stage(sigs)
+                if not ok:
+                    rejected.append(sigs)
+                return ok
+            return run
+        return [None if s is None else spied(s)
+                for s in real_stages(scorer, names)]
+
+    real_stages = Scorer.stages
+    monkeypatch.setattr(en, "Deadline", Expires)
+    monkeypatch.setattr(Scorer, "stages", stages)
+    out = solve_enumerative(p, EnumConfig(max_size=12, budget_s=60,
+                                          prune=False))
+    assert out == TimedOut(60)
+    assert rejected and len(after) < 256

@@ -1,6 +1,7 @@
 """The one candidate scorer both solvers use, against whole-constraint
 evaluation: a candidate gets an example wrong iff checker.falsified holds
-for some constraint with the bodies substituted."""
+for some constraint with the bodies substituted, and a prefix that one of
+its stages rejects is wrong under every completion."""
 
 import random
 
@@ -62,11 +63,40 @@ DIV = """(set-logic LIA)
 (constraint (or (< x y) (= (f x) (f y))))
 (check-synth)"""
 
+# h's counterexamples bring y = 0 into the examples, where (div x y) errs
+# but c1, the only constraint that invokes f, never reaches it
+UNREACHED = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int ((S Int (x y (div x S)))))
+(synth-fun h ((x Int) (y Int)) Int
+  ((H Int (x y 0 1 (ite B H H))) (B Bool ((= H H)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (=> (not (= y 0)) (= (f x y) (div x y))))
+(constraint (= (h x y) (ite (= y 0) 1 x)))
+(check-synth)"""
+
+# three unknowns bound one at a time: c1 invokes f alone, c2 f and g, c3 g
+# alone, c4 g and h; f's bodies can divide by zero, and h's argument raises
+# at y = 0, where c4 reaches it, so that h must not read it there
+THREE = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int ((S Int (x y 0 1 (+ S S) (div S S)))))
+(synth-fun g ((x Int)) Int ((G Int (x 1 (- G G)))))
+(synth-fun h ((a Int)) Int ((H Int (a 0 1 (+ H H) (- H H)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (=> (> y 0) (> (f x y) y)))
+(constraint (= (+ (f x y) (g x)) (+ x y)))
+(constraint (= (g (+ x 1)) x))
+(constraint (or (< y 0) (>= (h (div x y)) (g 1))))
+(check-synth)"""
+
 PROBLEMS = {"max2": lambda: load("max2.sl"), "s8": lambda: load("s8.sl"),
             "nested": lambda: read_problem(NESTED),
             "guarded": lambda: read_problem(GUARDED),
             "guarded_arg": lambda: read_problem(GUARDED_ARG),
-            "div": lambda: read_problem(DIV)}
+            "div": lambda: read_problem(DIV),
+            "unreached": lambda: read_problem(UNREACHED),
+            "three": lambda: read_problem(THREE)}
 
 
 def whole_wrong(p, bodies, E):
@@ -75,28 +105,59 @@ def whole_wrong(p, bodies, E):
             if any(falsified(c, point, p.defined_funs) for c in constraints)]
 
 
+def examples(p, values):
+    """The universals' valuations, values taken in turn."""
+    names = list(p.universals)
+    return ExampleSet(dict(zip(names, values[i:i + len(names)]))
+                      for i in range(0, len(values) - len(names) + 1,
+                                     len(names)))
+
+
+def draw(p, unknown, size, rng):
+    """A body of the unknown of at most size nodes."""
+    g = p.unknowns[unknown].grammar
+    e = Enumerator(g, base_constant_pool(p))
+    while not e.count(g.start, size):
+        size -= 1
+    return e.sample(g.start, size, rng).term
+
+
 @pytest.mark.parametrize("name", list(PROBLEMS))
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32), size=st.integers(1, 7),
        values=st.lists(st.integers(-3, 3), min_size=3, max_size=24))
 def test_scorer_matches_whole_constraint_evaluation(name, seed, size, values):
     p = PROBLEMS[name]()
-    names = list(p.universals)
-    E = ExampleSet(dict(zip(names, values[i:i + len(names)]))
-                   for i in range(0, len(values) - len(names) + 1,
-                                  len(names)))
+    E = examples(p, values)
     rng = random.Random(seed)
-    bodies = {}
-    for n, u in p.unknowns.items():
-        g, s = u.grammar, size
-        e = Enumerator(g, base_constant_pool(p))
-        while not e.count(g.start, s):
-            s -= 1
-        bodies[n] = e.sample(g.start, s, rng).term
+    bodies = {n: draw(p, n, size, rng) for n in p.unknowns}
     scorer = Scorer(p, E)
     expected = whole_wrong(p, bodies, E)
     assert list(scorer.wrong(bodies)) == expected
     assert count_wrong(scorer, bodies) == len(expected)
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(1, 7),
+       values=st.lists(st.integers(-3, 3), min_size=3, max_size=24))
+def test_a_stage_rejects_only_prefixes_every_completion_gets_wrong(
+        name, seed, size, values):
+    p = PROBLEMS[name]()
+    E = examples(p, values)
+    scorer = Scorer(p, E)
+    names = list(p.unknowns)
+    rng = random.Random(seed)
+    for d, stage in enumerate(scorer.stages(names)):
+        if stage is None:
+            continue
+        prefix = {n: draw(p, n, size, rng) for n in names[:d + 1]}
+        if stage([scorer.sig[n](prefix[n]) for n in names[:d + 1]]):
+            continue
+        for _ in range(3):
+            bodies = {**prefix, **{n: draw(p, n, rng.randint(1, 7), rng)
+                                   for n in names[d + 1:]}}
+            assert whole_wrong(p, bodies, E), (d, bodies)
 
 
 def test_error_under_a_false_premise_does_not_count():
@@ -112,17 +173,7 @@ def test_error_under_a_false_premise_does_not_count():
 
 
 def test_enum_accepts_an_error_its_verifier_never_reaches():
-    # h's counterexamples bring y = 0 into the examples, where (div x y)
-    # errs but c1, the only constraint that invokes f, never reaches it
-    p = read_problem("""(set-logic LIA)
-    (synth-fun f ((x Int) (y Int)) Int ((S Int (x y (div x S)))))
-    (synth-fun h ((x Int) (y Int)) Int
-      ((H Int (x y 0 1 (ite B H H))) (B Bool ((= H H)))))
-    (declare-var x Int)
-    (declare-var y Int)
-    (constraint (=> (not (= y 0)) (= (f x y) (div x y))))
-    (constraint (= (h x y) (ite (= y 0) 1 x)))
-    (check-synth)""")
+    p = read_problem(UNREACHED)
     out = solve_enumerative(p, EnumConfig(max_size=9, budget_s=60))
     assert isinstance(out, Solved)
     ctx = {"x": INT, "y": INT}
