@@ -8,6 +8,7 @@ Usage: python scripts/run_suite_demo.py [--timeout 60] [--parallel 4]
 import argparse
 from pathlib import Path
 
+from syguskit.cli import _positive
 from syguskit.harness import RunLimits, render_report, run_suite
 
 ROOT = Path(__file__).parent.parent
@@ -17,8 +18,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--suite", default=str(ROOT / "benchmarks"))
     ap.add_argument("--solvers", default="enum,stoch")
-    ap.add_argument("--timeout", type=float, default=60.0)
-    ap.add_argument("--parallel", type=int, default=4)
+    ap.add_argument("--timeout", type=_positive(float), default=60.0)
+    ap.add_argument("--parallel", type=_positive(int), default=4)
     ap.add_argument("--out", default=str(ROOT / "out"))
     args = ap.parse_args()
 

@@ -19,7 +19,6 @@ decide is scored on the verifier's own compiled constraints
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -30,7 +29,7 @@ from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
 from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort, Term,
                     UndeclaredSymbol, Value, Var, compile_term, evaluate,
-                    infer_sort, raw_value, subterms, value_sort)
+                    infer_sort, op_value, raw_value, subterms, value_sort)
 
 
 @dataclass
@@ -232,7 +231,8 @@ class Pointwise:
                           for c, a, b in zip(*sigs)])
         if op in ("and", "or", "=>"):
             return tuple([_connective(op, xs) for xs in zip(*sigs)])
-        value = self._values.get((op, width)) or self._value(op, width)
+        value = (self._values.get((op, width))
+                 or op_value(op, width, self.defs, self._values))
         for s in sigs:
             if ERR in s:
                 break
@@ -261,22 +261,6 @@ class Pointwise:
         if spec is None or spec.operand != "bv" or not self.bindings:
             return None
         return infer_sort(t.args[0], self.sorts, nts, self.funs).width
-
-    def _value(self, op: str, width: int | None) -> Callable[..., Value]:
-        """op's value at raw values: an OPS entry, with the width bound for
-        a bit-vector operator, or a defined function's compiled body."""
-        spec = OPS.get(op)
-        if spec is not None:
-            value = (functools.partial(spec.value, width)
-                     if spec.operand == "bv" else spec.value)
-        elif op in self.defs:
-            body = compile_term(self.defs[op].body, self.defs[op].params,
-                                self.defs)
-            value = lambda *xs: body(xs)  # noqa: E731
-        else:
-            raise UndeclaredSymbol(op)
-        self._values[(op, width)] = value
-        return value
 
 
 def _connective(op: str, xs: tuple):

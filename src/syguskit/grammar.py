@@ -12,8 +12,8 @@ false and true.
 is aliased to the candidate's bound variable for the scope of the body.
 
 Unit productions (a bare nonterminal on the right-hand side) are resolved
-through a precomputed closure, so unit cycles terminate and each reachable
-production contributes exactly once to counts and enumeration.
+by one walk, Grammar.closed_productions, so unit cycles terminate and each
+reachable production contributes exactly once to counts and enumeration.
 
 Every walk by term size (counting, enumeration and sampling) shares a size
 among a template's children through one split plan: Grammar.split_plan(tpl,
@@ -24,11 +24,12 @@ lexicographic order. Plans depend on the grammar alone and are memoized on
 it; walk_splits expands a plan slot by slot. enumerative.Bank walks the same
 plans over (term, signature) pairs, keeping one per signature.
 
-Sampling is the stochastic solver's inner loop, so an Enumerator keeps
-sample()'s tables once built: per (nonterminal, size, divisor flag) the
-productions with a derivation, their counts and own nodes, per hole sort its
-pool, and per (template, size) a tree of its slots' size choices and
-weights. They change no draw: every rng call is the one the plain
+Sampling is the stochastic solver's inner loop, so an Enumerator keeps its
+tables once built, one table per key: per (nonterminal, size, divisor flag)
+the productions with a derivation, their counts and own nodes, per hole sort
+its pool, and per (template, size) its derivation count, slots, path steps
+and a tree of its slots' size choices and weights, which count() and
+sample() both read. They change no draw: every rng call is the one the plain
 recurrences make. sample() gives a Derivation, the term and a flat
 pre-order tuple of its nonterminal instances with their paths from the
 root, so a move replaces an instance by splicing that tuple.
@@ -65,8 +66,6 @@ class Grammar:
     var_sorts: dict[str, Sort] = field(default_factory=dict)
     _min_sizes: dict[str, float] | None = field(
         default=None, compare=False, repr=False)
-    _closures: dict[str, tuple[str, ...]] | None = field(
-        default=None, compare=False, repr=False)
     _plans: dict[tuple[int, int], tuple] = field(
         default_factory=dict, compare=False, repr=False)
     _closed: dict[str, tuple[Template, ...]] = field(
@@ -102,32 +101,20 @@ class Grammar:
             self._min_sizes = sizes
         return self._min_sizes
 
-    def unit_closure(self, nt: str) -> tuple[str, ...]:
-        """nt plus every nonterminal reachable through unit productions, BFS order."""
-        if self._closures is None:
-            self._closures = {}
-        hit = self._closures.get(nt)
-        if hit is None:
-            self.rule(nt)
-            order = [nt]
-            seen = {nt}
-            i = 0
-            while i < len(order):
-                for p in self.rule(order[i]).productions:
-                    if isinstance(p, TNT) and p.nt not in seen:
-                        seen.add(p.nt)
-                        order.append(p.nt)
-                i += 1
-            hit = self._closures[nt] = tuple(order)
-        return hit
-
     def closed_productions(self, nt: str) -> tuple[Template, ...]:
-        """Non-unit productions of nt's unit closure, in deterministic order."""
+        """The non-unit productions of nt and of every nonterminal reachable
+        from it through unit productions, each nonterminal's in turn in BFS
+        order from nt, so unit cycles terminate."""
         hit = self._closed.get(nt)
         if hit is None:
-            hit = self._closed[nt] = tuple(
-                p for m in self.unit_closure(nt)
-                for p in self.rule(m).productions if not isinstance(p, TNT))
+            order, out = [nt], []
+            for m in order:  # grows as the walk finds nonterminals
+                for p in self.rule(m).productions:
+                    if not isinstance(p, TNT):
+                        out.append(p)
+                    elif p.nt not in order:
+                        order.append(p.nt)
+            hit = self._closed[nt] = tuple(out)
         return hit
 
     def split_plan(self, tpl: Apply | Let, size: int) -> tuple:
@@ -312,7 +299,8 @@ class Enumerator:
     and is meant for small sizes; count() and sample() use raw derivation
     counts and stay cheap at any size. All three follow the grammar's split
     plans: a template's count sums, over its splits, the product of its
-    slots' counts, and sample() draws a split slot by slot by those counts.
+    slots' counts, and sample() draws a split slot by slot by those counts,
+    both read from _sampler's one table per (template, size).
     """
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
@@ -322,7 +310,6 @@ class Enumerator:
                                                        for v in pool))
         self._terms: dict[tuple[str, int, bool], tuple[Term, ...]] = {}
         self._menus: dict[tuple[str, int, bool], tuple[int, tuple]] = {}
-        self._weights: dict[tuple[int, int], tuple[int, list]] = {}
         self._pools: dict[tuple[Sort, bool], tuple[Value, ...]] = {}
         self._samplers: dict[tuple[int, int], tuple] = {}
 
@@ -367,28 +354,7 @@ class Enumerator:
             return len(self._hole_pool(tpl.sort, no_zero)) if size == 1 else 0
         if isinstance(tpl, TNT):
             return self.count(tpl.nt, size, no_zero)
-        return self._split_weights(tpl, size)[0]
-
-    def _split_weights(self, tpl: Apply | Let, size: int) -> tuple[int, list]:
-        """(derivations, rows) of an application or let template: one row
-        (split, suffix) per split with a derivation, where suffix[i] counts
-        the derivations of slots i.. at that split's sizes."""
-        key = (id(tpl), size)
-        hit = self._weights.get(key)
-        if hit is None:
-            slots, splits = self.g.split_plan(tpl, size)
-            rows = []
-            for split in splits:
-                suffix = [1]
-                for (c, nz), s in zip(reversed(slots), reversed(split)):
-                    n = self._count_tpl(c, s, nz)
-                    if not n:
-                        break
-                    suffix.append(n * suffix[-1])
-                else:
-                    rows.append((split, suffix[::-1]))
-            hit = self._weights[key] = (sum(r[1][0] for r in rows), rows)
-        return hit
+        return self._sampler(tpl, size)[0]
 
     # -- enumeration -------------------------------------------------------
 
@@ -451,28 +417,39 @@ class Enumerator:
             return Lit(vals[rng.randrange(len(vals))])
         if isinstance(tpl, TNT):
             return self._draw(tpl.nt, size, no_zero, rng, path, entries)
-        slots, steps, tree = self._sampler(tpl, size)
+        _, slots, steps, tree = self._sampler(tpl, size)
         return assemble(tpl, [
             self._sample_tpl(c, s, nz, rng, path + (step,), entries)
             for (c, nz), s, step in zip(slots, self._draw_sizes(tree, rng),
                                         steps)])
 
     def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
-        """(slots, path steps, size tree) of an application or let template
-        at size. The size tree holds, for the first slot, its sizes with a
-        derivation, their weights and the tree of the later slots under each
-        size: a slot's size s is weighted by the derivations of that slot at
-        s times those of the later slots in the remaining budget."""
+        """(derivations, slots, path steps, size tree) of an application or
+        let template at size, the one table per (template, size) that both
+        count() and sample() read. The size tree holds, for the first slot,
+        its sizes with a derivation, their weights and the tree of the later
+        slots under each size: a slot's size s is weighted by the derivations
+        of that slot at s times those of the later slots in the remaining
+        budget."""
         key = (id(tpl), size)
         hit = self._samplers.get(key)
         if hit is None:
-            slots, _ = self.g.split_plan(tpl, size)
+            slots, splits = self.g.split_plan(tpl, size)
+            rows = []  # (split, suffix): suffix[i] counts slots i.. at split
+            for split in splits:
+                suffix = [1]
+                for (c, nz), s in zip(reversed(slots), reversed(split)):
+                    n = self._count_tpl(c, s, nz)
+                    if not n:
+                        break
+                    suffix.append(n * suffix[-1])
+                else:
+                    rows.append((split, suffix[::-1]))
             steps = (tuple(range(len(slots))) if isinstance(tpl, Apply)
                      else tuple([("d", i) for i in range(len(tpl.bindings))]
                                 + [("b",)]))
-            rows = self._split_weights(tpl, size)[1]
-            hit = self._samplers[key] = (slots, steps,
-                                         _size_tree(rows, 0, len(slots)))
+            hit = self._samplers[key] = (sum(r[1][0] for r in rows), slots,
+                                         steps, _size_tree(rows, 0, len(slots)))
         return hit
 
     @staticmethod
@@ -491,8 +468,8 @@ class Enumerator:
 
 def _size_tree(rows: list, i: int, n: int) -> tuple | None:
     """Slot i's sizes with a derivation, their weights (the suffix counts of
-    the split_weights rows summed per size) and, per size, the tree of the
-    later slots over the rows with that size; None past the last slot."""
+    _sampler's rows summed per size) and, per size, the tree of the later
+    slots over the rows with that size; None past the last slot."""
     if i == n:
         return None
     weights: dict[int, int] = {}

@@ -96,7 +96,8 @@ class RunRecord:
 
 def _category_of(path: Path, root: Path | None) -> str:
     if root is not None:
-        rel = path.resolve().relative_to(root.resolve())
+        # the path as found under root: a symlink may point anywhere
+        rel = path.absolute().relative_to(root.absolute())
         if len(rel.parts) > 1:
             return rel.parts[0]
         return "(root)"
@@ -105,11 +106,9 @@ def _category_of(path: Path, root: Path | None) -> str:
 
 def run_benchmark(path, solver_id: str, limits: RunLimits,
                   check: CheckStrategy | None = None,
-                  category: str | None = None,
                   suite_root: Path | None = None) -> RunRecord:
     path = Path(path)
-    if category is None:
-        category = _category_of(path, suite_root)
+    category = _category_of(path, suite_root)
     try:
         problem = load_problem(path)
     except (SygusError, OSError) as e:
@@ -123,21 +122,19 @@ def run_benchmark(path, solver_id: str, limits: RunLimits,
         t0 = time.monotonic()
         try:
             box.append(solver(problem, limits.wallclock_s))
-        except Exception as e:  # solver bug: recorded, not raised
+        except BaseException as e:  # solver bug or exit: recorded
             box.append(e)
         box.append(time.monotonic() - t0)
 
     thread = threading.Thread(target=work, daemon=True)
-    t0 = time.monotonic()
     thread.start()
     thread.join(limits.wallclock_s + limits.grace_s)
-    if thread.is_alive() or not box:
+    if thread.is_alive():
         return RunRecord(str(path), category, solver_id,
                          TimedOut(limits.wallclock_s), None, None,
                          limits.wallclock_s, None)
-    result = box[0]
-    measured = box[1] if len(box) > 1 else time.monotonic() - t0
-    if isinstance(result, Exception):
+    result, measured = box
+    if isinstance(result, BaseException):
         return RunRecord(str(path), category, solver_id, None, None, None,
                          measured, None, error=f"solver error: {result}")
 

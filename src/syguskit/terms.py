@@ -17,8 +17,8 @@ the unknowns).
 greatest arity, its operand and result sorts and its value function, which
 takes a bit-vector as the width and a masked unsigned int. `apply_sort`
 types an application from it (for `infer_sort` and the frontend);
-`evaluate`, the pointwise signatures and `compile_term` compute values with
-it, and only the lazy ite/and/or/=> are evaluated in place.
+`evaluate` and `op_value` (for the pointwise signatures and `compile_term`)
+compute values with it; only the lazy ite/and/or/=> are evaluated in place.
 
 `evaluate` is the reference tree walk over BV values. `compile_term` turns a
 term once into a closure over a tuple of raw values (a bit-vector as its
@@ -506,6 +506,26 @@ _JOIN = {
 }
 
 
+def op_value(op: str, width: int | None, defs: Mapping[str, FunDef],
+             cache: dict) -> Callable[..., Value]:
+    """op's value at raw values, kept in cache by (op, width): an OPS entry,
+    with width bound for a bit-vector operator, or a defined function's
+    body, compiled once and called positionally."""
+    value = cache.get((op, width))
+    if value is None:
+        spec = OPS.get(op)
+        if spec is not None:
+            value = (functools.partial(spec.value, width)
+                     if spec.operand == "bv" else spec.value)
+        elif op in defs:
+            body = compile_term(defs[op].body, defs[op].params, defs)
+            value = lambda *xs: body(xs)  # noqa: E731
+        else:
+            raise UndeclaredSymbol(op)
+        cache[(op, width)] = value
+    return value
+
+
 def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
                  defs: Mapping[str, FunDef] | None = None
                  ) -> Callable[[tuple], bool | int]:
@@ -516,7 +536,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
     ite/and/or/=> stay lazy."""
     defs = defs or {}
     funs = {name: f.fun_sort for name, f in defs.items()}
-    bodies: dict[str, Callable] = {}
+    values: dict = {}
 
     def comp(t: Term, env: list[tuple[str, Sort]]):
         """(closure, sort) of t over tuples laid out as env; a later entry
@@ -546,16 +566,8 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
         join = _JOIN.get(op)
         if join is not None:
             return functools.reduce(lambda b, a: join(a, b), fns[::-1]), sort
-        spec = OPS.get(op)
-        if spec is None:
-            if op not in bodies:
-                bodies[op] = comp(defs[op].body, list(defs[op].params))[0]
-            body = bodies[op]
-            value = lambda *xs: body(xs)  # noqa: E731
-        elif spec.operand == "bv":
-            value = functools.partial(spec.value, pairs[0][1].width)
-        else:
-            value = spec.value
+        value = op_value(op, pairs[0][1].width if pairs else None, defs,
+                         values)
         if len(fns) == 1:
             a, = fns
             return (lambda e: value(a(e))), sort

@@ -16,6 +16,8 @@ PKG = Path(__file__).parent.parent
 def cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("SYGUSKIT_SMT", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG / "src"), *filter(None, [env.get("PYTHONPATH")])])
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "syguskit", *args],
@@ -273,3 +275,16 @@ def test_classify_prints_table():
     assert r.returncode == 0
     assert "s8.sl" in r.stdout
     assert "lia" in r.stdout and "inv" in r.stdout
+
+
+def test_classify_names_a_symlinked_benchmark_by_where_it_is_found(
+        tmp_path):
+    target = tmp_path / "elsewhere.sl"
+    target.write_text((DATA / "max2.sl").read_text())
+    suite = tmp_path / "suite"
+    (suite / "integers").mkdir(parents=True)
+    (suite / "integers" / "max2.sl").symlink_to(target)
+    r = cli("classify", str(suite))
+    assert r.returncode == 0, r.stderr
+    row, = r.stdout.splitlines()[1:]
+    assert row.split()[:2] == ["max2.sl", "integers"]

@@ -243,6 +243,23 @@ def test_duplicate_productions_deduplicated_with_warning(caplog):
     assert any("duplicate production" in r.message for r in caplog.records)
 
 
+def test_unit_cycles_contribute_each_production_once_in_bfs_order():
+    plus = Apply("+", (TNT("A"), TNT("B")))
+    hole = THole(INT)
+    minus = Apply("-", (TNT("C"), TNT("C")))
+    g = make_grammar("A", [("A", INT, [TNT("B"), Var("x"), TNT("C")]),
+                           ("B", INT, [TNT("A"), plus, TNT("C")]),
+                           ("C", INT, [TNT("B"), hole, minus])],
+                     {"x": INT})
+    assert g.closed_productions("A") == (Var("x"), plus, hole, minus)
+    assert g.closed_productions("B") == (plus, Var("x"), hole, minus)
+    assert g.closed_productions("C") == (hole, minus, plus, Var("x"))
+    e = Enumerator(g, [0, 1])
+    assert [e.count("A", s) for s in range(1, 8)] == [
+        3, 0, 18, 0, 216, 0, 3240]
+    assert len(e.enumerate("A", 5)) == 216
+
+
 # ---------------------------------------------------------------------------
 # let productions (matched structurally, never unfolded)
 

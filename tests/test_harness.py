@@ -1,10 +1,11 @@
+import sys
 import time
 
 import pytest
 
 import stub_suite
 from conftest import DATA, NO_LOGIC, deep_problem, fake_solver_script
-from syguskit.cegis import Solved, TimedOut
+from syguskit.cegis import Exhausted, Solved, TimedOut
 from syguskit.checker import ExhaustiveSmall, ExternalSMT, Layered, Valid
 from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
                               aggregate, bucket, classify_suite,
@@ -122,6 +123,32 @@ def test_sleep_forever_stub_times_out_within_two_seconds(tmp_path):
     assert time.monotonic() - t0 < limits.wallclock_s + 2.0
     assert rec.outcome == TimedOut(0.3)
     assert not rec.solved
+
+
+def test_a_solver_that_exits_is_an_error_with_its_measured_time(tmp_path):
+    register_solver("quits", lambda problem, budget_s: sys.exit(3))
+    f = tmp_path / "x.sl"
+    f.write_text(stub_suite._PROBLEM.format(name="f"))
+    rec = run_benchmark(f, "quits", LIMITS)
+    assert rec.outcome is None
+    assert rec.error == "solver error: 3"
+    assert rec.elapsed_s < 5.0  # measured, not the 60 s budget
+    assert not rec.solved
+
+
+def test_a_symlinked_benchmark_takes_the_category_it_is_found_under(
+        tmp_path):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    target = elsewhere / "max2.sl"
+    target.write_text((DATA / "max2.sl").read_text())
+    suite = tmp_path / "suite"
+    (suite / "integers").mkdir(parents=True)
+    (suite / "integers" / "max2.sl").symlink_to(target)
+    register_solver("gives-up", lambda problem, budget_s: Exhausted(1))
+    report = run_suite(suite, ["gives-up"], LIMITS)
+    assert [b.category for b in report.benchmarks] == ["integers"]
+    assert [row[1] for row in classify_suite(suite)] == ["integers"]
 
 
 def test_crashing_solver_recorded(tmp_path):

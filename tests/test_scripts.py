@@ -8,21 +8,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from syguskit.harness import report_from_json
 
 ROOT = Path(__file__).parent.parent
 MAX2 = ROOT / "benchmarks" / "integers" / "max2.sl"
 
 
-def run_script(name, *args, cwd):
+def run_script(name, *args, cwd, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     r = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                        cwd=cwd, env=env, capture_output=True, text=True,
                        timeout=120)
-    assert r.returncode == 0, r.stderr
-    return r.stdout
+    assert r.returncode == returncode, r.stderr
+    return r.stdout if returncode == 0 else r.stderr
 
 
 def test_run_suite_demo_writes_every_report(tmp_path):
@@ -41,6 +43,17 @@ def test_run_suite_demo_writes_every_report(tmp_path):
     for sid in ("enum", "stoch"):
         assert re.search(rf"^{sid}: solved [01], uniquely solved [01]$",
                          stdout, re.M)
+
+
+@pytest.mark.parametrize("args", [("--timeout", "inf"),
+                                  ("--timeout", "0"),
+                                  ("--parallel", "0")])
+def test_run_suite_demo_rejects_an_out_of_range_option(tmp_path, args):
+    stderr = run_script("run_suite_demo.py", "--suite", str(tmp_path),
+                        "--out", str(tmp_path / "out"), *args,
+                        cwd=tmp_path, returncode=2)
+    assert "invalid positive" in stderr and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_study_reports_each_seed(tmp_path):
