@@ -1,5 +1,5 @@
-"""Shared CEGIS machinery: outcomes, example sets, constant pools, and the
-one candidate scorer.
+"""The one CEGIS loop (cegis) that verifies what a solver's proposer yields;
+its outcomes, example sets and constant pools; and the one candidate scorer.
 
 Counterexamples are valuations of the problem's universal variables. For
 every example and every syntactically distinct invocation of an unknown, the
@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
-from .checker import _violated_index, compiled_constraints
+from . import checker
+from .checker import (CounterExample, Valid, _violated_index,
+                      compiled_constraints, default_strategy)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
@@ -36,11 +38,10 @@ from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort, Term,
 class Solved:
     solution: CandidateSolution
     elapsed_s: float
-    sizes: dict[str, int]
 
     @property
     def total_size(self) -> int:
-        return sum(self.sizes.values())
+        return self.solution.total_size()
 
 
 @dataclass
@@ -54,6 +55,10 @@ class TimedOut:
 
 
 SolveOutcome = Solved | Exhausted | TimedOut
+
+
+class BudgetExpired(Exception):
+    """A proposer's deadline passed."""
 
 
 class Deadline:
@@ -105,6 +110,45 @@ ERR = _Err()
 def make_solution(p: SynthProblem, bodies: Mapping[str, Term]) -> CandidateSolution:
     return CandidateSolution({n: FunDef(n, u.params, u.ret, bodies[n])
                               for n, u in p.unknowns.items()})
+
+
+Proposals = Generator[dict[str, Term], "tuple[Scorer, tuple] | None", None]
+
+
+def cegis(p: SynthProblem, cfg, propose: Callable[..., Proposals],
+          limit: int) -> SolveOutcome:
+    """Verify the bodies (one per unknown) that propose(p, cfg, deadline,
+    scorer, pool) yields, found wrong on no example by its scorer, until one
+    is Valid; a yield returns the new (scorer, pool) once a counterexample
+    joins the examples, else None. A body is verified once per example set,
+    and not past cfg.budget_s, by cfg.verifier or default_strategy(p).
+    Exhausted(limit) when propose returns, TimedOut on BudgetExpired."""
+    deadline = Deadline(cfg.budget_s)
+    verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
+    E, base = ExampleSet(), base_constant_pool(p)
+    proposals = propose(p, cfg, deadline, Scorer(p, E), base)
+    checked: set[tuple[Term, ...]] = set()
+    reply = None
+    while True:
+        try:
+            bodies = proposals.send(reply)
+        except StopIteration:
+            return Exhausted(limit)
+        except BudgetExpired:
+            return TimedOut(cfg.budget_s)
+        reply, key = None, tuple(bodies.values())
+        if key in checked:
+            continue
+        checked.add(key)
+        if deadline.expired():
+            return TimedOut(cfg.budget_s)
+        sol = make_solution(p, bodies)
+        verdict = checker.check_semantic(p, sol, verifier)
+        if isinstance(verdict, Valid):
+            return Solved(sol, deadline.elapsed())
+        if isinstance(verdict, CounterExample) and E.add(verdict.valuation):
+            checked.clear()
+            reply = Scorer(p, E), pool_with_examples(base, E)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Enumerative CEGIS: size-ordered search with observational-equivalence
-pruning against the current counterexample set.
+"""Enumerative CEGIS, a proposer for cegis.cegis: size-ordered search with
+observational-equivalence pruning against the current counterexample set.
 
 A Bank is the grammar's sized walk over one unknown's grammar, carrying
 (term, signature) pairs: a signature is a term's raw output vector over the
@@ -7,16 +7,16 @@ induced parameter bindings (cegis.Pointwise), and an application's is
 composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
 builds no other; nonterminal slots draw from the kept pairs. Candidates are
-tried in nondecreasing total size (joint size over the unknowns,
+proposed in nondecreasing total size (joint size over the unknowns,
 compositions in lexicographic order). A composition is walked one unknown
 at a time, in product's order: once a prefix's unknowns are bound, the
 constraints that invoke only them are checked on their slots
 (Scorer.stages), and a prefix that fails one is skipped with every
-combination below it. The first combination that cegis.Scorer finds wrong
-on no example, given its bank signatures, goes to the verifier, a
+combination below it. Every combination that cegis.Scorer finds wrong on no
+example, given its bank signatures, is yielded to the loop; a new
 counterexample restarts enumeration from size 1 with the refreshed pool and
-scorer, and Valid wins. Unpruned mode keeps every term, which makes the
-returned solution minimal outright.
+scorer. Unpruned mode keeps every term, which makes the returned solution
+minimal outright.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Container, Iterator, Mapping, Sequence
 
-from .cegis import (Deadline, ExampleSet, Exhausted, Pointwise, Scorer,
-                    Solved, SolveOutcome, TimedOut, base_constant_pool,
-                    make_solution, pool_with_examples)
+from .cegis import (BudgetExpired, Deadline, Pointwise, Proposals, Scorer,
+                    SolveOutcome, cegis)
 from .cegis import induced_bindings  # noqa: F401 (perfbench/tracing.py wraps it)
-from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
-                      default_strategy)
+from .checker import CheckStrategy
+from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Enumerator, compositions, walk_splits
@@ -46,10 +45,6 @@ class EnumConfig:
     budget_s: float = 60.0
     verifier: CheckStrategy | None = None
     prune: bool = True
-
-
-class BudgetExpired(Exception):
-    pass
 
 
 class Bank(Enumerator):
@@ -142,60 +137,42 @@ class Bank(Enumerator):
 
 
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
-    deadline = Deadline(cfg.budget_s)
-    verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
+    return cegis(p, cfg, _propose, cfg.max_size)
+
+
+def _propose(p: SynthProblem, cfg: EnumConfig, deadline: Deadline,
+             scorer: Scorer, pool: tuple) -> Proposals:
+    """_candidates' bodies that the scorer finds wrong on no example."""
     names = list(p.unknowns)
-    mins = []
-    for n in names:
-        g = p.unknowns[n].grammar
-        m = g.min_sizes()[g.start]
-        if m == math.inf:
-            return Exhausted(cfg.max_size)
-        mins.append(int(m))
-
-    E = ExampleSet()
-
+    mins = [g.min_sizes()[g.start]
+            for g in (p.unknowns[n].grammar for n in names)]
+    if math.inf in mins:
+        return
     while True:
-        pool = pool_with_examples(base_constant_pool(p), E)
-        scorer = Scorer(p, E)
         # signatures do not decide an example with an unbound invocation
         banks = [Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
                       cfg.prune and not scorer.naive, p.defined_funs)
                  for n in names]
-        try:
-            for split, combo in _candidates(banks, mins, scorer.stages(names),
-                                            cfg.max_size, deadline):
-                bodies = {n: t for n, (t, _) in zip(names, combo)}
-                sigs = {n: s for n, (_, s) in zip(names, combo)}
-                if next(scorer.wrong(bodies, sigs), None) is not None:
-                    continue
-                if deadline.expired():
-                    return TimedOut(cfg.budget_s)
-                sol = make_solution(p, bodies)
-                verdict = check_semantic(p, sol, verifier)
-                if isinstance(verdict, Valid):
-                    return Solved(sol, deadline.elapsed(),
-                                  dict(zip(names, split)))
-                if isinstance(verdict, CounterExample) \
-                        and E.add(verdict.valuation):
-                    break  # not a stale point: restart with it
-            else:
-                return Exhausted(cfg.max_size)
-        except BudgetExpired:
-            return TimedOut(cfg.budget_s)
-        if deadline.expired():
-            return TimedOut(cfg.budget_s)
+        for combo in _candidates(banks, mins, scorer.stages(names),
+                                 cfg.max_size, deadline):
+            bodies = {n: t for n, (t, _) in zip(names, combo)}
+            sigs = {n: s for n, (_, s) in zip(names, combo)}
+            if next(scorer.wrong(bodies, sigs), None) is None:
+                if (reply := (yield bodies)) is not None:
+                    scorer, pool = reply
+                    break  # restart with the new example
+        else:
+            return
 
 
 def _candidates(banks: Sequence[Bank], mins: Sequence[int],
                 stages: Sequence[Callable[[Sequence[tuple]], bool] | None],
-                max_size: int, deadline: Deadline
-                ) -> Iterator[tuple[tuple[int, ...], list]]:
-    """(split, a kept (term, signature) pair per bank) in nondecreasing total
-    size, a total's compositions in order and a composition's pairs in
-    product's order, but for what lies below a prefix whose last pair its
-    depth's stage (Scorer.stages) rejects. The pairs come as one list,
-    refilled. BudgetExpired past the deadline, polled every 256 pairs."""
+                max_size: int, deadline: Deadline) -> Iterator[list]:
+    """A kept (term, signature) pair per bank, in nondecreasing total size,
+    a total's compositions in order and a composition's pairs in product's
+    order, but for what lies below a prefix whose last pair its depth's stage
+    (Scorer.stages) rejects. The pairs come as one list, refilled.
+    BudgetExpired past the deadline, polled every 256 pairs."""
     chosen: list = [None] * len(banks)
     sigs: list = [None] * len(banks)
     visits = count(1)
@@ -223,5 +200,4 @@ def _candidates(banks: Sequence[Bank], mins: Sequence[int],
             pieces = [b.terms[b.g.start].get(s, [])
                       for b, s in zip(banks, split)]
             if all(pieces):
-                for combo in walk(pieces, 0):
-                    yield split, combo
+                yield from walk(pieces, 0)

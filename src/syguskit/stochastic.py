@@ -1,13 +1,14 @@
-"""Stochastic CEGIS: Metropolis-Hastings over fixed-size parse trees.
+"""Stochastic CEGIS, a proposer for cegis.cegis: Metropolis-Hastings over
+fixed-size parse trees.
 
 The walk lives on grammar-derivable terms of the currently scheduled size;
 one move resamples the subtree under a uniformly chosen parse-tree node with
 a uniformly drawn derivable replacement of the same nonterminal and size, so
 the proposal is symmetric and acceptance is min(1, score'/score) with
 score = exp(-beta * wrong), where wrong counts the examples cegis.Scorer
-finds the body wrong on. Candidates that agree with every example are sent
-to the verifier; a counterexample rebuilds the scorer and re-scores the walk
-in place.
+finds the body wrong on. Each current body that agrees with every example
+is yielded to the loop; a new counterexample rebuilds the enumerator over
+the new pool and re-scores the walk in place, keeping its rng and sample.
 
 The walk holds a grammar.Derivation: a move splices the replacement's
 instances over the chosen one and its descendants and rebuilds only the
@@ -29,14 +30,13 @@ import random
 from dataclasses import dataclass
 from itertools import cycle
 
-from .cegis import (Deadline, ExampleSet, Exhausted, Scorer, Solved,
-                    SolveOutcome, TimedOut, base_constant_pool, count_wrong,
-                    make_solution, pool_with_examples)
-from .checker import (CheckStrategy, CounterExample, Valid, check_semantic,
-                      default_strategy)
+from .cegis import (BudgetExpired, Deadline, Proposals, Scorer, SolveOutcome,
+                    cegis, count_wrong)
+from .checker import CheckStrategy
+from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Derivation, Enumerator, term_replace
-from .terms import SygusError, Term, term_size
+from .terms import SygusError, Term
 
 
 # bodies whose wrong counts the walk keeps until the next counterexample,
@@ -79,69 +79,49 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
     if not cfg.size_schedule or \
             list(cfg.size_schedule) != sorted(cfg.size_schedule):
         raise SygusError("size schedule must be a nonempty nondecreasing sweep")
+    return cegis(p, cfg, _walk, cfg.size_schedule[-1])
+
+
+def _walk(p: SynthProblem, cfg: StochConfig, deadline: Deadline,
+          scorer: Scorer, pool: tuple) -> Proposals:
+    """The walk; the sample that starts each size is its move -1."""
     (name, u), = p.unknowns.items()
     g = u.grammar
-    deadline = Deadline(cfg.budget_s)
-    verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
     rng = random.Random(cfg.seed)
-    E = ExampleSet()
-    base_pool = base_constant_pool(p)
-    enumr = Enumerator(g, pool_with_examples(base_pool, E))
+    enumr = Enumerator(g, pool)
     # the pool grows only by examples, and examples come only from samples
     if not any(enumr.count(g.start, s) for s in cfg.size_schedule):
-        return Exhausted(cfg.size_schedule[-1])
-    scorer = Scorer(p, E)
-    checked: set[tuple[Term, int]] = set()
+        return
 
     @functools.lru_cache(maxsize=WRONG_MEMO)
     def wrong_of(body: Term) -> int:
         return count_wrong(scorer, {name: body})
 
-    def verify(body: Term):
-        nonlocal enumr, scorer
-        key = (body, len(E))
-        if key in checked:
-            return None
-        checked.add(key)
-        sol = make_solution(p, {name: body})
-        verdict = check_semantic(p, sol, verifier)
-        if isinstance(verdict, Valid):
-            return Solved(sol, deadline.elapsed(), {name: term_size(body)})
-        if isinstance(verdict, CounterExample) and E.add(verdict.valuation):
-            enumr = Enumerator(g, pool_with_examples(base_pool, E))
-            scorer = Scorer(p, E)
-            wrong_of.cache_clear()
-        return None
-
     for size in cycle(cfg.size_schedule):
-        if deadline.expired():
-            return TimedOut(cfg.budget_s)
         if enumr.count(g.start, size) == 0:
             continue
-        current = enumr.sample(g.start, size, rng)
-        wrong = wrong_of(current.term)
-        if wrong == 0:
-            out = verify(current.term)
-            if out is not None:
-                return out
-            wrong = wrong_of(current.term)
-        for move in range(cfg.moves_per_size):
-            if move % 32 == 0 and deadline.expired():
-                return TimedOut(cfg.budget_s)
-            proposal = mutate(current, enumr, rng)
-            wrong_new = wrong_of(proposal.term)
-            # a proposal no worse is accepted without exp, which overflows
-            # once beta * (wrong - wrong_new) passes about 709
-            prob = (1.0 if wrong_new <= wrong
-                    else math.exp(-cfg.beta * (wrong_new - wrong)))
-            unif = rng.random()
-            accepted = unif < prob  # rng.random() < 1.0 always, so prob=1 accepts
-            if cfg.trace is not None:
-                cfg.trace.append((wrong, wrong_new, prob, unif, accepted))
-            if accepted:
-                current, wrong = proposal, wrong_new
+        for move in range(-1, cfg.moves_per_size):
+            if move % 32 == 31 and deadline.expired():  # from move -1 on
+                raise BudgetExpired
+            if move < 0:
+                current = enumr.sample(g.start, size, rng)
+                wrong = wrong_of(current.term)
+            else:
+                proposal = mutate(current, enumr, rng)
+                wrong_new = wrong_of(proposal.term)
+                # a proposal no worse is accepted without exp, which
+                # overflows once beta * (wrong - wrong_new) passes about 709
+                prob = (1.0 if wrong_new <= wrong
+                        else math.exp(-cfg.beta * (wrong_new - wrong)))
+                unif = rng.random()
+                accepted = unif < prob  # rng.random() < 1.0, so prob=1 accepts
+                if cfg.trace is not None:
+                    cfg.trace.append((wrong, wrong_new, prob, unif, accepted))
+                if accepted:
+                    current, wrong = proposal, wrong_new
             if wrong == 0:
-                out = verify(current.term)
-                if out is not None:
-                    return out
+                if (reply := (yield {name: current.term})) is not None:
+                    scorer, pool = reply
+                    enumr = Enumerator(g, pool)
+                    wrong_of.cache_clear()
                 wrong = wrong_of(current.term)

@@ -288,7 +288,7 @@ def test_joint_enumeration_for_multiple_unknowns():
     s8 = load("s8.sl")
     out = solve_enumerative(s8, EnumConfig(max_size=9, budget_s=60))
     assert isinstance(out, Solved)
-    assert set(out.sizes) == {"f1", "f2", "f3"}
+    assert set(out.solution.sizes()) == {"f1", "f2", "f3"}
     assert out.total_size == 7
     # f2 is forced pointwise; check it on a few points
     from syguskit.terms import evaluate
@@ -307,11 +307,11 @@ def test_pruned_and_unpruned_sizes_agree(max2, qm_loop):
 
 
 def test_verifier_submissions_are_consistent_with_examples(max2, monkeypatch):
-    import syguskit.enumerative as en
+    import syguskit.checker as ck
     from syguskit.cegis import Scorer, count_wrong
     seen_points: list[dict] = []
     submissions = []
-    real = en.check_semantic
+    real = ck.check_semantic
 
     def spy(p, sol, strat):
         verdict = real(p, sol, strat)
@@ -322,22 +322,22 @@ def test_verifier_submissions_are_consistent_with_examples(max2, monkeypatch):
             seen_points.append(verdict.valuation)
         return verdict
 
-    monkeypatch.setattr(en, "check_semantic", spy)
+    monkeypatch.setattr(ck, "check_semantic", spy)
     out = solve_enumerative(max2, EnumConfig(max_size=6, budget_s=30))
     assert isinstance(out, Solved)
     assert submissions and all(w == 0 for w in submissions)
 
 
 def test_first_verified_candidate_is_trivially_smallest(max2, monkeypatch):
-    import syguskit.enumerative as en
+    import syguskit.checker as ck
     sizes = []
-    real = en.check_semantic
+    real = ck.check_semantic
 
     def spy(p, sol, strat):
         sizes.append(sol.total_size())
         return real(p, sol, strat)
 
-    monkeypatch.setattr(en, "check_semantic", spy)
+    monkeypatch.setattr(ck, "check_semantic", spy)
     out = solve_enumerative(max2, EnumConfig(max_size=6, budget_s=30))
     assert isinstance(out, Solved)
     g = max2.unknowns["max2"].grammar
@@ -366,7 +366,7 @@ def test_a_problem_without_unknowns_is_solved_by_no_definitions():
     (check-synth)""")
     out = solve_enumerative(p, EnumConfig(max_size=3, budget_s=60))
     assert isinstance(out, Solved)
-    assert out.sizes == {} and out.solution.funcs == {}
+    assert out.solution.sizes() == {} and out.solution.funcs == {}
 
 
 def reference_calls(p, max_size):
@@ -411,16 +411,16 @@ def reference_calls(p, max_size):
 @pytest.mark.parametrize("name", ["s8", "unreached", "three"])
 def test_staged_walk_asks_the_verifier_what_a_whole_product_asks(
         name, monkeypatch):
-    import syguskit.enumerative as en
+    import syguskit.checker as ck
     calls = []
-    real = en.check_semantic
+    real = ck.check_semantic
 
     def spy(p, sol, strat):
         calls.append({n: f.body for n, f in sol.funcs.items()})
         return real(p, sol, strat)
 
     p = PROBLEMS[name]()
-    monkeypatch.setattr(en, "check_semantic", spy)
+    monkeypatch.setattr(ck, "check_semantic", spy)
     out = solve_enumerative(p, EnumConfig(max_size=9, budget_s=60))
     assert isinstance(out, Solved)
     assert calls == reference_calls(p, 9)
@@ -439,7 +439,7 @@ def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(
     (declare-var x Int)
     (constraint (g x))
     (check-synth)""")
-    import syguskit.enumerative as en
+    import syguskit.cegis as cg
     rejected, after = [], []
 
     class Expires(Deadline):
@@ -462,7 +462,7 @@ def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(
                 for s in real_stages(scorer, names)]
 
     real_stages = Scorer.stages
-    monkeypatch.setattr(en, "Deadline", Expires)
+    monkeypatch.setattr(cg, "Deadline", Expires)
     monkeypatch.setattr(Scorer, "stages", stages)
     out = solve_enumerative(p, EnumConfig(max_size=12, budget_s=60,
                                           prune=False))

@@ -1,7 +1,8 @@
 """The one candidate scorer both solvers use, against whole-constraint
 evaluation: a candidate gets an example wrong iff checker.falsified holds
 for some constraint with the bodies substituted, and a prefix that one of
-its stages rejects is wrong under every completion."""
+its stages rejects is wrong under every completion. Also the one CEGIS loop
+(cegis.cegis) that hands a proposer its scorer, driven by stub proposers."""
 
 import random
 
@@ -11,15 +12,18 @@ from hypothesis import given, settings
 
 from conftest import (SEVEN, div_grammar, let_grammar, load, raw_signature,
                       term, two_width_grammar, typed)
-from syguskit.cegis import (ERR, SIG_MEMO, ExampleSet, Scorer, Signatures,
-                            Solved, base_constant_pool, count_wrong,
+import syguskit.checker
+from syguskit.cegis import (ERR, SIG_MEMO, BudgetExpired, ExampleSet,
+                            Exhausted, Scorer, Signatures, Solved, TimedOut,
+                            base_constant_pool, cegis, count_wrong,
                             make_solution, signature)
-from syguskit.checker import (ExhaustiveSmall, Valid, check_semantic,
-                              falsified, substituted_constraints)
+from syguskit.checker import (CounterExample, ExhaustiveSmall, Valid,
+                              check_semantic, falsified,
+                              substituted_constraints)
 from syguskit.enumerative import EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
 from syguskit.grammar import Enumerator
-from syguskit.terms import BOOL, BV, INT
+from syguskit.terms import BOOL, BV, INT, Var
 
 NESTED = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
@@ -299,3 +303,49 @@ def test_cached_scores_match_uncached_past_the_memo_bound(name):
             largest = max(largest, size)
     # the naive path has no bindings, so only its terms' empty signatures
     assert largest == SIG_MEMO or scorer.naive
+
+
+def test_cegis_loop_with_stub_proposers(max2, monkeypatch):
+    """The loop's outcomes, its once-per-example-set rule and its replies,
+    with a scripted verifier in place of checker.check_semantic."""
+    x, y = Var("x"), Var("y")
+    point = {"x": 5, "y": 7}  # x is wrong here; y is accepted
+    asked = []
+
+    def verifier(p, sol, strat):
+        body = sol.funcs["max2"].body
+        asked.append(body)
+        return CounterExample(point, 0) if body == x else Valid(False)
+
+    monkeypatch.setattr(syguskit.checker, "check_semantic", verifier)
+    cfg = EnumConfig(budget_s=60)
+
+    def returns(p, cfg, deadline, scorer, pool):
+        return
+        yield
+
+    def expires(p, cfg, deadline, scorer, pool):
+        raise BudgetExpired
+        yield
+
+    assert cegis(max2, cfg, returns, 9) == Exhausted(9)
+    assert cegis(max2, cfg, expires, 9) == TimedOut(60)
+    assert asked == []
+
+    replies = []
+
+    def proposer(p, cfg, deadline, scorer, pool):
+        assert count_wrong(scorer, {"max2": x}) == 0  # no example yet
+        replies.append((yield {"max2": x}))  # a new counterexample
+        replies.append((yield {"max2": x}))  # new examples: verified, stale
+        replies.append((yield {"max2": x}))  # same examples: not verified
+        yield {"max2": y}
+
+    out = cegis(max2, cfg, proposer, 9)
+    assert isinstance(out, Solved) and out.solution.funcs["max2"].body == y
+    assert asked == [x, x, y]
+    (scorer, pool), stale, again = replies
+    assert scorer.bindings["max2"] == [point]
+    assert count_wrong(scorer, {"max2": x}) == 1
+    assert {5, 7} <= set(pool)
+    assert stale is None and again is None

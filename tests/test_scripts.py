@@ -63,3 +63,26 @@ def test_seed_study_reports_each_seed(tmp_path):
     assert re.search(r"^seed   1: ", stdout, re.M)
     assert re.search(r"^[012]/2 seeds solved$", stdout, re.M)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [("--beta", "0"), ("--seeds", "-1"),
+                                  ("--seeds", "0"), ("--budget", "0"),
+                                  ("--budget", "inf")])
+def test_seed_study_rejects_an_out_of_range_option(tmp_path, args):
+    stderr = run_script("seed_study.py", str(MAX2), *args, cwd=tmp_path,
+                        returncode=2)
+    assert "invalid positive" in stderr and "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, message", [
+    ("missing.sl", "No such file"),
+    ("unbalanced.sl", "unmatched"),
+    ("s8.sl", "single unknown")])
+def test_seed_study_reports_a_bad_input_as_an_error(tmp_path, name, message):
+    (tmp_path / "unbalanced.sl").write_text("(set-logic LIA)\n(synth-fun f")
+    shutil.copy(ROOT / "benchmarks" / "integers" / "s8.sl", tmp_path)
+    stderr = run_script("seed_study.py", str(tmp_path / name), cwd=tmp_path,
+                        returncode=2)
+    assert stderr.startswith("error: ") and message in stderr
+    assert "Traceback" not in stderr

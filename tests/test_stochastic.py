@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import load
+from conftest import load, term
 from syguskit.cegis import (ExampleSet, Exhausted, Scorer, Solved, TimedOut,
                             count_wrong)
 from syguskit.checker import ExhaustiveSmall, Valid, check_semantic
@@ -161,6 +161,34 @@ def test_solves_max2_semantically(max2):
         for y in range(-8, 9):
             assert evaluate(body, {"x": x, "y": y}) == max(x, y)
     assert check_semantic(max2, out.solution, ExhaustiveSmall()) == Valid(False)
+
+
+# The bodies the verifier is asked about on max2 with seed 1, in order: five
+# get counterexamples, and the sixth is Valid.
+MAX2_SEED1_ASKED = ("(+ -1 -1)", "(+ y 0)", "(* x 1)", "(+ (mod y -8) x)",
+                    "(+ y (- x -8))", "(ite (xor (>= y x) (not true)) y x)")
+
+
+def test_verifier_transcript_on_max2_seed_1(max2, monkeypatch):
+    import syguskit.checker as ck
+    import syguskit.stochastic as sto
+    asked = []
+    real = ck.check_semantic
+
+    def spy(p, sol, strat):
+        verdict = real(p, sol, strat)
+        asked.append((sol.funcs["max2"].body, type(verdict).__name__))
+        return verdict
+
+    # both names the solver may call the verifier by
+    monkeypatch.setattr(ck, "check_semantic", spy)
+    monkeypatch.setattr(sto, "check_semantic", spy)
+    out = solve_stochastic(max2, StochConfig(seed=1, budget_s=60))
+    assert isinstance(out, Solved)
+    xy = {"x": INT, "y": INT}
+    assert asked == [(term(t, xy), kind) for t, kind in zip(
+        MAX2_SEED1_ASKED, ["CounterExample"] * 5 + ["Valid"])]
+    assert out.solution.funcs["max2"].body == asked[-1][0]
 
 
 def test_solves_bv_problem(lsz8_fixed):

@@ -1,8 +1,10 @@
 """perfbench's tracer wraps syguskit's functions by module attribute name, so
 a rename under src/ breaks `perfbench/run.py --trace 1` before it runs a
-pass. This installs the tracer on a fresh import, checks the bank-size
-counter against a Bank built under it and the point counter against a grid
-check, and takes the tracer off again."""
+pass, and a call that bypasses a wrapped name goes uncounted. This installs
+the tracer on a fresh import, checks the bank-size counter against a Bank
+built under it, the point counter against a grid check, and the verifier
+and counterexample counts against an enum and a stochastic solve of max2,
+and takes the tracer off again."""
 
 import subprocess
 import sys
@@ -40,6 +42,17 @@ v = sk.checker.check_semantic(p, s, sk.checker.ExhaustiveSmall())
 points = sum(row[0] for (name, _), row in tracer.totals()[0].items()
              if name == "checker._violated_index")
 assert type(v).__name__ == "Valid" and points == 289, (v, points)
+# the solvers' verifier calls, seen inside their solves: 5 for enum and 6
+# for the stochastic solver, 4 + 5 of them ending in a new counterexample
+enum = sk.harness.SOLVERS["enum"](p, 30)
+stoch = sk.stochastic.solve_stochastic(
+    p, sk.stochastic.StochConfig(seed=1, budget_s=30))
+assert type(enum).__name__ == type(stoch).__name__ == "Solved"
+agg, counters = tracer.totals()
+verified = sum(row[0] for (name, ctx), row in agg.items()
+               if name == "checker.check_semantic" and ctx in tracing.SOLVES)
+assert verified == 11, verified
+assert counters.get("cegis.counterexamples") == 9, counters
 tracer.uninstall()
 assert all(getattr(m, a) is f for (m, a), f in zip(names, before))
 print("ok")
