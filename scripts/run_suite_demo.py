@@ -3,18 +3,23 @@
 reports in every supported format.
 
 Usage: python scripts/run_suite_demo.py [--timeout 60] [--parallel 4]
+
+A suite with no `.sl` file, or an unknown solver id, gives one
+`error: ...` line and exit status 2.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from syguskit.cli import _positive
 from syguskit.harness import RunLimits, render_report, run_suite
+from syguskit.terms import SygusError
 
 ROOT = Path(__file__).parent.parent
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--suite", default=str(ROOT / "benchmarks"))
     ap.add_argument("--solvers", default="enum,stoch")
@@ -24,9 +29,13 @@ def main():
     args = ap.parse_args()
 
     solver_ids = [s for s in args.solvers.split(",") if s]
-    report = run_suite(args.suite, solver_ids,
-                       RunLimits(wallclock_s=args.timeout),
-                       parallelism=args.parallel)
+    try:
+        report = run_suite(args.suite, solver_ids,
+                           RunLimits(wallclock_s=args.timeout),
+                           parallelism=args.parallel)
+    except SygusError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(exist_ok=True)
     for fmt in ("csv", "json", "md"):
@@ -36,7 +45,8 @@ def main():
     for sid in report.solver_ids:
         t = report.totals[sid]
         print(f"{sid}: solved {t.solved}, uniquely solved {t.uniquely_solved}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,15 +8,17 @@ composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
 builds no other; nonterminal slots draw from the kept pairs. Candidates are
 proposed in nondecreasing total size (joint size over the unknowns,
-compositions in lexicographic order). A composition is walked one unknown
-at a time, in product's order: once a prefix's unknowns are bound, the
-constraints that invoke only them are checked on their slots
-(Scorer.stages), and a prefix that fails one is skipped with every
-combination below it. Every combination that cegis.Scorer finds wrong on no
-example, given its bank signatures, is yielded to the loop; a new
-counterexample restarts enumeration from size 1 with the refreshed pool and
-scorer. Unpruned mode keeps every term, which makes the returned solution
-minimal outright.
+compositions in lexicographic order). At each total a bank is built one
+size short of its top size, and candidates at the first bank's top size are
+proposed while that size grows, each as soon as its pair is kept. A
+composition is walked one unknown at a time, in product's order: once a
+prefix's unknowns are bound, the constraints that invoke only them are
+checked on their slots (Scorer.stages), and a prefix that fails one is
+skipped with every combination below it. Every combination that
+cegis.Scorer finds wrong on no example, given its bank signatures, is
+yielded to the loop; a new counterexample restarts enumeration from size 1
+with the refreshed pool and scorer. Unpruned mode keeps every term, which
+makes the returned solution minimal outright.
 """
 
 from __future__ import annotations
@@ -84,17 +86,28 @@ class Bank(Enumerator):
               no_zero: bool = False) -> list[tuple[Term, tuple]]:
         """The kept (term, signature) pairs of nt at size, in walk order."""
         key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
-        hit = self._kept.get(key)
-        if hit is None:
-            kept: dict = {}
-            for p in self.g.closed_productions(nt):
-                for t, sig in self._walk(p, size, no_zero,
-                                         kept if self.prune else ()):
-                    kept.setdefault(sig if self.prune else t, (t, sig))
-            hit = self._kept[key] = list(kept.values())
-            if not key[2]:
-                self.terms[nt][size] = hit
-        return hit
+        if key not in self._kept:
+            for _ in self.stream(nt, size, no_zero, self._deadline):
+                pass
+        return self._kept[key]
+
+    def stream(self, nt: str, size: int, no_zero: bool = False,
+               deadline: Deadline | None = None
+               ) -> Iterator[tuple[Term, tuple]]:
+        """pairs(nt, size, no_zero), each yielded as the walk keeps it and
+        stored once the walk ends; BudgetExpired past the deadline."""
+        self._deadline = deadline
+        kept: dict = {}
+        for p in self.g.closed_productions(nt):
+            for t, sig in self._walk(p, size, no_zero,
+                                     kept if self.prune else ()):
+                if (k := sig if self.prune else t) not in kept:
+                    kept[k] = t, sig
+                    yield t, sig
+        key = (nt, size, no_zero and size == 1)
+        self._kept[key] = list(kept.values())
+        if not key[2]:
+            self.terms[nt][size] = self._kept[key]
 
     def _walk(self, tpl: Template, size: int, no_zero: bool,
               skip: Container = ()) -> Iterator[tuple[Term, tuple]]:
@@ -171,7 +184,9 @@ def _candidates(banks: Sequence[Bank], mins: Sequence[int],
     """A kept (term, signature) pair per bank, in nondecreasing total size,
     a total's compositions in order and a composition's pairs in product's
     order, but for what lies below a prefix whose last pair its depth's stage
-    (Scorer.stages) rejects. The pairs come as one list, refilled.
+    (Scorer.stages) rejects. The pairs come as one list, refilled. Banks
+    are built below their top size, and the first bank's top-size pairs,
+    which only a total's last composition reads, are walked as kept.
     BudgetExpired past the deadline, polled every 256 pairs."""
     chosen: list = [None] * len(banks)
     sigs: list = [None] * len(banks)
@@ -192,12 +207,16 @@ def _candidates(banks: Sequence[Bank], mins: Sequence[int],
             yield from walk(pieces, d + 1)
 
     for total in range(sum(mins), max_size + 1):
-        for bank, m in zip(banks, mins):
-            bank.build_to(total - (sum(mins) - m), deadline)
+        tops = [total - (sum(mins) - m) for m in mins]
+        for bank, top in zip(banks, tops):
+            bank.build_to(top - 1, deadline)
         if deadline.expired():
             raise BudgetExpired
         for split in compositions(total, mins):
-            pieces = [b.terms[b.g.start].get(s, [])
-                      for b, s in zip(banks, split)]
+            # depth 0 is walked once, so its top size can be a stream,
+            # which is truthy however many pairs it will give
+            pieces = [b.stream(b.g.start, s, deadline=deadline)
+                      if d == 0 and s == top else b.pairs(b.g.start, s)
+                      for d, (b, s, top) in enumerate(zip(banks, split, tops))]
             if all(pieces):
                 yield from walk(pieces, 0)

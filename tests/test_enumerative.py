@@ -235,6 +235,62 @@ def test_bank_build_polls_its_deadline():
         Bank(g, bindings, [], False).build_to(7, Deadline(0))
 
 
+def stream_case(case):
+    """(grammar, bindings, pool, defined functions) of a streamed bank."""
+    if case == "max2":
+        return (load("max2.sl").unknowns["max2"].grammar,
+                [{"x": x, "y": y} for x, y in ((-2, 3), (0, 0), (5, 1))],
+                [0, 1], {})
+    g, defs, _, bindings, pool = bank_case(case)
+    return g, bindings, pool, defs
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("case", ["max2", "hd17_w8", "qm_loop"])
+def test_a_drained_stream_gives_what_pairs_gives(case, prune):
+    g, bindings, pool, defs = stream_case(case)
+    for nt in g.rules:
+        for size in range(1, 7):
+            streamed = Bank(g, bindings, pool, prune, defs).stream(nt, size)
+            assert list(streamed) == \
+                Bank(g, bindings, pool, prune, defs).pairs(nt, size)
+
+
+def test_a_stream_stores_its_pairs_only_once_drained():
+    g, bindings, pool, _ = stream_case("hd17_w8")
+    full = Bank(g, bindings, pool, True).pairs("Start", 5)
+    bank = Bank(g, bindings, pool, True)
+    seen = []
+    for pair in bank.stream("Start", 5):
+        assert 5 not in bank.terms["Start"]
+        seen.append(pair)
+    assert seen == full and bank.terms["Start"][5] == full
+    assert bank.pairs("Start", 5) is bank.terms["Start"][5]
+
+
+def test_an_abandoned_stream_stores_nothing():
+    g, bindings, pool, _ = stream_case("hd17_w8")
+    full = Bank(g, bindings, pool, True).pairs("Start", 5)
+    assert len(full) > 3
+    bank = Bank(g, bindings, pool, True)
+    stream = bank.stream("Start", 5)
+    assert [next(stream) for _ in range(3)] == full[:3]
+    stream.close()
+    assert ("Start", 5, False) not in bank._kept
+    assert 5 not in bank.terms["Start"]
+    assert bank.pairs("Start", 5) == full
+
+
+def test_a_stream_polls_its_deadline():
+    g = load("hd17_w8.sl").unknowns["f"].grammar
+    bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
+    # as for build_to: short of the first poll at size 6, past it at 7
+    list(Bank(g, bindings, [], False).stream("Start", 6, deadline=Deadline(0)))
+    with pytest.raises(BudgetExpired):
+        list(Bank(g, bindings, [], False).stream("Start", 7,
+                                                 deadline=Deadline(0)))
+
+
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):
     from syguskit.terms import evaluate
     bindings = [{"x": v} for v in (-2, 0, 3)]
@@ -408,9 +464,8 @@ def reference_calls(p, max_size):
     return calls
 
 
-@pytest.mark.parametrize("name", ["s8", "unreached", "three"])
-def test_staged_walk_asks_the_verifier_what_a_whole_product_asks(
-        name, monkeypatch):
+def solved_calls(p, monkeypatch):
+    """The bodies enum asks the verifier about on its way to Solved."""
     import syguskit.checker as ck
     calls = []
     real = ck.check_semantic
@@ -419,11 +474,25 @@ def test_staged_walk_asks_the_verifier_what_a_whole_product_asks(
         calls.append({n: f.body for n, f in sol.funcs.items()})
         return real(p, sol, strat)
 
-    p = PROBLEMS[name]()
     monkeypatch.setattr(ck, "check_semantic", spy)
     out = solve_enumerative(p, EnumConfig(max_size=9, budget_s=60))
     assert isinstance(out, Solved)
-    assert calls == reference_calls(p, 9)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["s8", "unreached", "three"])
+def test_staged_walk_asks_the_verifier_what_a_whole_product_asks(
+        name, monkeypatch):
+    p = PROBLEMS[name]()
+    assert solved_calls(p, monkeypatch) == reference_calls(p, 9)
+
+
+@pytest.mark.parametrize("name", ["max2.sl", "hd17_w8.sl", "lsz_w8_fixed.sl",
+                                  "qm_loop_1.sl", "hd-17-d0.sl"])
+def test_single_unknown_solves_ask_the_verifier_what_whole_banks_ask(
+        name, monkeypatch):
+    p = load(name)
+    assert solved_calls(p, monkeypatch) == reference_calls(p, 9)
 
 
 def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(

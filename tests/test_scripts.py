@@ -56,6 +56,20 @@ def test_run_suite_demo_rejects_an_out_of_range_option(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--suite", "missing"), "no .sl files under missing"),
+    (("--solvers", "enum,bogus"), "unknown solver id: bogus")])
+def test_run_suite_demo_reports_a_bad_input_as_an_error(tmp_path, args,
+                                                        message):
+    (tmp_path / "suite").mkdir()
+    shutil.copy(MAX2, tmp_path / "suite")
+    stderr = run_script("run_suite_demo.py", "--suite", "suite", *args,
+                        "--out", str(tmp_path / "out"), cwd=tmp_path,
+                        returncode=2)
+    assert stderr == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["suite"]
+
+
 def test_seed_study_reports_each_seed(tmp_path):
     stdout = run_script("seed_study.py", str(MAX2), "--seeds", "2",
                         "--budget", "3", cwd=tmp_path)
