@@ -19,6 +19,7 @@ decide is scored on the verifier's own compiled constraints
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
@@ -29,9 +30,10 @@ from .checker import (CounterExample, Valid, _violated_index,
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort, Term,
-                    UndeclaredSymbol, Value, Var, compile_term, evaluate,
-                    infer_sort, op_value, raw_value, subterms, value_sort)
+from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort,
+                    SygusError, Term, UndeclaredSymbol, Value, Var,
+                    compile_term, evaluate, infer_sort, op_value, raw_value,
+                    subterms, value_sort)
 
 
 @dataclass
@@ -123,6 +125,8 @@ def cegis(p: SynthProblem, cfg, propose: Callable[..., Proposals],
     joins the examples, else None. A body is verified once per example set,
     and not past cfg.budget_s, by cfg.verifier or default_strategy(p).
     Exhausted(limit) when propose returns, TimedOut on BudgetExpired."""
+    if not (math.isfinite(cfg.budget_s) and cfg.budget_s > 0):
+        raise SygusError("budget_s must be positive and finite")
     deadline = Deadline(cfg.budget_s)
     verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)
     E, base = ExampleSet(), base_constant_pool(p)
@@ -353,12 +357,12 @@ class Scorer:
 
     Each unknown invocation in a constraint becomes a slot variable, and an
     example is scored on these skeletons from the candidate's signatures over
-    the induced bindings. Where a slot is ERR or an invocation has no
-    binding, the example is scored on the checker's compiled constraints
-    with the bodies substituted, as the verifier scores it: an argument
-    counts only where the body reads it, an error only where it is reached.
-    naive: some example has an invocation without a binding, so signatures
-    do not decide every example and must not prune.
+    the induced bindings, one per unknown in p.unknowns' order. Where a slot
+    is ERR or an invocation has no binding, the example is scored on the
+    checker's compiled constraints with the bodies substituted, as the
+    verifier scores it: an argument counts only where the body reads it, an
+    error only where it is reached. naive: some example has an invocation
+    without a binding, so signatures must not prune.
 
     stages() splits the skeletons by the last unknown each invokes, for a
     walk that binds the unknowns one at a time; what a stage rejects, wrong()
@@ -370,9 +374,9 @@ class Scorer:
         tuples = unknown_invocations(p)
         self.bindings: dict[str, list[dict]] = {}
         self.sig: dict[str, Signatures] = {}
-        index = {}
+        self.index: dict[str, dict[tuple[int, int], int]] = {}
         for n in p.unknowns:
-            self.bindings[n], index[n] = induced_bindings(p, n, E)
+            self.bindings[n], self.index[n] = induced_bindings(p, n, E)
             self.sig[n] = Signatures(self.bindings[n], p.defined_funs)
 
         def skeleton(t: Term) -> Term:
@@ -382,60 +386,52 @@ class Scorer:
                 return Apply(t.op, tuple(skeleton(a) for a in t.args))
             return t
 
-        self.index = index
-        self.slots = [(n, ti) for n, ts in tuples.items()
+        # per slot: (its unknown's position in p.unknowns, unknown, index)
+        self.slots = [(d, n, ti) for d, (n, ts) in enumerate(tuples.items())
                       for ti in range(len(ts))]
         self.skeletons = [skeleton(c) for c in p.constraints]
-        # the skeletons' lazy conjunction, compiled over the universals,
-        # then the slots
-        self.holds = self._compile(self.skeletons, self.slots)
-        # per example: (raw point, [(unknown, binding index)] per slot, or
-        # None if some slot has no binding)
-        self.rows: list[tuple[tuple, list | None]] = []
-        for ei, point in enumerate(E):
-            ks = [index[n].get((ei, ti)) for n, ti in self.slots]
-            self.rows.append((tuple(raw_value(point[n]) for n in p.universals),
-                              None if None in ks else [
-                (n, k) for (n, _), k in zip(self.slots, ks)]))
+        self.points = [tuple(raw_value(e[n]) for n in p.universals) for e in E]
+        self.holds, self.rows = self._table(self.skeletons)
         self.naive = any(row is None for _, row in self.rows)
 
-    def _compile(self, skeletons: Sequence[Term],
-                 slots: Sequence[tuple[str, int]]) -> Callable[[tuple], bool]:
-        """The skeletons' lazy conjunction over the universals, then slots."""
-        params = [*self.p.universals.items(),
-                  *((f"·{n}@{ti}", self.p.unknowns[n].ret) for n, ti in slots)]
-        return compile_term(Apply("and", tuple(skeletons)) if skeletons
-                            else Lit(True), params, self.p.defined_funs)
-
-    def stages(self, names: Sequence[str]
-               ) -> list[Callable[[Sequence[tuple]], bool] | None]:
-        """Checks for a walk that binds the unknowns (all of them) in the
-        order of names. Entry d takes the signatures of names[:d+1] and is
-        False when a constraint that invokes names[d] and no later unknown is
-        false or raises at an example where every slot it reads is bound and
-        not ERR: its skeleton's value there is the verifier's, so the example
-        is wrong for every completion. None for a depth with nothing to
-        decide."""
-        depth = {n: d for d, n in enumerate(names)}
-        groups: list[list[Term]] = [[] for _ in names]
-        for sk in self.skeletons:
-            free = {t.name for t in subterms(sk) if isinstance(t, Var)}
-            ds = [depth[n] for n, ti in self.slots if f"·{n}@{ti}" in free]
-            if ds:
-                groups[max(ds)].append(sk)
-        return [self._stage(g, depth) if g else None for g in groups]
-
-    def _stage(self, skeletons: list[Term], depth: Mapping[str, int]
-               ) -> Callable[[Sequence[tuple]], bool] | None:
+    def _table(self, skeletons: Sequence[Term]) -> tuple[Callable, list]:
+        """The skeletons' lazy conjunction over the universals, then the
+        slots they read; and per example, its raw point and (position,
+        binding index) per slot read, or None if one has no binding."""
         free = {t.name for sk in skeletons for t in subterms(sk)
                 if isinstance(t, Var)}
-        read = [(n, ti) for n, ti in self.slots if f"·{n}@{ti}" in free]
-        holds = self._compile(skeletons, read)
-        # per example with every read slot bound: (raw point, [(depth,
-        # binding index)] per read slot)
-        rows = [(raw, [(depth[n], self.index[n][ei, ti]) for n, ti in read])
-                for ei, (raw, _) in enumerate(self.rows)
-                if all((ei, ti) in self.index[n] for n, ti in read)]
+        read = [(d, n, ti) for d, n, ti in self.slots if f"·{n}@{ti}" in free]
+        params = [*self.p.universals.items(), *(
+            (f"·{n}@{ti}", self.p.unknowns[n].ret) for _, n, ti in read)]
+        holds = compile_term(Apply("and", tuple(skeletons)) if skeletons
+                             else Lit(True), params, self.p.defined_funs)
+        rows = []
+        for ei, raw in enumerate(self.points):
+            ks = [self.index[n].get((ei, ti)) for _, n, ti in read]
+            rows.append((raw, None if None in ks else
+                         [(d, k) for (d, _, _), k in zip(read, ks)]))
+        return holds, rows
+
+    def stages(self) -> list[Callable[[Sequence[tuple]], bool] | None]:
+        """Checks for a walk that binds the unknowns in p.unknowns' order.
+        Entry d takes the signatures of the first d+1 unknowns and is False
+        when a constraint that invokes unknown d and no later one is false
+        or raises at an example where every slot it reads is bound and not
+        ERR: its skeleton's value there is the verifier's, so the example is
+        wrong for every completion. None for a depth with nothing to
+        decide."""
+        groups: list[list[Term]] = [[] for _ in self.p.unknowns]
+        for sk in self.skeletons:
+            free = {t.name for t in subterms(sk) if isinstance(t, Var)}
+            ds = [d for d, n, ti in self.slots if f"·{n}@{ti}" in free]
+            if ds:
+                groups[max(ds)].append(sk)
+        return [self._stage(g) if g else None for g in groups]
+
+    def _stage(self, skeletons: list[Term]
+               ) -> Callable[[Sequence[tuple]], bool] | None:
+        holds, rows = self._table(skeletons)
+        rows = [(raw, row) for raw, row in rows if row is not None]
 
         def check(sigs: Sequence[tuple]) -> bool:
             for raw, row in rows:
@@ -451,16 +447,16 @@ class Scorer:
         return check if rows else None
 
     def wrong(self, bodies: Mapping[str, Term],
-              sigs: Mapping[str, tuple] | None = None) -> Iterator[int]:
+              sigs: Sequence[tuple] | None = None) -> Iterator[int]:
         """Indices of the examples at which some constraint fails under the
-        bodies. sigs, when given, are the bodies' raw signatures over
-        self.bindings; otherwise they are computed here."""
+        bodies. sigs, when given, are their raw signatures over self.bindings
+        in p.unknowns' order; otherwise they are computed here."""
         if sigs is None:
-            sigs = {n: self.sig[n](b) for n, b in bodies.items()}
+            sigs = [self.sig[n](bodies[n]) for n in self.p.unknowns]
         whole = None
         for ei, (raw, row) in enumerate(self.rows):
-            vals = row and tuple([sigs[n][k] for n, k in row])
-            if row is not None and ERR not in vals:
+            vals = None if row is None else tuple([sigs[d][k] for d, k in row])
+            if vals is not None and ERR not in vals:
                 try:
                     bad = not self.holds(raw + vals)
                 except DivisionByZero:

@@ -8,17 +8,17 @@ composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
 builds no other; nonterminal slots draw from the kept pairs. Candidates are
 proposed in nondecreasing total size (joint size over the unknowns,
-compositions in lexicographic order). At each total a bank is built one
-size short of its top size, and candidates at the first bank's top size are
-proposed while that size grows, each as soon as its pair is kept. A
-composition is walked one unknown at a time, in product's order: once a
-prefix's unknowns are bound, the constraints that invoke only them are
-checked on their slots (Scorer.stages), and a prefix that fails one is
-skipped with every combination below it. Every combination that
-cegis.Scorer finds wrong on no example, given its bank signatures, is
-yielded to the loop; a new counterexample restarts enumeration from size 1
-with the refreshed pool and scorer. Unpruned mode keeps every term, which
-makes the returned solution minimal outright.
+compositions in lexicographic order). A bank builds each piece where the
+walk first reads it, and the first bank's pieces are proposed from as they
+grow, each candidate as soon as its pair is kept. A composition is walked
+one unknown at a time, in product's order: once a prefix's unknowns are
+bound, the constraints that invoke only them are checked on their slots
+(Scorer.stages), and a prefix that fails one is skipped with every
+combination below it. Every combination that cegis.Scorer finds wrong on
+no example, given its bank signatures, is yielded to the loop; a new
+counterexample restarts enumeration from size 1 with the refreshed pool and
+scorer. Unpruned mode keeps every term, which makes the returned solution
+minimal outright.
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ class Bank(Enumerator):
     pruning and one per term otherwise, so nonterminal slots draw from the
     kept pairs and enumerate() gives the kept terms. An application's
     signature is composed from its slots' before its term is built, which a
-    pruned bank does only for a signature it keeps."""
+    pruned bank does only for a signature it keeps. A piece is built where
+    it is first read, by pairs, stream or build_to, and each of them raises
+    BudgetExpired once the bank's deadline has passed."""
 
     def __init__(self, grammar, bindings: Sequence[Mapping[str, Value]],
                  pool: Sequence[Value], prune: bool,
-                 defs: Mapping[str, FunDef] | None = None):
+                 defs: Mapping[str, FunDef] | None = None,
+                 deadline: Deadline | None = None):
         super().__init__(grammar, pool)
         self.pointwise = Pointwise(bindings, dict(defs or {}))
         self.prune = prune
@@ -67,12 +70,11 @@ class Bank(Enumerator):
             nt: {} for nt in grammar.rules}
         self._kept: dict[tuple, list[tuple[Term, tuple]]] = {}
         self._widths: dict[int, int | None] = {}
-        self._deadline: Deadline | None = None
-        self._seen = 0
-
-    def build_to(self, size: int, deadline: Deadline | None = None):
-        """Fill self.terms to size; BudgetExpired past the deadline."""
         self._deadline = deadline
+        self._polls = count(1)
+
+    def build_to(self, size: int):
+        """Fill self.terms to size."""
         for s in range(1, size + 1):
             for nt in self.g.rules:
                 self.pairs(nt, s)
@@ -87,16 +89,19 @@ class Bank(Enumerator):
         """The kept (term, signature) pairs of nt at size, in walk order."""
         key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
         if key not in self._kept:
-            for _ in self.stream(nt, size, no_zero, self._deadline):
+            for _ in self.stream(nt, size, no_zero):
                 pass
         return self._kept[key]
 
-    def stream(self, nt: str, size: int, no_zero: bool = False,
-               deadline: Deadline | None = None
+    def stream(self, nt: str, size: int, no_zero: bool = False
                ) -> Iterator[tuple[Term, tuple]]:
-        """pairs(nt, size, no_zero), each yielded as the walk keeps it and
-        stored once the walk ends; BudgetExpired past the deadline."""
-        self._deadline = deadline
+        """pairs(nt, size, no_zero): the stored list once built, else each
+        pair yielded as the walk keeps it and the list stored once the walk
+        ends."""
+        key = (nt, size, no_zero and size == 1)
+        if key in self._kept:
+            yield from self._kept[key]
+            return
         kept: dict = {}
         for p in self.g.closed_productions(nt):
             for t, sig in self._walk(p, size, no_zero,
@@ -104,7 +109,6 @@ class Bank(Enumerator):
                 if (k := sig if self.prune else t) not in kept:
                     kept[k] = t, sig
                     yield t, sig
-        key = (nt, size, no_zero and size == 1)
         self._kept[key] = list(kept.values())
         if not key[2]:
             self.terms[nt][size] = self._kept[key]
@@ -143,8 +147,7 @@ class Bank(Enumerator):
                 yield t, self.pointwise.leaf(t)
 
     def _poll(self):
-        self._seen += 1
-        if self._seen % 4096 == 0 and self._deadline is not None \
+        if next(self._polls) % 4096 == 0 and self._deadline is not None \
                 and self._deadline.expired():
             raise BudgetExpired
 
@@ -164,12 +167,11 @@ def _propose(p: SynthProblem, cfg: EnumConfig, deadline: Deadline,
     while True:
         # signatures do not decide an example with an unbound invocation
         banks = [Bank(p.unknowns[n].grammar, scorer.bindings[n], pool,
-                      cfg.prune and not scorer.naive, p.defined_funs)
-                 for n in names]
-        for combo in _candidates(banks, mins, scorer.stages(names),
-                                 cfg.max_size, deadline):
-            bodies = {n: t for n, (t, _) in zip(names, combo)}
-            sigs = {n: s for n, (_, s) in zip(names, combo)}
+                      cfg.prune and not scorer.naive, p.defined_funs,
+                      deadline) for n in names]
+        for terms, sigs in _candidates(banks, mins, scorer.stages(),
+                                       cfg.max_size, deadline):
+            bodies = dict(zip(names, terms))
             if next(scorer.wrong(bodies, sigs), None) is None:
                 if (reply := (yield bodies)) is not None:
                     scorer, pool = reply
@@ -180,43 +182,38 @@ def _propose(p: SynthProblem, cfg: EnumConfig, deadline: Deadline,
 
 def _candidates(banks: Sequence[Bank], mins: Sequence[int],
                 stages: Sequence[Callable[[Sequence[tuple]], bool] | None],
-                max_size: int, deadline: Deadline) -> Iterator[list]:
+                max_size: int, deadline: Deadline
+                ) -> Iterator[tuple[list, list]]:
     """A kept (term, signature) pair per bank, in nondecreasing total size,
     a total's compositions in order and a composition's pairs in product's
     order, but for what lies below a prefix whose last pair its depth's stage
-    (Scorer.stages) rejects. The pairs come as one list, refilled. Banks
-    are built below their top size, and the first bank's top-size pairs,
-    which only a total's last composition reads, are walked as kept.
+    (Scorer.stages) rejects. The pairs come as two lists, of the terms and
+    of the signatures, refilled. A bank builds a piece where the walk first
+    reads it, and the first bank's pieces are walked as they are kept.
     BudgetExpired past the deadline, polled every 256 pairs."""
-    chosen: list = [None] * len(banks)
+    terms: list = [None] * len(banks)
     sigs: list = [None] * len(banks)
     visits = count(1)
 
-    def walk(pieces: list, d: int) -> Iterator[list]:
+    def walk(pieces: list, d: int) -> Iterator[tuple[list, list]]:
         if d == len(pieces):
-            yield chosen
+            yield terms, sigs
             return
         stage = stages[d]
-        for pair in pieces[d]:
+        for t, sigs[d] in pieces[d]:
             if next(visits) % 256 == 0 and deadline.expired():
                 raise BudgetExpired
-            sigs[d] = pair[1]
             if stage is not None and not stage(sigs):
                 continue
-            chosen[d] = pair
+            terms[d] = t
             yield from walk(pieces, d + 1)
 
     for total in range(sum(mins), max_size + 1):
-        tops = [total - (sum(mins) - m) for m in mins]
-        for bank, top in zip(banks, tops):
-            bank.build_to(top - 1, deadline)
-        if deadline.expired():
-            raise BudgetExpired
         for split in compositions(total, mins):
-            # depth 0 is walked once, so its top size can be a stream,
-            # which is truthy however many pairs it will give
-            pieces = [b.stream(b.g.start, s, deadline=deadline)
-                      if d == 0 and s == top else b.pairs(b.g.start, s)
-                      for d, (b, s, top) in enumerate(zip(banks, split, tops))]
+            # depth 0 is walked once, so it can be a stream, which is
+            # truthy however many pairs it will give
+            pieces = [b.stream(b.g.start, s) if d == 0
+                      else b.pairs(b.g.start, s)
+                      for d, (b, s) in enumerate(zip(banks, split))]
             if all(pieces):
                 yield from walk(pieces, 0)

@@ -52,6 +52,9 @@ class RunLimits:
         if not (math.isfinite(self.wallclock_s) and self.wallclock_s > 0):
             raise ValueError("wallclock_s must be positive and finite, "
                              f"got {self.wallclock_s}")
+        if not (math.isfinite(self.grace_s) and self.grace_s >= 0):
+            raise ValueError("grace_s must be nonnegative and finite, "
+                             f"got {self.grace_s}")
 
 
 SolverFn = Callable[[SynthProblem, float], SolveOutcome]

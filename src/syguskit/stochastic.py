@@ -76,6 +76,8 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
         raise SygusError("the stochastic solver handles a single unknown")
     if not (math.isfinite(cfg.beta) and cfg.beta > 0):
         raise SygusError("beta must be positive and finite")
+    if cfg.moves_per_size < 0:
+        raise SygusError("moves_per_size must be nonnegative")
     if not cfg.size_schedule or \
             list(cfg.size_schedule) != sorted(cfg.size_schedule):
         raise SygusError("size schedule must be a nonempty nondecreasing sweep")

@@ -270,6 +270,16 @@ def test_run_limits_reject_a_budget_that_is_not_positive_and_finite(
         RunLimits(wallclock_s=wallclock_s)
 
 
+@pytest.mark.parametrize("grace_s", [math.inf, math.nan, -0.5, -100.0])
+def test_run_limits_reject_a_grace_that_is_negative_or_not_finite(grace_s):
+    # a negative grace recorded a quick solve as a timeout; inf and nan
+    # raised from the thread join
+    from syguskit.harness import RunLimits
+    with pytest.raises(ValueError, match="grace_s"):
+        RunLimits(wallclock_s=5, grace_s=grace_s)
+    assert RunLimits(wallclock_s=5, grace_s=0).grace_s == 0
+
+
 def test_classify_prints_table():
     r = cli("classify", str(PKG / "benchmarks"))
     assert r.returncode == 0

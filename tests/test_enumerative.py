@@ -229,10 +229,19 @@ def test_bank_build_polls_its_deadline():
     g = load("hd17_w8.sl").unknowns["f"].grammar
     bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
     # size 6 is 272 candidates, short of the first poll at 4,096
-    Bank(g, bindings, [], False).build_to(6, Deadline(0))
+    Bank(g, bindings, [], False, deadline=Deadline(0)).build_to(6)
     # size 7 adds 5,120 more
     with pytest.raises(BudgetExpired):
-        Bank(g, bindings, [], False).build_to(7, Deadline(0))
+        Bank(g, bindings, [], False, deadline=Deadline(0)).build_to(7)
+
+
+def test_a_fresh_bank_polls_its_deadline_from_pairs():
+    g = load("hd17_w8.sl").unknowns["f"].grammar
+    bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
+    # as for build_to: short of the first poll at size 6, past it at 7
+    Bank(g, bindings, [], False, deadline=Deadline(0)).pairs("Start", 6)
+    with pytest.raises(BudgetExpired):
+        Bank(g, bindings, [], False, deadline=Deadline(0)).pairs("Start", 7)
 
 
 def stream_case(case):
@@ -285,10 +294,10 @@ def test_a_stream_polls_its_deadline():
     g = load("hd17_w8.sl").unknowns["f"].grammar
     bindings = [{"x": BV(8, v)} for v in (0x00, 0x80, 0xff)]
     # as for build_to: short of the first poll at size 6, past it at 7
-    list(Bank(g, bindings, [], False).stream("Start", 6, deadline=Deadline(0)))
+    list(Bank(g, bindings, [], False, deadline=Deadline(0)).stream("Start", 6))
     with pytest.raises(BudgetExpired):
-        list(Bank(g, bindings, [], False).stream("Start", 7,
-                                                 deadline=Deadline(0)))
+        list(Bank(g, bindings, [], False,
+                  deadline=Deadline(0)).stream("Start", 7))
 
 
 def test_bank_signatures_agree_with_direct_evaluation(qm_loop):
@@ -425,6 +434,16 @@ def test_a_problem_without_unknowns_is_solved_by_no_definitions():
     assert out.solution.sizes() == {} and out.solution.funcs == {}
 
 
+def test_a_problem_without_unknowns_that_fails_is_exhausted():
+    # its example binds no slot, so the scorer's row for it is empty
+    p = read_problem("""(set-logic LIA)
+    (declare-var x Int)
+    (constraint (= x 0))
+    (check-synth)""")
+    out = solve_enumerative(p, EnumConfig(max_size=3, budget_s=60))
+    assert out == Exhausted(3)
+
+
 def reference_calls(p, max_size):
     """The bodies the verifier is asked about when every combination of
     the banks' kept pairs is scored whole, in product's order."""
@@ -446,7 +465,7 @@ def reference_calls(p, max_size):
                           for b, s in zip(banks, split)]
                 for combo in product(*pieces):
                     bodies = {n: t for n, (t, _) in zip(names, combo)}
-                    sigs = {n: s for n, (_, s) in zip(names, combo)}
+                    sigs = [s for _, s in combo]
                     if next(scorer.wrong(bodies, sigs), None) is not None:
                         continue
                     calls.append(bodies)
@@ -517,7 +536,7 @@ def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(
         def expired(self):
             return bool(rejected)
 
-    def stages(scorer, names):
+    def stages(scorer):
         def spied(stage):
             def run(sigs):
                 if rejected:
@@ -528,7 +547,7 @@ def test_joint_walk_polls_its_deadline_where_a_stage_rejects_every_piece(
                 return ok
             return run
         return [None if s is None else spied(s)
-                for s in real_stages(scorer, names)]
+                for s in real_stages(scorer)]
 
     real_stages = Scorer.stages
     monkeypatch.setattr(cg, "Deadline", Expires)

@@ -4,6 +4,7 @@ for some constraint with the bodies substituted, and a prefix that one of
 its stages rejects is wrong under every completion. Also the one CEGIS loop
 (cegis.cegis) that hands a proposer its scorer, driven by stub proposers."""
 
+import math
 import random
 
 import hypothesis.strategies as st
@@ -23,7 +24,8 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, Valid,
 from syguskit.enumerative import EnumConfig, solve_enumerative
 from syguskit.frontend import read_problem
 from syguskit.grammar import Enumerator
-from syguskit.terms import BOOL, BV, INT, Var
+from syguskit.stochastic import StochConfig, solve_stochastic
+from syguskit.terms import BOOL, BV, INT, SygusError, Var
 
 NESTED = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
@@ -152,7 +154,7 @@ def test_a_stage_rejects_only_prefixes_every_completion_gets_wrong(
     scorer = Scorer(p, E)
     names = list(p.unknowns)
     rng = random.Random(seed)
-    for d, stage in enumerate(scorer.stages(names)):
+    for d, stage in enumerate(scorer.stages()):
         if stage is None:
             continue
         prefix = {n: draw(p, n, size, rng) for n in names[:d + 1]}
@@ -292,8 +294,8 @@ def test_cached_scores_match_uncached_past_the_memo_bound(name):
             while not enums[n].count(u.grammar.start, size):
                 size -= 1
             bodies[n] = enums[n].sample(u.grammar.start, size, rng).term
-        uncached = {n: signature(b, scorer.bindings[n], p.defined_funs)
-                    for n, b in bodies.items()}
+        uncached = [signature(bodies[n], scorer.bindings[n], p.defined_funs)
+                    for n in p.unknowns]
         want = list(scorer.wrong(bodies, uncached))
         assert list(scorer.wrong(bodies)) == want
         assert count_wrong(scorer, bodies) == len(want)
@@ -349,3 +351,13 @@ def test_cegis_loop_with_stub_proposers(max2, monkeypatch):
     assert count_wrong(scorer, {"max2": x}) == 1
     assert {5, 7} <= set(pool)
     assert stale is None and again is None
+
+
+@pytest.mark.parametrize("budget_s", [0.0, -1.0, math.inf, math.nan])
+def test_the_loop_rejects_a_budget_that_is_not_positive_and_finite(
+        max2, budget_s):
+    # a NaN deadline never expires, and a negative one times out at once
+    with pytest.raises(SygusError, match="budget_s"):
+        solve_enumerative(max2, EnumConfig(budget_s=budget_s))
+    with pytest.raises(SygusError, match="budget_s"):
+        solve_stochastic(max2, StochConfig(seed=1, budget_s=budget_s))

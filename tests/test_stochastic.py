@@ -124,6 +124,13 @@ def test_beta_must_be_positive_and_finite(max2, beta):
         solve_stochastic(max2, StochConfig(beta=beta, seed=0, budget_s=1))
 
 
+def test_negative_moves_per_size_rejected(max2):
+    # an empty move loop would never poll the deadline
+    with pytest.raises(SygusError, match="moves_per_size"):
+        solve_stochastic(max2, StochConfig(moves_per_size=-2, seed=0,
+                                           budget_s=1))
+
+
 def test_tiny_budget_times_out(max2):
     out = solve_stochastic(max2, StochConfig(seed=0, budget_s=0.001))
     assert out == TimedOut(0.001)

@@ -4,7 +4,8 @@ pass, and a call that bypasses a wrapped name goes uncounted. This installs
 the tracer on a fresh import, checks the bank-size counter against a Bank
 built under it, the point counter against a grid check, and the verifier
 and counterexample counts against an enum and a stochastic solve of max2,
-and takes the tracer off again."""
+and takes the tracer off again. It also checks that every import under src/
+kept only for the tracer names an attribute the tracer wraps."""
 
 import subprocess
 import sys
@@ -64,3 +65,32 @@ def test_tracer_installs_and_uninstalls():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "ok"
+
+
+NOQA = "  # noqa: F401 (perfbench/tracing.py wraps it)"
+
+WRAPPED = """
+import importlib
+import sys
+sys.path[:0] = ["perfbench", "src"]
+import run, tracing
+sk = run.import_syguskit()
+kept = [arg.split(".") for arg in sys.argv[1:]]
+mods = [importlib.import_module("syguskit." + m) for m, _ in kept]
+before = [getattr(mod, a) for mod, (_, a) in zip(mods, kept)]
+tracing.install(tracing.Tracer(), sk)
+print(*(".".join(k) for k, mod, f in zip(kept, mods, before)
+        if getattr(mod, k[1]) is f))
+"""
+
+
+def test_every_import_kept_for_the_tracer_is_wrapped():
+    kept = [f"{path.stem}.{line.split()[3]}"
+            for path in sorted((PKG / "src" / "syguskit").glob("*.py"))
+            for line in path.read_text().splitlines() if line.endswith(NOQA)]
+    assert kept, "no import carries the marker"
+    r = subprocess.run([sys.executable, "-c", WRAPPED, *kept], cwd=PKG,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    # an import named here is no longer wrapped, so it can go
+    assert r.stdout.split() == []
