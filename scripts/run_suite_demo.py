@@ -4,8 +4,8 @@ reports in every supported format.
 
 Usage: python scripts/run_suite_demo.py [--timeout 60] [--parallel 4]
 
-A suite with no `.sl` file, or an unknown solver id, gives one
-`error: ...` line and exit status 2.
+A suite with no `.sl` file, an unknown solver id or a timeout too long to
+wait for gives one `error: ...` line and exit status 2.
 """
 
 import argparse
@@ -33,7 +33,7 @@ def main() -> int:
         report = run_suite(args.suite, solver_ids,
                            RunLimits(wallclock_s=args.timeout),
                            parallelism=args.parallel)
-    except SygusError as e:
+    except (SygusError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out = Path(args.out)

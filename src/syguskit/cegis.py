@@ -10,7 +10,7 @@ pointwise from its arguments' signatures (Pointwise); signature() is the
 reference tree walk, over BV values. Both solvers ask Scorer which examples a
 candidate gets wrong: the enumerative solver hands it the signatures from
 its banks, the stochastic one the bodies, whose signatures Scorer composes
-and memoises per unknown (Signatures). Scorer compiles the conjunction of
+per unknown, node by node (Pointwise). Scorer compiles the conjunction of
 its constraint skeletons once (terms.compile_term) and scores an example on
 its raw point and the candidate's slot values; an example the skeletons cannot
 decide is scored on the verifier's own compiled constraints
@@ -310,6 +310,12 @@ class Pointwise:
             return None
         return infer_sort(t.args[0], self.sorts, nts, self.funs).width
 
+    def __call__(self, t: Term) -> tuple:
+        """t's signature, composed from its arguments' for an application."""
+        if isinstance(t, Apply):
+            return self.apply(t.op, [self(a) for a in t.args], self.width(t))
+        return self.leaf(t)
+
 
 def _connective(op: str, xs: tuple):
     """and/or/=> at one point: the first operand that settles the result
@@ -320,36 +326,6 @@ def _connective(op: str, xs: tuple):
         return next((x for x in xs if x is ERR or x is True), False)
     x = next((x for x in xs[:-1] if x is ERR or x is False), None)
     return xs[-1] if x is None else ERR if x is ERR else True
-
-
-# terms whose signatures a Signatures keeps, the oldest dropped first
-SIG_MEMO = 256
-
-
-class Signatures(Pointwise):
-    """signature() in raw values over fixed bindings as a callable, composed
-    pointwise and memoised for the last SIG_MEMO terms by identity: a
-    stochastic move rebuilds only the path to the subtree it replaced, so a
-    proposal shares every other subterm object with the body it came from.
-    A memo entry keeps its term alive, so no other term can have its id."""
-
-    def __init__(self, bindings: Sequence[Mapping[str, Value]],
-                 defs: Mapping[str, FunDef]):
-        super().__init__(bindings, defs)
-        self.memo: dict[int, tuple[Term, tuple]] = {}
-
-    def __call__(self, t: Term) -> tuple:
-        hit = self.memo.get(id(t))
-        if hit is not None:
-            return hit[1]
-        # an argument's signature is usually memoised: look it up in place
-        sig = (self.apply(t.op, [h[1] if (h := self.memo.get(id(a))) else
-                                 self(a) for a in t.args], self.width(t))
-               if isinstance(t, Apply) else self.leaf(t))
-        if len(self.memo) >= SIG_MEMO:
-            del self.memo[next(iter(self.memo))]
-        self.memo[id(t)] = (t, sig)
-        return sig
 
 
 class Scorer:
@@ -373,11 +349,11 @@ class Scorer:
         self.p = p
         tuples = unknown_invocations(p)
         self.bindings: dict[str, list[dict]] = {}
-        self.sig: dict[str, Signatures] = {}
+        self.sig: dict[str, Pointwise] = {}
         self.index: dict[str, dict[tuple[int, int], int]] = {}
         for n in p.unknowns:
             self.bindings[n], self.index[n] = induced_bindings(p, n, E)
-            self.sig[n] = Signatures(self.bindings[n], p.defined_funs)
+            self.sig[n] = Pointwise(self.bindings[n], p.defined_funs)
 
         def skeleton(t: Term) -> Term:
             if isinstance(t, Apply):

@@ -69,7 +69,6 @@ class Bank(Enumerator):
         self.terms: dict[str, dict[int, list[tuple[Term, tuple]]]] = {
             nt: {} for nt in grammar.rules}
         self._kept: dict[tuple, list[tuple[Term, tuple]]] = {}
-        self._widths: dict[int, int | None] = {}
         self._deadline = deadline
         self._polls = count(1)
 
@@ -126,10 +125,8 @@ class Bank(Enumerator):
                 return (self.pairs(c.nt, s, nz) if isinstance(c, TNT)
                         else list(self._walk(c, s, nz)))
 
-            if id(tpl) not in self._widths:
-                self._widths[id(tpl)] = self.pointwise.width(
-                    tpl, {nt: r.sort for nt, r in self.g.rules.items()})
-            op, width = tpl.op, self._widths[id(tpl)]
+            op, width = tpl.op, self.pointwise.width(
+                tpl, {nt: r.sort for nt, r in self.g.rules.items()})
             apply = self.pointwise.apply
             for chosen in walk_splits(splits, inst):
                 self._poll()

@@ -360,7 +360,7 @@ def default_grammar(params: Params, ret: Sort) -> Grammar:
     return make_grammar(start, rules, dict(params))
 
 
-def attach_default_grammar(u: UnknownFun, track: Track) -> UnknownFun:
+def attach_default_grammar(u: UnknownFun) -> UnknownFun:
     """Fill in the track-default grammar for a grammarless unknown."""
     if u.grammar is not None:
         return u
@@ -500,7 +500,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             if track == Track.GENERAL:
                 raise UnsupportedDefaultSort(
                     f"{name} has no grammar and the logic is not LIA")
-            unknowns[name] = attach_default_grammar(u, track)
+            unknowns[name] = attach_default_grammar(u)
 
     return SynthProblem(logic, defined, unknowns, universals, constraints,
                         track, tuple(primed), inv_constraint)

@@ -55,6 +55,10 @@ class RunLimits:
         if not (math.isfinite(self.grace_s) and self.grace_s >= 0):
             raise ValueError("grace_s must be nonnegative and finite, "
                              f"got {self.grace_s}")
+        if self.wallclock_s + self.grace_s > threading.TIMEOUT_MAX:
+            raise ValueError("wallclock_s + grace_s must be at most "
+                             f"{threading.TIMEOUT_MAX:.0f}, got "
+                             f"{self.wallclock_s + self.grace_s:g}")
 
 
 SolverFn = Callable[[SynthProblem, float], SolveOutcome]

@@ -58,9 +58,13 @@ def _classify(token: str, pos: int) -> Atom:
         raise BadToken(f"malformed bit-vector literal {token!r}", pos)
     body = token[1:] if token[0] == "-" and len(token) > 1 else token
     if body[0].isdigit():
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):  # isdigit accepts '²'
             raise BadToken(f"malformed numeral {token!r}", pos)
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise BadToken(f"numeral of {len(body)} digits is too long",
+                           pos) from None
     return token
 
 

@@ -14,10 +14,9 @@ The walk holds a grammar.Derivation: a move splices the replacement's
 instances over the chosen one and its descendants and rebuilds only the
 terms on the replaced path.
 
-A proposal is cheap to score: the scorer composes a body's signature from
-the subterms it shares with the body it was mutated from, and the walk keeps
-the wrong counts of the last WRONG_MEMO bodies it scored until the next
-counterexample, since proposals often repeat.
+Proposals often repeat, so the walk keeps the wrong counts of the last
+WRONG_MEMO bodies it scored until the next counterexample; the scorer
+composes any other body's signature node by node, with no memo.
 
 Reproducible: one Random(seed) drives sampling, mutation, and acceptance.
 """

@@ -280,6 +280,21 @@ def test_run_limits_reject_a_grace_that_is_negative_or_not_finite(grace_s):
     assert RunLimits(wallclock_s=5, grace_s=0).grace_s == 0
 
 
+def test_run_limits_reject_a_wait_past_the_thread_join_maximum():
+    # the run's thread join raised OverflowError past threading.TIMEOUT_MAX
+    import threading
+    from syguskit.harness import RunLimits
+    with pytest.raises(ValueError, match=r"wallclock_s \+ grace_s"):
+        RunLimits(wallclock_s=1e10)
+    with pytest.raises(ValueError, match=r"wallclock_s \+ grace_s"):
+        RunLimits(wallclock_s=threading.TIMEOUT_MAX, grace_s=5)
+    assert RunLimits(wallclock_s=threading.TIMEOUT_MAX - 5).grace_s == 5
+    r = cli("bench", SUITE, "--timeout", "1e10")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: wallclock_s + grace_s must be at most")
+    assert r.stderr.count("\n") == 1
+
+
 def test_classify_prints_table():
     r = cli("classify", str(PKG / "benchmarks"))
     assert r.returncode == 0

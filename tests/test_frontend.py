@@ -360,7 +360,7 @@ def test_bv_parameter_unsupported():
     u = UnknownFun("f", (("x", bitvec(8)),), bitvec(8), None,
                    GrammarOrigin.DEFAULT_LIA)
     with pytest.raises(UnsupportedDefaultSort):
-        attach_default_grammar(u, Track.LIA)
+        attach_default_grammar(u)
 
 
 def test_grammarless_non_lia_logic_rejected():

@@ -82,19 +82,25 @@ def _records_beside_max2(tmp_path, monkeypatch, name: str, data: bytes,
     return sorted(records, key=lambda r: r.benchmark)
 
 
-def test_deep_nesting_is_one_parse_failure_record(tmp_path, monkeypatch):
-    deep, max2 = _records_beside_max2(tmp_path, monkeypatch, "deep.sl",
-                                      deep_problem(3000).encode())
-    assert deep.error is not None and "parse failure" in deep.error
-    assert "nesting deeper than" in deep.error
-    assert max2.error is None and max2.solved
+def _with_bound(numeral: str) -> bytes:
+    """deep_problem(2), whose constraint is (>= (f x) x), with numeral for
+    its last x."""
+    return deep_problem(2).replace("(f x) x)", f"(f x) {numeral})").encode()
 
 
-def test_non_utf8_file_is_one_parse_failure_record(tmp_path, monkeypatch):
-    raw, max2 = _records_beside_max2(tmp_path, monkeypatch, "bytes.sl",
-                                     b"\xff\xfe(set-logic LIA)\n")
-    assert raw.error is not None and "parse failure" in raw.error
-    assert "not UTF-8" in raw.error
+@pytest.mark.parametrize("data, message", [
+    (deep_problem(3000).encode(), "nesting deeper than"),
+    (b"\xff\xfe(set-logic LIA)\n", "not UTF-8"),
+    # int() raised ValueError on both, which aborted the whole suite
+    (_with_bound("9" * 4301), "numeral of 4301 digits is too long"),
+    (_with_bound("\u00b2"), "malformed numeral '\u00b2'")],
+    ids=["deep_nesting", "non_utf8", "overlong_numeral", "superscript_digit"])
+def test_unparsable_file_is_one_parse_failure_record(tmp_path, monkeypatch,
+                                                     data, message):
+    # "bad.sl" sorts before "max2.sl"
+    bad, max2 = _records_beside_max2(tmp_path, monkeypatch, "bad.sl", data)
+    assert bad.error is not None and "parse failure" in bad.error
+    assert message in bad.error
     assert max2.error is None and max2.solved
 
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from conftest import (SEVEN, div_grammar, let_grammar, load, raw_signature,
                       term, two_width_grammar, typed)
 import syguskit.checker
-from syguskit.cegis import (ERR, SIG_MEMO, BudgetExpired, ExampleSet,
-                            Exhausted, Scorer, Signatures, Solved, TimedOut,
+from syguskit.cegis import (ERR, BudgetExpired, ExampleSet, Exhausted,
+                            Pointwise, Scorer, Solved, TimedOut,
                             base_constant_pool, cegis, count_wrong,
                             make_solution, signature)
 from syguskit.checker import (CounterExample, ExhaustiveSmall, Valid,
@@ -235,7 +235,7 @@ def test_enum_solves_when_an_argument_always_raises():
 
 
 # ---------------------------------------------------------------------------
-# memoised signatures against the reference signature()
+# composed signatures against the reference signature()
 
 
 def data_grammar(name, unknown):
@@ -268,7 +268,7 @@ def test_memoised_signature_matches_signature(name, seed, values):
     bindings = [{n: (BV(s.width, v) if s.is_bv else v % 2 == 1 if s == BOOL
                      else v) for n, s in g.var_sorts.items()}
                 for v in values]
-    sig = Signatures(bindings, defs)
+    sig = Pointwise(bindings, defs)
     e = Enumerator(g, pool)
     for _ in range(30):
         nt, size = rng.choice(sorted(g.rules)), rng.randint(1, 9)
@@ -279,6 +279,8 @@ def test_memoised_signature_matches_signature(name, seed, values):
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_cached_scores_match_uncached_past_the_memo_bound(name):
+    """wrong() on the scorer's composed signatures against wrong() on the
+    reference signature(), over 600 sampled bodies."""
     p = PROBLEMS[name]()
     names = list(p.universals)
     rng = random.Random(7)
@@ -286,7 +288,6 @@ def test_cached_scores_match_uncached_past_the_memo_bound(name):
     scorer = Scorer(p, E)
     enums = {n: Enumerator(u.grammar, base_constant_pool(p))
              for n, u in p.unknowns.items()}
-    largest = 0
     for _ in range(600):
         bodies = {}
         for n, u in p.unknowns.items():
@@ -299,12 +300,6 @@ def test_cached_scores_match_uncached_past_the_memo_bound(name):
         want = list(scorer.wrong(bodies, uncached))
         assert list(scorer.wrong(bodies)) == want
         assert count_wrong(scorer, bodies) == len(want)
-        for n in p.unknowns:
-            size = len(scorer.sig[n].memo)
-            assert size <= SIG_MEMO
-            largest = max(largest, size)
-    # the naive path has no bindings, so only its terms' empty signatures
-    assert largest == SIG_MEMO or scorer.naive
 
 
 def test_cegis_loop_with_stub_proposers(max2, monkeypatch):

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,10 @@ def test_run_suite_demo_rejects_an_out_of_range_option(tmp_path, args):
 
 @pytest.mark.parametrize("args, message", [
     (("--suite", "missing"), "no .sl files under missing"),
-    (("--solvers", "enum,bogus"), "unknown solver id: bogus")])
+    (("--solvers", "enum,bogus"), "unknown solver id: bogus"),
+    (("--timeout", "1e10"),
+     f"wallclock_s + grace_s must be at most {threading.TIMEOUT_MAX:.0f}, "
+     "got 1e+10")])
 def test_run_suite_demo_reports_a_bad_input_as_an_error(tmp_path, args,
                                                         message):
     (tmp_path / "suite").mkdir()

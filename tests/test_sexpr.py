@@ -49,10 +49,15 @@ def test_unbalanced_close():
         read_sexprs("(a))")
 
 
-@pytest.mark.parametrize("bad", ["#x", "#b", "#xZZ", "#b2", "#q1", "12ab", "-3x"])
+@pytest.mark.parametrize("bad", ["#x", "#b", "#xZZ", "#b2", "#q1", "12ab", "-3x",
+                                 pytest.param("9" * 4301, id="9*4301"),
+                                 "\u00b2", "1\u00b2", "\u0663"])
 def test_bad_tokens(bad):
-    with pytest.raises(BadToken):
+    # int() raises ValueError past sys.get_int_max_str_digits() and on '²',
+    # and reads the Arabic-Indic digit three as 3; a numeral is ASCII digits
+    with pytest.raises(BadToken) as err:
         read_sexprs(bad)
+    assert len(str(err.value)) < 100  # an overlong numeral is not echoed
 
 
 def test_nesting_limit():
