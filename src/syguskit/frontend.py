@@ -10,12 +10,12 @@ constant hole, so one parser, parse_template, serves productions and terms
 alike, and one printer, term_to_sexpr, prints both: a constraint or
 definition body is a production with no nonterminals, and parse_term only
 desugars its lets, folds `(- n)` and rejects holes. A production may call a
-defined function but no unknown. Integer literals are coerced to bit-vector
-literals where the context fixes a width (a grammar rule or declared-function
-parameter of bit-vector sort, an operand position of a bv operator, either
-side of `=`/`ite` against a bit-vector), so listings like `(bvult 0 x)` parse
-as written. `let` in constraint and definition bodies is desugared by
-substitution; inside grammar productions it is kept structurally.
+defined function but no unknown. Each subterm is parsed once, then an Int
+operand is fitted where its context fixes a bit-vector width (a rule,
+parameter or ite branch of bit-vector sort, a bv operator, `=`/`ite` against
+a bit-vector): a literal turns into a bit-vector literal, an ite fits its
+branches and a let its body. Constraint and definition bodies desugar `let`
+by substitution; grammar productions keep it structurally.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .sexpr import BV, BadToken, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, INT, OPS, Apply, FunDef, FunSort, Let, Lit, Sort,
                     SortError, SygusError, Template, Term, THole, TNT,
                     UndeclaredSymbol, Var, apply_fundef, apply_sort, bitvec,
-                    expand, substitute, term_size)
+                    expand, substitute, term_size, value_sort)
 
 
 class UnknownCommand(SygusError):
@@ -104,8 +104,7 @@ class SynthProblem:
     inv_components: tuple[str, str, str, str] | None = None  # inv pre trans post
 
     def fun_sorts(self) -> dict[str, FunSort]:
-        return {n: f.fun_sort for funs in (self.defined_funs, self.unknowns)
-                for n, f in funs.items()}
+        return fun_sorts(self.defined_funs, self.unknowns)
 
 
 @dataclass
@@ -117,6 +116,11 @@ class CandidateSolution:
 
     def total_size(self) -> int:
         return sum(self.sizes().values())
+
+
+def fun_sorts(*tables: Mapping) -> dict[str, FunSort]:
+    """Name -> signature of each FunDef or UnknownFun in the tables."""
+    return {n: f.fun_sort for funs in tables for n, f in funs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +204,25 @@ def parse_grammar(sx: SExpr, params: Params,
     return make_grammar(sx[0][0], rules, param_sorts, funs)
 
 
-def _expect(tpl: Template, s: Sort, expected: Sort | None,
-            sx: SExpr) -> tuple[Template, Sort]:
-    """(tpl, s) checked against the expected sort; an Int literal that fits
-    becomes a bit-vector literal of the expected width."""
-    if expected is None or s == expected:
+def _fit(tpl: Template, s: Sort, want: Sort | None,
+         sx: SExpr) -> tuple[Template, Sort]:
+    """(tpl, s), parsed from sx, checked against the sort wanted of it. An
+    Int literal in range becomes a bit-vector literal of the wanted width, an
+    Int ite fits both branches and an Int let its body; nothing is parsed
+    again."""
+    if want is None or s == want:
         return tpl, s
-    if (s == INT and expected.is_bv and isinstance(tpl, Lit)
-            and not isinstance(tpl.value, bool)
-            and 0 <= tpl.value < (1 << expected.width)):
-        return Lit(BV(expected.width, tpl.value)), expected
-    raise SortError(f"expected {expected}, got {s}: {print_sexpr(sx)}",
-                    expected=expected, found=s)
+    if s == INT and want.is_bv:
+        if isinstance(tpl, Lit) and 0 <= tpl.value < (1 << want.width):
+            return Lit(BV(want.width, tpl.value)), want
+        if isinstance(tpl, Apply) and tpl.op == "ite" and tpl.args:
+            c, a, b = tpl.args
+            return Apply("ite", (c, _fit(a, s, want, sx[2])[0],
+                                 _fit(b, s, want, sx[3])[0])), want
+        if isinstance(tpl, Let):
+            return Let(tpl.bindings, _fit(tpl.body, s, want, sx[2])[0]), want
+    raise SortError(f"expected {want}, got {s}: {print_sexpr(sx)}",
+                    expected=want, found=s)
 
 
 def parse_template(sx: SExpr, nts: Mapping[str, Sort],
@@ -222,39 +233,37 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
 
     Symbols resolve to let-bound names, then nonterminals (nts), then
     parameters, then nullary functions; a let-bound c also hides a nullary
-    function c applied as (c). An operand is parsed against the sort
-    its position fixes (a declared function's parameter sort; for ite's
-    branches, the sort expected of the ite), and an Int literal adapts to the
-    bit-vector width that the context or a sibling operand fixes. apply_sort
-    then types the node."""
-    if isinstance(sx, bool):
-        return _expect(Lit(sx), BOOL, expected, sx)
-    if isinstance(sx, BV):
-        return _expect(Lit(sx), bitvec(sx.width), expected, sx)
-    if isinstance(sx, int):
-        return _expect(Lit(sx), INT, expected, sx)
-    if isinstance(sx, str):
-        if sx in let_env:
-            return _expect(Var(sx), let_env[sx], expected, sx)
-        if sx in nts:
-            return _expect(TNT(sx), nts[sx], expected, sx)
-        if sx in params:
-            return _expect(Var(sx), params[sx], expected, sx)
-        f = funs.get(sx)
-        if f is not None and not f.params:
-            return _expect(Apply(sx, ()), f.ret, expected, sx)
-        raise UndeclaredSymbol(sx)
+    function c applied as (c). Each operand is parsed once, against the sort
+    known before it is read (a declared function's parameter sort; the sort
+    expected of an ite for its branches, of a let for its body), and
+    apply_sort then types the node. An Int operand whose sibling is a
+    bit-vector, or of a bv operator expected to give one, is fitted to that
+    width by _fit, as is an Int node where a bit-vector is expected."""
+    if not isinstance(sx, list):
+        if not isinstance(sx, str):
+            got = Lit(sx), value_sort(sx)
+        elif sx in let_env:
+            got = Var(sx), let_env[sx]
+        elif sx in nts:
+            got = TNT(sx), nts[sx]
+        elif sx in params:
+            got = Var(sx), params[sx]
+        elif sx in funs and not funs[sx].params:
+            got = Apply(sx, ()), funs[sx].ret
+        else:
+            raise UndeclaredSymbol(sx)
+        return _fit(*got, expected, sx)
     if not sx or not isinstance(sx[0], str):
         raise SortError(f"cannot apply {print_sexpr(sx)}")
 
     op = sx[0]
     if len(sx) == 1 and op in let_env:
-        return _expect(Var(op), let_env[op], expected, sx)
+        return _fit(Var(op), let_env[op], expected, sx)
     if op == "Constant":
         if len(sx) != 2:
             raise SortError(f"malformed constant hole: {print_sexpr(sx)}")
         s = parse_sort(sx[1])
-        return _expect(THole(s), s, expected, sx)
+        return _fit(THole(s), s, expected, sx)
     if op == "Variable":
         raise UnknownCommand("(Variable ...) grammar terminals are not supported")
     if op == "let":
@@ -284,29 +293,21 @@ def parse_template(sx: SExpr, nts: Mapping[str, Sort],
         wants = (None, expected, expected)
     children = [parse_template(a, nts, params, funs, let_env, w)
                 for a, w in zip(raw, wants)]
-    if shared == "bv":
-        w = next((s for _, s in children if s.is_bv), None)
-        if w is None and expected is not None and expected.is_bv \
-                and spec.result is None:
+    # at a wrong arity of = or ite, apply_sort below reports it
+    if shared == "bv" or (shared is not None and len(raw) == spec.lo):
+        i = 1 if shared == "ite" else 0  # children[i:] share one sort
+        w = next((s for _, s in children[i:] if s.is_bv), None)
+        if w is None and shared == "bv":
+            if spec.result is not None or not (expected and expected.is_bv):
+                raise SortError(f"cannot determine width: {print_sexpr(sx)}")
             w = expected
-        if w is None:
-            raise SortError(f"cannot determine width: {print_sexpr(sx)}")
-        children = [parse_template(a, nts, params, funs, let_env, w)
-                    if s == INT else (tpl, s)
-                    for (tpl, s), a in zip(children, raw)]
-    elif shared in ("same", "ite") and len(children) == spec.lo:
-        # at a wrong arity apply_sort below reports it
-        i, j = (0, 1) if shared == "same" else (1, 2)
-        (_, si), (_, sj) = children[i], children[j]
-        if si.is_bv and sj == INT:
-            children[j] = parse_template(raw[j], nts, params, funs, let_env, si)
-        elif sj.is_bv and si == INT:
-            children[i] = parse_template(raw[i], nts, params, funs, let_env, sj)
+        children[i:] = [_fit(t, s, w, a) if s == INT else (t, s)
+                        for (t, s), a in zip(children[i:], raw[i:])]
     try:
         s = apply_sort(op, [s for _, s in children], funs)
     except SortError as e:
         raise SortError(f"{e} in {print_sexpr(sx)}") from None
-    return _expect(Apply(op, tuple([t for t, _ in children])), s, expected, sx)
+    return _fit(Apply(op, tuple([t for t, _ in children])), s, expected, sx)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +404,6 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
         if name in defined or name in unknowns or name in universals:
             raise DuplicateDeclaration(name)
 
-    def fun_sorts() -> dict[str, FunSort]:
-        return {n: f.fun_sort for funs in (defined, unknowns)
-                for n, f in funs.items()}
-
     for cmd in cmds:
         if saw_check:
             raise MissingCheckSynth("(check-synth) must be the final command")
@@ -425,7 +422,8 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
                 raise UnknownCommand(print_sexpr(cmd))
             name, params, ret = cmd[1], _parse_params(cmd[2]), parse_sort(cmd[3])
             declare(name)
-            body, _ = parse_term(cmd[4], dict(params), fun_sorts(), ret)
+            body, _ = parse_term(cmd[4], dict(params),
+                                 fun_sorts(defined, unknowns), ret)
             defined[name] = FunDef(name, params, ret, body)
         elif head in ("declare-var", "declare-primed-var"):
             if len(cmd) != 3 or not isinstance(cmd[1], str):
@@ -445,8 +443,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             grammar = None
             if len(cmd) == 5:
                 # a grammar may call defined functions, never an unknown
-                defs = {n: s for n, s in fun_sorts().items() if n in defined}
-                grammar = parse_grammar(cmd[4], params, defs)
+                grammar = parse_grammar(cmd[4], params, fun_sorts(defined))
                 if grammar.start_sort != ret:
                     raise SortError(f"grammar of {name} starts at "
                                     f"{grammar.start_sort}, function returns {ret}")
@@ -467,7 +464,8 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
         elif head == "constraint":
             if len(cmd) != 2:
                 raise UnknownCommand(print_sexpr(cmd))
-            term, _ = parse_term(cmd[1], universals, fun_sorts(), BOOL)
+            term, _ = parse_term(cmd[1], universals,
+                                 fun_sorts(defined, unknowns), BOOL)
             constraints.append(term)
         elif head == "inv-constraint":
             if len(cmd) != 5 or not all(isinstance(a, str) for a in cmd[1:]):
@@ -476,6 +474,8 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
                 raise DuplicateDeclaration("inv-constraint")
             inv_constraint = (cmd[1], cmd[2], cmd[3], cmd[4])
         elif head == "check-synth":
+            if len(cmd) != 1:
+                raise UnknownCommand(print_sexpr(cmd))
             saw_check = True
         else:
             raise UnknownCommand(head)
@@ -638,8 +638,7 @@ def parse_solution(text: str, problem: SynthProblem) -> CandidateSolution:
                 and isinstance(sx[1], str)):
             raise UnknownCommand(print_sexpr(sx))
         name, params, ret = sx[1], _parse_params(sx[2]), parse_sort(sx[3])
-        ctx_funs = {n: f.fun_sort for funs in (problem.defined_funs, helpers)
-                    for n, f in funs.items()}
+        ctx_funs = fun_sorts(problem.defined_funs, helpers)
         body, _ = parse_term(sx[4], dict(params), ctx_funs, ret)
         body = expand(body, helpers)
         u = problem.unknowns.get(name)

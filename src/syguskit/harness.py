@@ -7,9 +7,9 @@ solver's own measurement (solver-only, checking excluded); the harness clock
 is the fallback. "Fastest" and "smallest" are bucketed pseudo-logarithmically:
 every solver in the same bucket as the best one shares the title.
 
-Timeouts are enforced watchdog-style: each run gets a daemon worker thread
-that is abandoned once wallclock + grace passes (built-in solvers poll their
-budgets cooperatively and return on their own).
+Timeouts are watchdog-style: each solve runs on a daemon thread that is
+abandoned once wallclock + grace passes (built-in solvers poll their budgets
+and return on their own). The problem loads before the watchdog starts.
 """
 
 from __future__ import annotations

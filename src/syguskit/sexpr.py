@@ -55,11 +55,13 @@ def _classify(token: str, pos: int) -> Atom:
             return BV(4 * (len(token) - 2), int(token[2:], 16))
         if len(token) > 2 and token[1] == "b" and all(c in "01" for c in token[2:]):
             return BV(len(token) - 2, int(token[2:], 2))
-        raise BadToken(f"malformed bit-vector literal {token!r}", pos)
+        raise BadToken(f"malformed bit-vector literal {token[:20]!r} of "
+                       f"length {len(token)}", pos)
     body = token[1:] if token[0] == "-" and len(token) > 1 else token
     if body[0].isdigit():
         if not (body.isascii() and body.isdigit()):  # isdigit accepts '²'
-            raise BadToken(f"malformed numeral {token!r}", pos)
+            raise BadToken(f"malformed numeral {token[:20]!r} of length "
+                           f"{len(token)}", pos)
         try:
             return int(token)
         except ValueError:  # longer than sys.get_int_max_str_digits()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from conftest import DATA, data_text, load, term
+from syguskit import frontend
 from syguskit.frontend import (ArityMismatch, CandidateSolution,
                                DuplicateDeclaration, GrammarOrigin,
                                MissingCheckSynth, MissingComponent,
@@ -77,6 +78,12 @@ def test_unknown_command_is_hard_error():
         read_problem("(set-option :foo bar)\n(check-synth)")
 
 
+def test_check_synth_with_arguments_is_hard_error():
+    with pytest.raises(UnknownCommand):
+        read_problem("(set-logic LIA)(synth-fun f ((x Int)) Int)"
+                     "(check-synth extra junk)")
+
+
 def test_negative_literals_both_spellings():
     assert term("-5") == Lit(-5)
     assert term("(- 5)") == Lit(-5)
@@ -101,6 +108,43 @@ def test_int_literal_adapts_to_bitvector_context():
 def test_oversized_literal_rejected_in_bv_context():
     with pytest.raises(SortError):
         term("(bvand x 300)", {"x": bitvec(8)})
+    with pytest.raises(SortError, match="256"):
+        term("(= (ite c 1 256) x)", {"c": BOOL, "x": bitvec(8)})
+
+
+def test_int_ite_and_let_take_a_sibling_width():
+    ctx = {"c": BOOL, "x": bitvec(8)}
+    one, two = Lit(BV(8, 1)), Lit(BV(8, 2))
+    ite = Apply("ite", (Var("c"), one, two))
+    assert term("(= (let ((y c)) (ite y 1 2)) x)", ctx) == Apply(
+        "=", (ite, Var("x")))
+    with pytest.raises(SortError, match="got Int: y"):  # a name keeps its sort
+        term("(bvadd (let ((y 1)) (ite c y 2)) x)", ctx)
+    with pytest.raises(SortError, match="got Int: ite"):  # a nullary function
+        term("(bvadd ite x)", ctx, {"ite": FunSort((), INT)})
+
+
+def test_each_subterm_is_parsed_once(monkeypatch):
+    # each level's Int ite fits its branches to x's width; parsing it again
+    # against that width would parse the levels below twice
+    e = ["=", "x", "x"]
+    for _ in range(12):
+        e = ["=", ["ite", e, 1, 2], "x"]
+    parse, calls = frontend.parse_template, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(frontend, "parse_template", counted)
+    p = read_problem("(set-logic BV)(declare-var x (BitVec 8))"
+                     f"(constraint {print_sexpr(e)})(check-synth)")
+
+    def nodes(sx):
+        return 1 + sum(map(nodes, sx)) if isinstance(sx, list) else 1
+
+    assert len(calls) <= nodes(e)
+    assert print_problem(p).count("(ite") == print_problem(p).count("#x01") == 12
 
 
 @pytest.mark.parametrize("production", ["(=)", "(= x)", "(ite B)", "(ite B x)"])

@@ -51,13 +51,15 @@ def test_unbalanced_close():
 
 @pytest.mark.parametrize("bad", ["#x", "#b", "#xZZ", "#b2", "#q1", "12ab", "-3x",
                                  pytest.param("9" * 4301, id="9*4301"),
-                                 "\u00b2", "1\u00b2", "\u0663"])
+                                 "\u00b2", "1\u00b2", "\u0663",
+                                 pytest.param("9" * 5000 + "x", id="9*5000+x"),
+                                 pytest.param("#x" + "g" * 5000, id="#x+g*5000")])
 def test_bad_tokens(bad):
     # int() raises ValueError past sys.get_int_max_str_digits() and on '²',
     # and reads the Arabic-Indic digit three as 3; a numeral is ASCII digits
     with pytest.raises(BadToken) as err:
         read_sexprs(bad)
-    assert len(str(err.value)) < 100  # an overlong numeral is not echoed
+    assert len(str(err.value)) < 100  # a long token is not echoed whole
 
 
 def test_nesting_limit():
