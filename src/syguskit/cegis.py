@@ -6,11 +6,12 @@ every example and every syntactically distinct invocation of an unknown, the
 argument terms are evaluated at the example to bind the unknown's parameters;
 a term's signature is its output vector over these induced bindings, in the
 raw values terms.compile_term uses (a bit-vector as its masked int), composed
-pointwise from its arguments' signatures (Pointwise); signature() is the
-reference tree walk, over BV values. Both solvers ask Scorer which examples a
-candidate gets wrong: the enumerative solver hands it the signatures from
-its banks, the stochastic one the bodies, whose signatures Scorer composes
-per unknown, node by node (Pointwise). Scorer compiles the conjunction of
+from its arguments' signatures (terms.Pointwise, whose column composition
+the checker also uses); signature() is the reference tree walk, over BV
+values. Both solvers ask Scorer which examples a candidate gets wrong: the
+enumerative solver hands it the signatures from its banks, the stochastic
+one the bodies, whose signatures Scorer composes per unknown, node by node
+(Pointwise). Scorer compiles the conjunction of
 its constraint skeletons once (terms.compile_term) and scores an example on
 its raw point and the candidate's slot values; an example the skeletons cannot
 decide is scored on the verifier's own compiled constraints
@@ -30,10 +31,9 @@ from .checker import (CounterExample, Valid, _violated_index,
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
-from .terms import (BV, OPS, Apply, DivisionByZero, FunDef, Lit, Sort,
+from .terms import (BV, ERR, Apply, DivisionByZero, FunDef, Lit, Pointwise,
                     SygusError, Term, UndeclaredSymbol, Value, Var,
-                    compile_term, evaluate, infer_sort, op_value, raw_value,
-                    subterms, value_sort)
+                    compile_term, evaluate, raw_value, subterms)
 
 
 @dataclass
@@ -95,18 +95,6 @@ class ExampleSet:
 
     def __iter__(self):
         return iter(self.points)
-
-
-class _Err:
-    """Distinguished signature token for evaluation errors."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "⊥"
-
-
-ERR = _Err()
 
 
 def make_solution(p: SynthProblem, bodies: Mapping[str, Term]) -> CandidateSolution:
@@ -235,97 +223,6 @@ def signature(t: Term, bindings: Sequence[Mapping[str, Value]],
         except DivisionByZero:
             out.append(ERR)
     return tuple(out)
-
-
-class Pointwise:
-    """Raw signatures over one list of bindings, an application's composed
-    pointwise from its arguments', so a term costs one operator application
-    per point and not a tree walk. A bit-vector operator applies at its
-    first operand's width (width()); ite/and/or/=> keep the evaluator's
-    laziness, so an untaken branch swallows its errors; a defined function
-    runs its body compiled once; a let goes through signature()."""
-
-    def __init__(self, bindings: Sequence[Mapping[str, Value]],
-                 defs: Mapping[str, FunDef]):
-        self.bindings = list(bindings)
-        self.defs = defs
-        self.funs = {n: f.fun_sort for n, f in defs.items()}
-        # variables sorted by their values in the first binding
-        self.sorts = {n: value_sort(v) for b in self.bindings[:1]
-                      for n, v in b.items()}
-        self._values: dict[tuple[str, int | None], Callable[..., Value]] = {}
-
-    def leaf(self, t: Term) -> tuple:
-        """The signature of a variable, a literal or a let."""
-        if isinstance(t, Var):
-            # built from a list here and below: tuple() of an iterator of
-            # unknown length resizes its result, which fills CPython's free
-            # list of tuples of the signature's length (up to 2,000 of them)
-            return tuple([raw_value(b[t.name]) for b in self.bindings])
-        if isinstance(t, Lit):
-            return (raw_value(t.value),) * len(self.bindings)
-        return tuple([raw_value(v)
-                      for v in signature(t, self.bindings, self.defs)])
-
-    def apply(self, op: str, sigs: Sequence[tuple],
-              width: int | None = None) -> tuple:
-        """The signature of op applied to arguments of these signatures;
-        width is a bit-vector operator's operand width."""
-        n = len(self.bindings)
-        if not n:
-            return ()
-        if op == "ite":
-            return tuple([ERR if c is ERR else (a if c else b)
-                          for c, a, b in zip(*sigs)])
-        if op in ("and", "or", "=>"):
-            return tuple([_connective(op, xs) for xs in zip(*sigs)])
-        value = (self._values.get((op, width))
-                 or op_value(op, width, self.defs, self._values))
-        for s in sigs:
-            if ERR in s:
-                break
-        else:
-            try:
-                return tuple(list(map(value, *sigs)) if sigs else
-                             [value()] * n)
-            except DivisionByZero:
-                pass
-        out = []
-        for xs in zip(*sigs) if sigs else [()] * n:
-            if any(x is ERR for x in xs):
-                out.append(ERR)
-                continue
-            try:
-                out.append(value(*xs))
-            except DivisionByZero:
-                out.append(ERR)
-        return tuple(out)
-
-    def width(self, t: Apply, nts: Mapping[str, Sort] | None = None
-              ) -> int | None:
-        """The width a bit-vector operator applies at: that of t's first
-        operand, sorted with nts for a template; None for other operators."""
-        spec = OPS.get(t.op)
-        if spec is None or spec.operand != "bv" or not self.bindings:
-            return None
-        return infer_sort(t.args[0], self.sorts, nts, self.funs).width
-
-    def __call__(self, t: Term) -> tuple:
-        """t's signature, composed from its arguments' for an application."""
-        if isinstance(t, Apply):
-            return self.apply(t.op, [self(a) for a in t.args], self.width(t))
-        return self.leaf(t)
-
-
-def _connective(op: str, xs: tuple):
-    """and/or/=> at one point: the first operand that settles the result
-    decides it, so an error there wins and an error after it is swallowed."""
-    if op == "and":
-        return next((x for x in xs if x is ERR or x is False), True)
-    if op == "or":
-        return next((x for x in xs if x is ERR or x is True), False)
-    x = next((x for x in xs[:-1] if x is ERR or x is False), None)
-    return xs[-1] if x is None else ERR if x is ERR else True
 
 
 class Scorer:

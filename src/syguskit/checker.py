@@ -7,12 +7,17 @@ conjunction. Internal Valid verdicts are only valid-on-budget and are never
 silently upgraded: VerificationResult.Valid carries a `certified` flag that
 only an external `unsat` sets.
 
-The substituted constraints are compiled once per check (terms.compile_term)
-over the universals, and every stage of a Layered strategy walks them over
-raw points: tuples with a bit-vector as its int, drawn lazily from the grid
-or the seeded sampler. A counterexample's valuation, and only it, is built
-as a dict of Values. A point where evaluation raises (Int division by zero)
-counts as falsified.
+Every stage of a Layered strategy evaluates the substituted constraints
+column-wise (terms.Pointwise, the composition the solvers' signatures use)
+over blocks of raw points: tuples with a bit-vector as its int, drawn from
+the grid or the seeded sampler a block at a time and transposed into one
+column per universal. The first block is small, so an early counterexample
+costs few points, and blocks grow to a cap that bounds memory. A point where
+evaluation raises (Int division by zero) counts as falsified. A
+counterexample is the earliest violated point and, at it, the first
+constraint violated; its valuation, and only it, is built as a dict of
+Values. The constraints compiled per point (compiled_constraints) decide the
+scorer's undecided examples and an SMT model.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
                        term_to_sexpr)
 from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
-from .terms import (BOOL, INT, Apply, DivisionByZero, FunDef, Lit, Sort,
-                    SygusError, Term, Value, Var, compile_term, evaluate,
-                    expand, raw_value, value_sort)
+from .terms import (BOOL, ERR, INT, Apply, DivisionByZero, FunDef, Lit,
+                    Pointwise, Sort, SygusError, Term, Value, Var,
+                    compile_term, evaluate, expand, raw_value, value_sort)
 
 
 class UnsupportedLogic(SygusError):
@@ -221,19 +226,42 @@ def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
     return draw
 
 
-def _check_points(p: SynthProblem, compiled: Sequence[Callable],
+FIRST_BLOCK = 16
+MAX_BLOCK = 1024
+
+
+def _check_points(p: SynthProblem, constraints: Sequence[Term],
                   points: Iterable[tuple] | None) -> VerificationResult:
-    """The first violated raw point, else Valid on budget; Unknown when there
-    is no point to examine (no grid for these sorts, an empty Int range, a
-    sample count below one). A problem without universals has one point."""
-    checked = False
-    for point in points or ():
+    """The first violated raw point, at it the first constraint that is
+    false or raises there, else Valid on budget; Unknown when there is no
+    point to examine (no grid for these sorts, an empty Int range, a sample
+    count below one). A problem without universals has one point.
+
+    The points are taken in blocks that grow from FIRST_BLOCK to MAX_BLOCK
+    rows, and each constraint is evaluated column-wise over a block
+    (terms.Pointwise): only over the rows before the earliest violation
+    found so far in it."""
+    columns = Pointwise((), p.defined_funs)
+    universals = list(p.universals.items())
+    it, size, checked = iter(points or ()), FIRST_BLOCK, False
+    while block := list(itertools.islice(it, size)):
         checked = True
-        idx = _violated_index(compiled, point)
+        cols = list(zip(*block))
+        first, idx = len(block), None
+        for i, c in enumerate(constraints):
+            env = {name: (col[:first], sort)
+                   for (name, sort), col in zip(universals, cols)}
+            col = columns.column(c, env, first)[0]
+            bad = [col.index(x) for x in (False, ERR) if x in col]
+            if bad:
+                first, idx = min(bad), i
+                if not first:
+                    break
         if idx is not None:
             return CounterExample({
                 name: BV(sort.width, v) if sort.is_bv else v
-                for (name, sort), v in zip(p.universals.items(), point)}, idx)
+                for (name, sort), v in zip(universals, block[first])}, idx)
+        size = min(2 * size, MAX_BLOCK)
     return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
 
 
@@ -248,15 +276,15 @@ def compiled_constraints(p: SynthProblem,
 
 def check_semantic(p: SynthProblem, s: CandidateSolution,
                    strat: CheckStrategy) -> VerificationResult:
-    return _check_constraints(p, s, compiled_constraints(p, s), strat)
+    return _check_constraints(p, s, substituted_constraints(p, s), strat)
 
 
 def _check_constraints(p: SynthProblem, s: CandidateSolution,
-                       compiled: Sequence[Callable],
+                       constraints: Sequence[Term],
                        strat: CheckStrategy) -> VerificationResult:
     if isinstance(strat, ExhaustiveSmall):
         domains = _grid_domains(p.universals, strat)
-        return _check_points(p, compiled, None if domains is None
+        return _check_points(p, constraints, None if domains is None
                              else itertools.product(*domains))
 
     if isinstance(strat, RandomSample):
@@ -264,16 +292,16 @@ def _check_constraints(p: SynthProblem, s: CandidateSolution,
             return Unknown(UnknownReason.BUDGET)
         rng = random.Random(strat.seed)
         draws = [_drawer(sort, rng, strat) for sort in p.universals.values()]
-        return _check_points(p, compiled, (tuple([d() for d in draws])
-                                           for _ in range(strat.count)))
+        return _check_points(p, constraints, (tuple([d() for d in draws])
+                                              for _ in range(strat.count)))
 
     if isinstance(strat, ExternalSMT):
-        return _check_external(p, s, compiled, strat)
+        return _check_external(p, s, strat)
 
     provisional: Valid | None = None
     unknown = Unknown(UnknownReason.BUDGET)
     for stage in strat.stages:
-        r = _check_constraints(p, s, compiled, stage)
+        r = _check_constraints(p, s, constraints, stage)
         if isinstance(r, CounterExample):
             return r
         if isinstance(r, Valid):
@@ -420,7 +448,6 @@ def run_solver(command: str, script: str, timeout_s: float) -> tuple[str, str] |
 
 
 def _check_external(p: SynthProblem, s: CandidateSolution,
-                    compiled: Sequence[Callable],
                     strat: ExternalSMT) -> VerificationResult:
     try:
         script = emit_smtlib(p, s)
@@ -438,7 +465,8 @@ def _check_external(p: SynthProblem, s: CandidateSolution,
                         p.universals)
     if model is None:
         return Unknown(UnknownReason.SOLVER_UNKNOWN)
-    idx = _violated_index(compiled, tuple(map(raw_value, model.values())))
+    idx = _violated_index(compiled_constraints(p, s),
+                          tuple(map(raw_value, model.values())))
     if idx is None:
         # model does not actually falsify anything we can evaluate
         return Unknown(UnknownReason.SOLVER_UNKNOWN)

@@ -3,10 +3,12 @@ observational-equivalence pruning against the current counterexample set.
 
 A Bank is the grammar's sized walk over one unknown's grammar, carrying
 (term, signature) pairs: a signature is a term's raw output vector over the
-induced parameter bindings (cegis.Pointwise), and an application's is
+induced parameter bindings (terms.Pointwise), and an application's is
 composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
-builds no other; nonterminal slots draw from the kept pairs. Candidates are
+builds no other, and of a commutative operator (terms.OPS) over two slots of
+one nonterminal it composes (op a b) but not the twin (op b a) that comes
+after it; nonterminal slots draw from the kept pairs. Candidates are
 proposed in nondecreasing total size (joint size over the unknowns,
 compositions in lexicographic order). A bank builds each piece where the
 walk first reads it, and the first bank's pieces are proposed from as they
@@ -28,16 +30,16 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Container, Iterator, Mapping, Sequence
 
-from .cegis import (BudgetExpired, Deadline, Pointwise, Proposals, Scorer,
-                    SolveOutcome, cegis)
+from .cegis import (BudgetExpired, Deadline, Proposals, Scorer, SolveOutcome,
+                    cegis)
 from .cegis import induced_bindings  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import CheckStrategy
 from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Enumerator, compositions, walk_splits
-from .terms import (TNT, Apply, FunDef, Let, Lit, Template, Term, THole,
-                    Value)
+from .terms import (OPS, TNT, Apply, FunDef, Let, Lit, Pointwise, Template,
+                    Term, THole, Value)
 from .terms import evaluate  # noqa: F401 (perfbench/tracing.py wraps it)
 
 
@@ -128,7 +130,24 @@ class Bank(Enumerator):
             op, width = tpl.op, self.pointwise.width(
                 tpl, {nt: r.sort for nt, r in self.g.rules.items()})
             apply = self.pointwise.apply
-            for chosen in walk_splits(splits, inst):
+            spec = OPS.get(op)
+
+            def untwinned() -> Iterator[tuple]:
+                """walk_splits but for (op b a) where (op a b) came first:
+                sizes s1 <= s2, and at s1 = s2 item i with items j >= i."""
+                for s1, s2 in splits:
+                    if s1 <= s2:
+                        left, right = inst(0, s1), inst(1, s2)
+                        for i, a in enumerate(left):
+                            for b in (right[i:] if s1 == s2 else right):
+                                yield a, b
+
+            # a commuted twin has the signature of the pair before it, so a
+            # pruning bank would drop it
+            twins = (self.prune and spec is not None and spec.commutative
+                     and len(slots) == 2 and slots[0] == slots[1]
+                     and isinstance(slots[0][0], TNT))
+            for chosen in untwinned() if twins else walk_splits(splits, inst):
                 self._poll()
                 sig = apply(op, [s for _, s in chosen], width)
                 if sig not in skip:

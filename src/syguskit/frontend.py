@@ -126,6 +126,11 @@ def fun_sorts(*tables: Mapping) -> dict[str, FunSort]:
 # ---------------------------------------------------------------------------
 # Sorts
 
+# the widest bit-vector sort a problem may declare, as wide as SyGuS-Comp'15's
+# widest; a value of width w costs memory in w, so a width parsed from a few
+# digits could take gigabytes
+MAX_BV_WIDTH = 64
+
 
 def parse_sort(sx: SExpr) -> Sort:
     if sx == "Int":
@@ -134,6 +139,9 @@ def parse_sort(sx: SExpr) -> Sort:
         return BOOL
     if (isinstance(sx, list) and len(sx) == 2 and sx[0] == "BitVec"
             and isinstance(sx[1], int) and not isinstance(sx[1], bool)):
+        if sx[1] > MAX_BV_WIDTH:
+            raise SortError(f"bit-vector width {sx[1]} is above the maximum "
+                            f"of {MAX_BV_WIDTH}")
         return bitvec(sx[1])
     raise SortError(f"unknown sort {print_sexpr(sx)}")
 

@@ -14,17 +14,22 @@ given functions by their bodies (defined functions, or candidate bodies for
 the unknowns).
 
 `OPS` is the one place a built-in operator is described: its least and
-greatest arity, its operand and result sorts and its value function, which
-takes a bit-vector as the width and a masked unsigned int. `apply_sort`
-types an application from it (for `infer_sort` and the frontend);
-`evaluate` and `op_value` (for the pointwise signatures and `compile_term`)
-compute values with it; only the lazy ite/and/or/=> are evaluated in place.
+greatest arity, its operand and result sorts, its value function, which
+takes a bit-vector as the width and a masked unsigned int, and whether it is
+commutative. `apply_sort` types an application from it (for `infer_sort`
+and the frontend); `evaluate` and `op_value` (for `Pointwise` and
+`compile_term`) compute values with it; only the lazy ite/and/or/=> are
+evaluated in place.
 
-`evaluate` is the reference tree walk over BV values. `compile_term` turns a
-term once into a closure over a tuple of raw values (a bit-vector as its
-masked int, its width fixed at compile time), for the places that evaluate
-one term at many points: the checker's grid and samples and the scorer's
-skeletons.
+`evaluate` is the reference tree walk over BV values. The other two
+evaluators work on raw values (a bit-vector as its masked int, its width
+fixed by its sort). `Pointwise` evaluates a term over many rows at once, an
+application's column composed from its arguments' columns with ERR marking
+the rows where evaluation raised: the enumerative bank's and the scorer's
+signatures over bindings, and the checker's blocks of grid or sample
+points. `compile_term` turns a term once into a closure over one tuple of
+raw values, for the scorer's constraint skeletons and single points (an
+example the skeletons cannot decide, an SMT model).
 """
 
 from __future__ import annotations
@@ -293,13 +298,16 @@ class Op:
     operand sort (the branch sort for ite). value maps operand values to the
     result; a "bv" operator's takes the width first and bit-vectors as
     masked unsigned ints, and `lift` wraps it over BV values for `evaluate`,
-    its one caller. value is None for the lazy ite/and/or/=>."""
+    its one caller. value is None for the lazy ite/and/or/=>. commutative:
+    swapping two operands never changes the value, errors included, so the
+    lazy connectives are not marked."""
 
     lo: int                                 # least arity
     hi: int | None                          # greatest arity; None: unbounded
     operand: Sort | str
     result: Sort | None
     value: Callable[..., Value] | None
+    commutative: bool = False
 
     def lift(self, *xs: BV) -> Value:
         """value of a "bv" operator at BV operands."""
@@ -310,9 +318,9 @@ class Op:
 
 OPS: dict[str, Op] = {
     # Int; "-" with one operand is negation
-    "+": Op(1, None, INT, INT, lambda *xs: sum(xs)),
+    "+": Op(1, None, INT, INT, lambda *xs: sum(xs), True),
     "-": Op(1, None, INT, INT, lambda x, *ys: x - sum(ys) if ys else -x),
-    "*": Op(1, None, INT, INT, lambda *xs: math.prod(xs)),
+    "*": Op(1, None, INT, INT, lambda *xs: math.prod(xs), True),
     "div": Op(2, 2, INT, INT, euclidean_div),
     "mod": Op(2, 2, INT, INT, euclidean_mod),
     "<": Op(2, 2, INT, BOOL, operator.lt),
@@ -325,22 +333,23 @@ OPS: dict[str, Op] = {
     "or": Op(1, None, BOOL, BOOL, None),
     "=>": Op(2, None, BOOL, BOOL, None),
     "not": Op(1, 1, BOOL, BOOL, operator.not_),
-    "xor": Op(2, 2, BOOL, BOOL, operator.ne),
-    "xnor": Op(2, 2, BOOL, BOOL, operator.eq),
-    "iff": Op(2, 2, BOOL, BOOL, operator.eq),
-    "nand": Op(2, 2, BOOL, BOOL, lambda a, b: not (a and b)),
-    "nor": Op(2, 2, BOOL, BOOL, lambda a, b: not (a or b)),
-    "=": Op(2, 2, "same", BOOL, operator.eq),
+    "xor": Op(2, 2, BOOL, BOOL, operator.ne, True),
+    "xnor": Op(2, 2, BOOL, BOOL, operator.eq, True),
+    "iff": Op(2, 2, BOOL, BOOL, operator.eq, True),
+    "nand": Op(2, 2, BOOL, BOOL, lambda a, b: not (a and b), True),
+    "nor": Op(2, 2, BOOL, BOOL, lambda a, b: not (a or b), True),
+    "=": Op(2, 2, "same", BOOL, operator.eq, True),
     "ite": Op(3, 3, "ite", None, None),
     # BitVec: every operand of one width
     "bvnot": Op(1, 1, "bv", None, lambda w, a: a ^ ((1 << w) - 1)),
     "bvneg": Op(1, 1, "bv", None, lambda w, a: -a % (1 << w)),
-    "bvand": Op(2, 2, "bv", None, lambda w, a, b: a & b),
-    "bvor": Op(2, 2, "bv", None, lambda w, a, b: a | b),
-    "bvxor": Op(2, 2, "bv", None, lambda w, a, b: a ^ b),
-    "bvadd": Op(2, 2, "bv", None, lambda w, a, b: (a + b) % (1 << w)),
+    "bvand": Op(2, 2, "bv", None, lambda w, a, b: a & b, True),
+    "bvor": Op(2, 2, "bv", None, lambda w, a, b: a | b, True),
+    "bvxor": Op(2, 2, "bv", None, lambda w, a, b: a ^ b, True),
+    "bvadd": Op(2, 2, "bv", None, lambda w, a, b: (a + b) % (1 << w),
+                 True),
     "bvsub": Op(2, 2, "bv", None, lambda w, a, b: (a - b) % (1 << w)),
-    "bvmul": Op(2, 2, "bv", None, lambda w, a, b: a * b % (1 << w)),
+    "bvmul": Op(2, 2, "bv", None, lambda w, a, b: a * b % (1 << w), True),
     # division by zero is total: udiv gives all ones, urem the dividend
     "bvudiv": Op(2, 2, "bv", None,
                  lambda w, a, b: (1 << w) - 1 if b == 0 else a // b),
@@ -577,6 +586,228 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
         return (lambda e: value(*[f(e) for f in fns])), sort
 
     return comp(t, list(params))[0]
+
+
+
+# ---------------------------------------------------------------------------
+# Column evaluation
+
+
+class _Err:
+    """Distinguished column value for evaluation errors."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "⊥"
+
+
+ERR = _Err()
+
+
+class Pointwise:
+    """Raw columns: a term's values over many rows at once, each
+    application's composed from its arguments' columns, so a term costs one
+    operator application per row and not a tree walk per row. A row where
+    evaluation raises holds ERR. Values are compile_term's raw values; a
+    bit-vector operator applies at its first operand's width, through
+    op_value.
+
+    Rows are a list of bindings, for signatures (__call__, leaf, apply), or
+    any columns a caller lays out (column), for the checker's blocks of
+    points. In a walk of a term, ite/and/or/=> evaluate a later operand
+    only on the rows the earlier ones leave open, and a let or a defined
+    function is ERR on a row where a definition or an argument is, as in
+    evaluate; a defined function's body is walked over its arguments'
+    columns. apply composes columns already computed, so there an untaken
+    branch's ERR is swallowed instead."""
+
+    def __init__(self, bindings: Sequence[Mapping[str, Value]],
+                 defs: Mapping[str, FunDef]):
+        self.bindings = list(bindings)
+        self.defs = defs
+        self.funs = {n: f.fun_sort for n, f in defs.items()}
+        # variables sorted by their values in the first binding
+        self.sorts = {n: value_sort(v) for b in self.bindings[:1]
+                      for n, v in b.items()}
+        # each variable's column and sort, built from a list here and below:
+        # tuple() of an iterator of unknown length resizes its result, which
+        # fills CPython's free list of tuples of the signature's length (up
+        # to 2,000 of them)
+        self.env = {n: (tuple([raw_value(b[n]) for b in self.bindings]), s)
+                    for n, s in self.sorts.items()}
+        self._values: dict[tuple[str, int | None], Callable[..., Value]] = {}
+
+    def leaf(self, t: Term) -> tuple:
+        """The signature of a variable, a literal or a let."""
+        if isinstance(t, Var):
+            return self.env[t.name][0] if self.bindings else ()
+        if isinstance(t, Lit):
+            return (raw_value(t.value),) * len(self.bindings)
+        return self(t)
+
+    def apply(self, op: str, sigs: Sequence[tuple],
+              width: int | None = None) -> tuple:
+        """The signature of op applied to arguments of these signatures;
+        width is a bit-vector operator's operand width."""
+        n = len(sigs[0]) if sigs else len(self.bindings)
+        if not n:
+            return ()
+        if op == "ite":
+            return tuple([ERR if c is ERR else (a if c else b)
+                          for c, a, b in zip(*sigs)])
+        if op in ("and", "or", "=>"):
+            return tuple([_connective(op, xs) for xs in zip(*sigs)])
+        if op not in OPS:
+            return self._call(op, sigs, n)
+        value = (self._values.get((op, width))
+                 or op_value(op, width, self.defs, self._values))
+        for s in sigs:
+            if ERR in s:
+                break
+        else:
+            try:
+                return tuple(list(map(value, *sigs)))
+            except DivisionByZero:
+                pass
+        out = []
+        for xs in zip(*sigs):
+            if any(x is ERR for x in xs):
+                out.append(ERR)
+                continue
+            try:
+                out.append(value(*xs))
+            except DivisionByZero:
+                out.append(ERR)
+        return tuple(out)
+
+    def width(self, t: Apply, nts: Mapping[str, Sort] | None = None
+              ) -> int | None:
+        """The width a bit-vector operator applies at: that of t's first
+        operand, sorted with nts for a template; None for other operators."""
+        spec = OPS.get(t.op)
+        if spec is None or spec.operand != "bv" or not self.bindings:
+            return None
+        return infer_sort(t.args[0], self.sorts, nts, self.funs).width
+
+    def __call__(self, t: Term) -> tuple:
+        """t's signature over the bindings."""
+        n = len(self.bindings)
+        return self.column(t, self.env, n)[0] if n else ()
+
+    def column(self, t: Term, env: Mapping[str, tuple[tuple, Sort]],
+               n: int) -> tuple[tuple, Sort]:
+        """t's column over n rows, and its sort; env maps each variable t
+        reads to its column over those rows and its sort."""
+        if isinstance(t, Var):
+            try:
+                return env[t.name]
+            except KeyError:
+                raise UndeclaredSymbol(t.name) from None
+        if isinstance(t, Lit):
+            return (raw_value(t.value),) * n, value_sort(t.value)
+        if isinstance(t, Let):
+            # parallel: the definitions see the outer env
+            ds = [self.column(d, env, n) for _, d in t.bindings]
+            inner = {**env, **{name: d for (name, _), d
+                               in zip(t.bindings, ds)}}
+            return self._unless_err(t.body, inner, n, [c for c, _ in ds])
+        op, args = t.op, t.args
+        if op == "ite":
+            rows = _split(self.column(args[0], env, n)[0], range(n))
+            (a, sort), (b, _) = [self._on(u, env, n, r)
+                                 for u, r in zip(args[1:], rows)]
+            return _scatter(n, zip(rows, (a, b))), sort
+        if op in ("and", "or", "=>"):
+            return self._connective(op, args, env, n), BOOL
+        cols = [self.column(a, env, n) for a in args]
+        spec = OPS.get(op)
+        if spec is None:
+            return (self._call(op, [c for c, _ in cols], n),
+                    self.defs[op].ret)
+        sort = cols[0][1]
+        return (self.apply(op, [c for c, _ in cols], sort.width),
+                sort if spec.result is None else spec.result)
+
+    def _connective(self, op: str, args: Sequence[Term],
+                    env: Mapping[str, tuple[tuple, Sort]], n: int) -> tuple:
+        """and/or/=> over n rows: an operand is evaluated only on the rows
+        that the operands before it leave open, and an operand before the
+        last settles a row where it is ERR, or false (true for or)."""
+        out: list = [ERR] * n
+        rows: Sequence[int] = range(n)
+        value = op != "and"  # of a row an operand settles, but for ERR
+        for a in args[:-1]:
+            true, false = _split(self._on(a, env, n, rows)[0], rows)
+            rows, settled = (false, true) if op == "or" else (true, false)
+            for i in settled:
+                out[i] = value
+            if not rows:
+                return tuple(out)
+        return _scatter(n, [(rows, self._on(args[-1], env, n, rows)[0])],
+                        out)
+
+    def _call(self, op: str, sigs: Sequence[tuple], n: int) -> tuple:
+        """A defined function's column: its body's over its arguments',
+        ERR on a row where an argument is."""
+        f = self.defs.get(op)
+        if f is None:
+            raise UndeclaredSymbol(op)
+        env = {name: (c, s) for (name, s), c in zip(f.params, sigs)}
+        return self._unless_err(f.body, env, n, sigs)[0]
+
+    def _unless_err(self, t: Term, env: Mapping[str, tuple[tuple, Sort]],
+                    n: int, cols: Sequence[tuple]) -> tuple[tuple, Sort]:
+        """t's column over the rows where none of cols is ERR, and ERR on
+        the others."""
+        if not any(ERR in c for c in cols):
+            return self.column(t, env, n)
+        rows = [i for i, xs in enumerate(zip(*cols)) if ERR not in xs]
+        col, sort = self._on(t, env, n, rows)
+        return _scatter(n, [(rows, col)]), sort
+
+    def _on(self, t: Term, env: Mapping[str, tuple[tuple, Sort]], n: int,
+            rows: Sequence[int]) -> tuple[tuple, Sort]:
+        """t's column over the given rows of the n that env lays out."""
+        if len(rows) == n:
+            return self.column(t, env, n)
+        pick = (operator.itemgetter(*rows) if len(rows) > 1
+                else lambda c: tuple([c[i] for i in rows]))
+        return self.column(t, {name: (pick(c), s)
+                               for name, (c, s) in env.items()}, len(rows))
+
+
+def _split(col: tuple, rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The entries of rows at which the Bool column col is true, and those
+    at which it is false; a row where it is ERR is in neither."""
+    if ERR in col:
+        return ([i for i, x in zip(rows, col) if x is True],
+                [i for i, x in zip(rows, col) if x is False])
+    return (list(itertools.compress(rows, col)),
+            list(itertools.compress(rows, map(operator.not_, col))))
+
+
+def _scatter(n: int, parts, out: list | None = None) -> tuple:
+    """n rows from (rows, column) parts over out (ERR by default); a part
+    that covers every row is returned as it is."""
+    out = [ERR] * n if out is None else out
+    for rows, col in parts:
+        if len(rows) == n:
+            return col
+        for i, x in zip(rows, col):
+            out[i] = x
+    return tuple(out)
+
+
+def _connective(op: str, xs: tuple):
+    """and/or/=> at one row: the first operand before the last that settles
+    the result (an ERR, a false one for and and =>, a true one for or)
+    decides it, so an error there wins and an error after it is
+    swallowed; else the last operand's value."""
+    for x in xs[:-1]:
+        if x is ERR or x is (op == "or"):
+            return True if op == "=>" and x is False else x
+    return xs[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def term(text: str, variables=None, funs=None, expected=None):
     return t
 
 
+# lsz_w8_fixed.sl with y declared 4294967295 bits wide, past
+# frontend.MAX_BV_WIDTH: fitting the 0 of (bvult 0 y) to that width would
+# build an int of half a gigabyte
+WIDE_LSZ = data_text("lsz_w8_fixed.sl").replace(
+    "(declare-var y (BitVec 8))", "(declare-var y (BitVec 4294967295))")
+
+
 def deep_problem(depth: int) -> str:
     """A one-unknown LIA problem whose S-expressions nest `depth` levels."""
     body = "x"

@@ -7,16 +7,20 @@ from pathlib import Path
 import pytest
 
 from conftest import fake_solver_script, load
+from syguskit.cegis import make_solution
 from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               Invocation, Layered, RandomSample, Unknown,
-                              UnknownReason, Valid, check_semantic,
-                              check_syntactic, classify_features,
+                              UnknownReason, Valid, _violated_index,
+                              check_semantic, check_syntactic,
+                              classify_features, compiled_constraints,
                               default_strategy, emit_smtlib, falsified,
                               grid_points, int_drawer, parse_model,
                               substituted_constraints)
-from syguskit.frontend import load_problem, parse_solution, read_problem
+from syguskit.frontend import (load_problem, parse_solution, read_problem,
+                               term_to_sexpr)
+from syguskit.grammar import Enumerator
 from syguskit.sexpr import read_sexprs
-from syguskit.terms import BOOL, BV, INT, bitvec
+from syguskit.terms import BOOL, BV, INT, bitvec, raw_value
 
 EX8 = ExhaustiveSmall()  # Int in [-8, 8]
 
@@ -201,13 +205,18 @@ workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-def reference_check(p, constraints, strat):
-    """The verdict of a walk over dict points with evaluate, drawing samples
-    with the same rng calls as the checker."""
+def reference_check(p, constraints, strat, violated=None):
+    """The verdict of a walk over dict points, drawing samples with the same
+    rng calls as the checker. violated(point) is the first constraint false
+    or raising at a point, by default evaluate's (falsified)."""
+    if violated is None:
+        def violated(point):
+            return next((i for i, c in enumerate(constraints)
+                         if falsified(c, point, p.defined_funs)), None)
     if isinstance(strat, Layered):
         provisional, unknown = None, Unknown(UnknownReason.BUDGET)
         for stage in strat.stages:
-            r = reference_check(p, constraints, stage)
+            r = reference_check(p, constraints, stage, violated)
             if isinstance(r, CounterExample):
                 return r
             if isinstance(r, Valid):
@@ -243,9 +252,9 @@ def reference_check(p, constraints, strat):
     checked = False
     for point in points:
         checked = True
-        for i, c in enumerate(constraints):
-            if falsified(c, point, p.defined_funs):
-                return CounterExample(point, i)
+        i = violated(point)
+        if i is not None:
+            return CounterExample(point, i)
     return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
 
 
@@ -277,6 +286,199 @@ def test_verdict_matches_evaluate_loop(cand, strat_id):
         # the same names in the same order, a bit-vector as a BV
         assert ([(n, type(v)) for n, v in got.valuation.items()]
                 == [(n, type(v)) for n, v in want.valuation.items()])
+
+
+# ---------------------------------------------------------------------------
+# the column-wise check against the per-point path and evaluate
+
+# constraints that read errors: div and mod by zero under ite, and, or and a
+# 3-ary =>, and a defined function (first) that ignores an argument that can
+# err; the candidates add lets and more of the same
+ERRING_LIA = """(set-logic LIA)
+(define-fun first ((a Int) (b Int)) Int a)
+(synth-fun f ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (=> (> (f x y) 0) (>= y 0) (>= (div x (f x y)) -9)))
+(constraint (or (= y 0) (< (mod (f x y) y) 9) (> (div x y) 9)))
+(constraint (and (< x 9) (ite (= (f x y) 0) true (< (div y (f x y)) 9))))
+(constraint (>= (first (f x y) (div 1 (- (f x y) 1))) -9))
+(check-synth)
+"""
+# an 8-bit and a 4-bit universal
+TWO_WIDTHS = """(set-logic BV)
+(synth-fun f ((x (BitVec 8))) (BitVec 8) ((S (BitVec 8) (x))))
+(declare-var x (BitVec 8))
+(declare-var y (BitVec 4))
+(constraint (=> (bvult y #x8) (bvule (f x) (bvor x #x0f))))
+(constraint (or (= y #x0) (not (= (f x) (bvadd x #x01)))))
+(constraint (ite (bvslt y #x0) (bvuge (f x) (bvlshr x #x01)) true))
+(check-synth)
+"""
+NO_UNIVERSALS = """(set-logic LIA)
+(define-fun first ((a Int) (b Int)) Int a)
+(synth-fun f () Int)
+(constraint (=> (> f 0) (< (div 10 f) 4)))
+(constraint (or (= f 7) (not (= (mod 5 f) 1))))
+(check-synth)
+"""
+
+
+def erring_grammar(params):
+    """Int terms over params with +, -, div, mod, first, ite, two lets (one
+    whose definition the body never reads), and Bool terms with and, or, a
+    3-ary => and not."""
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import TNT, Apply, FunSort, Let, Lit, Var
+    s, b = TNT("S"), TNT("B")
+    return make_grammar("S", [
+        ("S", INT, [*(Var(n) for n in params), Lit(0), Lit(1), Lit(2),
+                    Apply("+", (s, s)), Apply("-", (s, s)),
+                    Apply("div", (s, s)), Apply("mod", (s, s)),
+                    Apply("first", (s, s)), Apply("ite", (b, s, s)),
+                    Let((("z", s),), Apply("+", (Var("z"), s))),
+                    Let((("z", s),), s)]),
+        ("B", BOOL, [Apply("<", (s, s)), Apply("=", (s, s)),
+                     Apply("and", (b, b)), Apply("or", (b, b)),
+                     Apply("=>", (b, b, b)), Apply("not", (b,))])],
+        {n: INT for n in params}, {"first": FunSort((INT, INT), INT)})
+
+
+def bv_grammar():
+    from syguskit.grammar import make_grammar
+    from syguskit.terms import TNT, Apply, Lit, Var
+    w8 = bitvec(8)
+    s, b = TNT("S"), TNT("B")
+    return make_grammar("S", [
+        ("S", w8, [Var("x"), Lit(BV(8, 1)), Lit(BV(8, 0x80)),
+                   Apply("bvand", (s, s)), Apply("bvadd", (s, s)),
+                   Apply("bvudiv", (s, s)), Apply("bvlshr", (s, s)),
+                   Apply("ite", (b, s, s))]),
+        ("B", BOOL, [Apply("bvult", (s, s)), Apply("=", (s, s)),
+                     Apply("or", (b, b))])], {"x": w8})
+
+
+def sample_stages(seed, count):
+    """default_strategy's two sampling stages, with count samples each."""
+    return Layered((RandomSample(count, seed, int_lo=-2, int_hi=2),
+                    RandomSample(count, seed + 1)))
+
+
+def per_point(p, s):
+    """violated() for reference_check: the per-point path, _violated_index
+    over the compiled constraints at the raw point."""
+    compiled = compiled_constraints(p, s)
+    return lambda point: _violated_index(
+        compiled, tuple(raw_value(v) for v in point.values()))
+
+
+def assert_three_paths_agree(p, s, strat):
+    got = check_semantic(p, s, strat)
+    constraints = substituted_constraints(p, s)
+    want = reference_check(p, constraints, strat)
+    assert got == want, term_to_sexpr(s.funcs["f"].body)
+    assert reference_check(p, constraints, strat, per_point(p, s)) == want
+    if isinstance(want, CounterExample):
+        assert ([(n, type(v)) for n, v in got.valuation.items()]
+                == [(n, type(v)) for n, v in want.valuation.items()])
+    return got
+
+
+DIFFERENTIAL = {
+    # 17 x 17 grid points: blocks of 16, 32, 64, 128 and 49
+    "erring_lia": (ERRING_LIA, lambda: erring_grammar(("x", "y")),
+                   [ExhaustiveSmall(), sample_stages(3, 1100)]),
+    # 4,096 grid points: blocks up to the cap of 1,024
+    "two_widths": (TWO_WIDTHS, bv_grammar,
+                   [ExhaustiveSmall(bv_width_cap=8), sample_stages(5, 300)]),
+    "no_universals": (NO_UNIVERSALS, lambda: erring_grammar(()),
+                      [ExhaustiveSmall(), sample_stages(7, 40)]),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_column_check_matches_per_point_and_evaluate(name):
+    """Seeded random candidates: the column-wise check, the per-point path
+    and evaluate give the same verdict, valuation and constraint index."""
+    text, grammar, strats = DIFFERENTIAL[name]
+    p = read_problem(text)
+    e = Enumerator(grammar(), ())
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(40):
+        size = rng.randint(1, 12)
+        while not e.count("S", size):
+            size -= 1
+        body = e.sample("S", size, rng).term
+        s = make_solution(p, {"f": body})
+        for strat in strats:
+            got = assert_three_paths_agree(p, s, strat)
+            kinds.add((type(got).__name__, getattr(got, "constraint_index",
+                                                   None)))
+    # both verdicts occur, and more than one violated constraint
+    assert {k for k, _ in kinds} == {"Valid", "CounterExample"}
+    assert len(kinds) > 2, kinds
+
+
+BOUNDARY_LIA = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (not (= (f x y) 1)))
+(constraint (< (f x y) 2))
+(constraint (< (f x y) 3))
+(check-synth)
+"""
+
+
+def failing_at(p, bad, worse):
+    """f that is 3 at the point bad, where constraints 1 and 2 fail, 1 at
+    the point worse, where only constraint 0 fails, and 0 elsewhere."""
+    def at(point, v, rest):
+        return (f"(ite (and (= x {point[0]}) (= y {point[1]})) {v} {rest})")
+    return sol(p, "(define-fun f ((x Int) (y Int)) Int "
+                  f"{at(bad, 3, at(worse, 1, 0))})")
+
+
+@pytest.mark.parametrize("k", [15, 16, 47, 48, 111, 112, 239, 240])
+def test_first_violation_on_a_block_boundary_of_the_grid(k):
+    """Blocks hold 16, 32, 64 and 128 points: point k is the last or the
+    first of one. Constraint 0 fails at the next point, and 1 and 2 at k."""
+    p = read_problem(BOUNDARY_LIA)
+    grid = list(itertools.product(range(-8, 9), repeat=2))
+    s = failing_at(p, grid[k], grid[k + 1])
+    got = assert_three_paths_agree(p, s, EX8)
+    assert got == CounterExample(dict(zip("xy", grid[k])), 1)
+
+
+def first_new(seed, lo, hi, k, fresh=lambda point: True):
+    """The first seed from `seed` on whose sampled (x, y) points k and k + 1
+    appear there first, and k passes fresh."""
+    while True:
+        rng = random.Random(seed)
+        draw = int_drawer(rng, lo, hi)
+        points = [(draw(), draw()) for _ in range(k + 2)]
+        if (points[k] not in points[:k] and points[k + 1] not in points[:k + 1]
+                and fresh(points[k])):
+            return seed, points
+        seed += 1
+
+
+@pytest.mark.parametrize("k", [15, 16, 47, 48])
+@pytest.mark.parametrize("stage", [0, 1])
+def test_first_violation_on_a_block_boundary_of_a_sample(stage, k):
+    """Point k of the narrow stage, or of the wide one at a point outside
+    the narrow range, is where constraints 1 and 2 first fail."""
+    p = read_problem(BOUNDARY_LIA)
+    if stage == 0:
+        seed, points = first_new(0, -2, 2, k)
+    else:
+        seed, points = first_new(1, -20, 20, k, lambda point: max(
+            map(abs, point)) > 2)
+        seed -= 1
+    s = failing_at(p, points[k], points[k + 1])
+    got = assert_three_paths_agree(p, s, sample_stages(seed, 200))
+    assert got == CounterExample(dict(zip("xy", points[k])), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, NO_LOGIC, deep_problem, fake_solver_script
+from conftest import (DATA, NO_LOGIC, WIDE_LSZ, deep_problem,
+                      fake_solver_script)
 from test_frontend import CROSS_UNKNOWN_GRAMMAR, LITERAL_EQ_GRAMMAR
 from syguskit.sexpr import MAX_DEPTH
 
@@ -60,6 +61,16 @@ def test_deep_nesting_is_an_input_error(tmp_path):
     assert r.stdout == ""
     assert "error: nesting deeper than" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_bit_vector_width_above_the_cap_is_an_input_error(tmp_path):
+    wide = tmp_path / "wide.sl"
+    wide.write_text(WIDE_LSZ)
+    r = cli("parse", str(wide))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.strip() == (
+        "error: bit-vector width 4294967295 is above the maximum of 64")
 
 
 def test_nesting_limit_file_parses_prints_and_checks(tmp_path):

@@ -212,6 +212,24 @@ def test_unpruned_grow_matches_enumeration(case):
 
 
 @pytest.mark.parametrize("case", CASES)
+def test_pruned_pairs_are_the_unpruned_walks_first_per_signature(case):
+    """A pruned bank skips (op b a) of a commutative op (+ in most cases,
+    bvand and bvadd in hd17_w8, = in two_widths) where (op a b) came first,
+    and yet keeps what keeping the first pair per signature of the whole
+    walk keeps, in its order."""
+    g, defs, limit, bindings, pool = bank_case(case)
+    pruned = Bank(g, bindings, pool, True, defs)
+    unpruned = Bank(g, bindings, pool, False, defs)
+    for size in range(1, limit + 1):
+        for nt in g.rules:
+            first: dict = {}
+            for t, sig in unpruned.pairs(nt, size):
+                first.setdefault(typed(sig), (t, sig))
+            assert [(t, typed(sig)) for t, sig in pruned.pairs(nt, size)] == \
+                [(t, key) for key, (t, _) in first.items()], (nt, size)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_pruned_grow_keeps_each_signature_once(case):
     from syguskit.grammar import Enumerator
     g, defs, limit, bindings, pool = bank_case(case)

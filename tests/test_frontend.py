@@ -12,8 +12,9 @@ from syguskit.frontend import (ArityMismatch, CandidateSolution,
                                MissingCheckSynth, MissingComponent,
                                MissingUnknown, SignatureMismatch, Track,
                                UnknownCommand, UnsupportedDefaultSort,
-                               attach_default_grammar, default_grammar,
-                               parse_solution, parse_term, print_problem,
+                               MAX_BV_WIDTH, attach_default_grammar,
+                               default_grammar, parse_solution, parse_sort,
+                               parse_term, print_problem,
                                print_solution, read_problem, term_to_sexpr,
                                UnknownFun)
 from syguskit.grammar import Enumerator
@@ -103,6 +104,13 @@ def test_int_literal_adapts_to_bitvector_context():
     assert t == Apply("bvult", (Lit(__import__("syguskit.terms",
                                                fromlist=["BV"]).BV(32, 0)),
                                Var("x")))
+
+
+def test_bit_vector_width_is_capped_at_64():
+    assert MAX_BV_WIDTH == 64
+    assert parse_sort(["BitVec", 64]) == bitvec(64)
+    with pytest.raises(SortError, match="width 65 is above the maximum of 64"):
+        parse_sort(["BitVec", 65])
 
 
 def test_oversized_literal_rejected_in_bv_context():

@@ -4,7 +4,8 @@ import time
 import pytest
 
 import stub_suite
-from conftest import DATA, NO_LOGIC, deep_problem, fake_solver_script
+from conftest import (DATA, NO_LOGIC, WIDE_LSZ, deep_problem,
+                      fake_solver_script)
 from syguskit.cegis import Exhausted, Solved, TimedOut
 from syguskit.checker import ExhaustiveSmall, ExternalSMT, Layered, Valid
 from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
@@ -93,8 +94,10 @@ def _with_bound(numeral: str) -> bytes:
     (b"\xff\xfe(set-logic LIA)\n", "not UTF-8"),
     # int() raised ValueError on both, which aborted the whole suite
     (_with_bound("9" * 4301), "numeral of 4301 digits is too long"),
-    (_with_bound("\u00b2"), "malformed numeral '\u00b2'")],
-    ids=["deep_nesting", "non_utf8", "overlong_numeral", "superscript_digit"])
+    (_with_bound("\u00b2"), "malformed numeral '\u00b2'"),
+    (WIDE_LSZ.encode(), "width 4294967295 is above the maximum of 64")],
+    ids=["deep_nesting", "non_utf8", "overlong_numeral", "superscript_digit",
+         "bit_vector_width_above_64"])
 def test_unparsable_file_is_one_parse_failure_record(tmp_path, monkeypatch,
                                                      data, message):
     # "bad.sl" sorts before "max2.sl"
