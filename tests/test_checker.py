@@ -453,13 +453,13 @@ def test_first_violation_on_a_block_boundary_of_the_grid(k):
 
 def first_new(seed, lo, hi, k, fresh=lambda point: True):
     """The first seed from `seed` on whose sampled (x, y) points k and k + 1
-    appear there first, and k passes fresh."""
+    appear there first and pass fresh."""
     while True:
         rng = random.Random(seed)
         draw = int_drawer(rng, lo, hi)
         points = [(draw(), draw()) for _ in range(k + 2)]
         if (points[k] not in points[:k] and points[k + 1] not in points[:k + 1]
-                and fresh(points[k])):
+                and fresh(points[k]) and fresh(points[k + 1])):
             return seed, points
         seed += 1
 
@@ -467,7 +467,7 @@ def first_new(seed, lo, hi, k, fresh=lambda point: True):
 @pytest.mark.parametrize("k", [15, 16, 47, 48])
 @pytest.mark.parametrize("stage", [0, 1])
 def test_first_violation_on_a_block_boundary_of_a_sample(stage, k):
-    """Point k of the narrow stage, or of the wide one at a point outside
+    """Point k of the narrow stage, or of the wide one at points outside
     the narrow range, is where constraints 1 and 2 first fail."""
     p = read_problem(BOUNDARY_LIA)
     if stage == 0:
