@@ -12,12 +12,16 @@ column-wise (terms.Pointwise, the composition the solvers' signatures use)
 over blocks of raw points: tuples with a bit-vector as its int, drawn from
 the grid or the seeded sampler a block at a time and transposed into one
 column per universal. The first block is small, so an early counterexample
-costs few points, and blocks grow to a cap that bounds memory. A point where
-evaluation raises (Int division by zero) counts as falsified. A
-counterexample is the earliest violated point and, at it, the first
-constraint violated; its valuation, and only it, is built as a dict of
-Values. The constraints compiled per point (compiled_constraints) decide the
-scorer's undecided examples and an SMT model.
+costs few points, and blocks grow to a cap that bounds memory. On a grid, a
+constraint that reads fewer than all universals is evaluated once per
+distinct projection of a block's points onto the universals it reads, taken
+in order of first occurrence, so the earliest violating projection leads
+back to the earliest violating point. A point where evaluation raises (Int
+division by zero) counts as falsified. A counterexample is the earliest
+violated point and, at it, the first constraint violated; its valuation, and
+only it, is built as a dict of Values. The constraints compiled per point
+(compiled_constraints) decide the scorer's undecided examples and an SMT
+model.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, ERR, INT, Apply, DivisionByZero, FunDef, Lit,
                     Pointwise, Sort, SygusError, Term, Value, Var,
-                    compile_term, evaluate, expand, raw_value, value_sort)
+                    compile_term, evaluate, expand, free_vars, raw_value,
+                    value_sort)
 
 
 class UnsupportedLogic(SygusError):
@@ -231,7 +236,8 @@ MAX_BLOCK = 1024
 
 
 def _check_points(p: SynthProblem, constraints: Sequence[Term],
-                  points: Iterable[tuple] | None) -> VerificationResult:
+                  points: Iterable[tuple] | None,
+                  grid: bool = False) -> VerificationResult:
     """The first violated raw point, at it the first constraint that is
     false or raises there, else Valid on budget; Unknown when there is no
     point to examine (no grid for these sorts, an empty Int range, a sample
@@ -240,21 +246,43 @@ def _check_points(p: SynthProblem, constraints: Sequence[Term],
     The points are taken in blocks that grow from FIRST_BLOCK to MAX_BLOCK
     rows, and each constraint is evaluated column-wise over a block
     (terms.Pointwise): only over the rows before the earliest violation
-    found so far in it."""
+    found so far in it. On a grid (the product of the universals' domains)
+    a constraint that reads fewer than all universals is evaluated once per
+    distinct projection of those rows onto the universals it reads."""
     columns = Pointwise((), p.defined_funs)
     universals = list(p.universals.items())
+    # per constraint, the positions of the universals it reads; None: all
+    reads: list[tuple[int, ...] | None] = [None] * len(constraints)
+    if grid:
+        for i, c in enumerate(constraints):
+            names = free_vars(c)
+            at = tuple(k for k, (n, _) in enumerate(universals) if n in names)
+            reads[i] = at if len(at) < len(universals) else None
     it, size, checked = iter(points or ()), FIRST_BLOCK, False
     while block := list(itertools.islice(it, size)):
         checked = True
         cols = list(zip(*block))
         first, idx = len(block), None
         for i, c in enumerate(constraints):
-            env = {name: (col[:first], sort)
-                   for (name, sort), col in zip(universals, cols)}
-            col = columns.column(c, env, first)[0]
+            at = reads[i]
+            if at is None:
+                env = {name: (col[:first], sort)
+                       for (name, sort), col in zip(universals, cols)}
+                col = columns.column(c, env, first)[0]
+            else:
+                # rows in order of first occurrence, so the earliest
+                # violating one leads back to the earliest violating point
+                proj = (list(zip(*[cols[k][:first] for k in at])) if at
+                        else [()] * first)
+                rows = list(dict.fromkeys(proj))
+                env = {universals[k][0]: (col, universals[k][1])
+                       for k, col in zip(at, zip(*rows))}
+                col = columns.column(c, env, len(rows))[0]
             bad = [col.index(x) for x in (False, ERR) if x in col]
             if bad:
                 first, idx = min(bad), i
+                if at is not None:
+                    first = proj.index(rows[first])
                 if not first:
                     break
         if idx is not None:
@@ -285,7 +313,7 @@ def _check_constraints(p: SynthProblem, s: CandidateSolution,
     if isinstance(strat, ExhaustiveSmall):
         domains = _grid_domains(p.universals, strat)
         return _check_points(p, constraints, None if domains is None
-                             else itertools.product(*domains))
+                             else itertools.product(*domains), grid=True)
 
     if isinstance(strat, RandomSample):
         if strat.int_lo > strat.int_hi and INT in p.universals.values():

@@ -14,11 +14,13 @@ given functions by their bodies (defined functions, or candidate bodies for
 the unknowns).
 
 `OPS` is the one place a built-in operator is described: its least and
-greatest arity, its operand and result sorts, its value function, which
-takes a bit-vector as the width and a masked unsigned int, and whether it is
-commutative. `apply_sort` types an application from it (for `infer_sort`
-and the frontend); `evaluate` and `op_value` (for `Pointwise` and
-`compile_term`) compute values with it; only the lazy ite/and/or/=> are
+greatest arity, its operand and result sorts, its value function (for a
+bit-vector operator, a function of the width that returns the function of
+masked unsigned ints at that width), and whether it is commutative.
+`apply_sort` types an application from it (for `infer_sort` and the
+frontend); `op_value` binds a bit-vector operator's width once per width
+and gives `evaluate`, `Pointwise` and `compile_term` the one function per
+(op, width) they compute values with; only the lazy ite/and/or/=> are
 evaluated in place.
 
 `evaluate` is the reference tree walk over BV values. The other two
@@ -267,25 +269,40 @@ def euclidean_mod(x: int, d: int) -> int:
     return x % abs(d)
 
 
-def _signed(w: int, a: int) -> int:
-    return a - (1 << w) if a >> (w - 1) else a
+# A "bv" operator's value takes the width and returns the function of raw
+# values at that width: the C-level one where the width does not matter,
+# else a closure over the width's mask (m, 2**w - 1) or sign bit (s); a
+# w-bit a is the signed (a ^ s) - s.
 
 
-def _bv_sdiv(w: int, a: int, b: int) -> int:
-    # unsigned division of the magnitudes, then the sign
-    sa, sb = _signed(w, a), _signed(w, b)
-    q = (1 << w) - 1 if sb == 0 else abs(sa) // abs(sb)
-    return (-q if (sa < 0) != (sb < 0) else q) % (1 << w)
+def _masked(f: Callable[[int], Callable]) -> Callable[[int], Callable]:
+    return lambda w: f((1 << w) - 1)
 
 
-def _bv_srem(w: int, a: int, b: int) -> int:
-    sa, sb = _signed(w, a), _signed(w, b)
-    r = abs(sa) if sb == 0 else abs(sa) % abs(sb)
-    return (-r if sa < 0 else r) % (1 << w)
+def _sign(f: Callable[[int], Callable]) -> Callable[[int], Callable]:
+    return lambda w: f(1 << (w - 1))
 
 
-def _bv_lshr(w: int, a: int, b: int) -> int:
-    return 0 if b >= w else a >> b
+def _bv_sdiv(s: int) -> Callable[[int, int], int]:
+    def sdiv(a: int, b: int) -> int:
+        # unsigned division of the magnitudes, then the sign
+        sa, sb = (a ^ s) - s, (b ^ s) - s
+        q = 2 * s - 1 if sb == 0 else abs(sa) // abs(sb)
+        return (-q if (sa < 0) != (sb < 0) else q) & (2 * s - 1)
+    return sdiv
+
+
+def _bv_srem(s: int) -> Callable[[int, int], int]:
+    def srem(a: int, b: int) -> int:
+        sa, sb = (a ^ s) - s, (b ^ s) - s
+        r = abs(sa) if sb == 0 else abs(sa) % abs(sb)
+        return (-r if sa < 0 else r) & (2 * s - 1)
+    return srem
+
+
+def _bv_shl(w: int) -> Callable[[int, int], int]:
+    m = (1 << w) - 1
+    return lambda a, b: 0 if b >= w else (a << b) & m
 
 
 @dataclass(frozen=True)
@@ -296,11 +313,11 @@ class Op:
     operand), "same" (one sort shared by both operands) or "ite" (a Bool
     condition, then two branches of one sort); result None means the shared
     operand sort (the branch sort for ite). value maps operand values to the
-    result; a "bv" operator's takes the width first and bit-vectors as
-    masked unsigned ints, and `lift` wraps it over BV values for `evaluate`,
-    its one caller. value is None for the lazy ite/and/or/=>. commutative:
-    swapping two operands never changes the value, errors included, so the
-    lazy connectives are not marked."""
+    result; a "bv" operator's takes the width and returns the function of
+    bit-vectors as masked unsigned ints at that width, which op_value binds
+    once per (op, width). value is None for the lazy ite/and/or/=>.
+    commutative: swapping two operands never changes the value, errors
+    included, so the lazy connectives are not marked."""
 
     lo: int                                 # least arity
     hi: int | None                          # greatest arity; None: unbounded
@@ -308,12 +325,6 @@ class Op:
     result: Sort | None
     value: Callable[..., Value] | None
     commutative: bool = False
-
-    def lift(self, *xs: BV) -> Value:
-        """value of a "bv" operator at BV operands."""
-        w = xs[0].width
-        out = self.value(w, *[x.value for x in xs])
-        return out if self.result is BOOL else BV(w, out)
 
 
 OPS: dict[str, Op] = {
@@ -340,41 +351,39 @@ OPS: dict[str, Op] = {
     "nor": Op(2, 2, BOOL, BOOL, lambda a, b: not (a or b), True),
     "=": Op(2, 2, "same", BOOL, operator.eq, True),
     "ite": Op(3, 3, "ite", None, None),
-    # BitVec: every operand of one width
-    "bvnot": Op(1, 1, "bv", None, lambda w, a: a ^ ((1 << w) - 1)),
-    "bvneg": Op(1, 1, "bv", None, lambda w, a: -a % (1 << w)),
-    "bvand": Op(2, 2, "bv", None, lambda w, a, b: a & b, True),
-    "bvor": Op(2, 2, "bv", None, lambda w, a, b: a | b, True),
-    "bvxor": Op(2, 2, "bv", None, lambda w, a, b: a ^ b, True),
-    "bvadd": Op(2, 2, "bv", None, lambda w, a, b: (a + b) % (1 << w),
-                 True),
-    "bvsub": Op(2, 2, "bv", None, lambda w, a, b: (a - b) % (1 << w)),
-    "bvmul": Op(2, 2, "bv", None, lambda w, a, b: a * b % (1 << w), True),
+    # BitVec: every operand of one width; & m is % 2**w, negatives included
+    "bvnot": Op(1, 1, "bv", None,
+                _masked(lambda m: functools.partial(operator.xor, m))),
+    "bvneg": Op(1, 1, "bv", None, _masked(lambda m: lambda a: -a & m)),
+    "bvand": Op(2, 2, "bv", None, lambda w: operator.and_, True),
+    "bvor": Op(2, 2, "bv", None, lambda w: operator.or_, True),
+    "bvxor": Op(2, 2, "bv", None, lambda w: operator.xor, True),
+    "bvadd": Op(2, 2, "bv", None, _masked(lambda m: lambda a, b: (a + b) & m),
+                True),
+    "bvsub": Op(2, 2, "bv", None, _masked(lambda m: lambda a, b: (a - b) & m)),
+    "bvmul": Op(2, 2, "bv", None, _masked(lambda m: lambda a, b: a * b & m),
+                True),
     # division by zero is total: udiv gives all ones, urem the dividend
     "bvudiv": Op(2, 2, "bv", None,
-                 lambda w, a, b: (1 << w) - 1 if b == 0 else a // b),
-    "bvurem": Op(2, 2, "bv", None, lambda w, a, b: a if b == 0 else a % b),
-    "bvsdiv": Op(2, 2, "bv", None, _bv_sdiv),
-    "bvsrem": Op(2, 2, "bv", None, _bv_srem),
-    # shifts saturate at the width; bvshr is a legacy spelling of bvlshr
-    "bvshl": Op(2, 2, "bv", None,
-                lambda w, a, b: 0 if b >= w else (a << b) % (1 << w)),
-    "bvlshr": Op(2, 2, "bv", None, _bv_lshr),
-    "bvshr": Op(2, 2, "bv", None, _bv_lshr),
-    "bvashr": Op(2, 2, "bv", None,
-                 lambda w, a, b: (_signed(w, a) >> min(b, w)) % (1 << w)),
-    "bvult": Op(2, 2, "bv", BOOL, lambda w, a, b: a < b),
-    "bvule": Op(2, 2, "bv", BOOL, lambda w, a, b: a <= b),
-    "bvugt": Op(2, 2, "bv", BOOL, lambda w, a, b: a > b),
-    "bvuge": Op(2, 2, "bv", BOOL, lambda w, a, b: a >= b),
-    "bvslt": Op(2, 2, "bv", BOOL,
-                lambda w, a, b: _signed(w, a) < _signed(w, b)),
-    "bvsle": Op(2, 2, "bv", BOOL,
-                lambda w, a, b: _signed(w, a) <= _signed(w, b)),
-    "bvsgt": Op(2, 2, "bv", BOOL,
-                lambda w, a, b: _signed(w, a) > _signed(w, b)),
-    "bvsge": Op(2, 2, "bv", BOOL,
-                lambda w, a, b: _signed(w, a) >= _signed(w, b)),
+                 _masked(lambda m: lambda a, b: a // b if b else m)),
+    "bvurem": Op(2, 2, "bv", None, lambda w: lambda a, b: a % b if b else a),
+    "bvsdiv": Op(2, 2, "bv", None, _sign(_bv_sdiv)),
+    "bvsrem": Op(2, 2, "bv", None, _sign(_bv_srem)),
+    # shifts saturate at the width, which a right shift of a w-bit value
+    # does by itself; bvshr is a legacy spelling of bvlshr
+    "bvshl": Op(2, 2, "bv", None, _bv_shl),
+    "bvlshr": Op(2, 2, "bv", None, lambda w: operator.rshift),
+    "bvshr": Op(2, 2, "bv", None, lambda w: operator.rshift),
+    "bvashr": Op(2, 2, "bv", None, _sign(
+        lambda s: lambda a, b: ((a ^ s) - s) >> b & (2 * s - 1))),
+    "bvult": Op(2, 2, "bv", BOOL, lambda w: operator.lt),
+    "bvule": Op(2, 2, "bv", BOOL, lambda w: operator.le),
+    "bvugt": Op(2, 2, "bv", BOOL, lambda w: operator.gt),
+    "bvuge": Op(2, 2, "bv", BOOL, lambda w: operator.ge),
+    "bvslt": Op(2, 2, "bv", BOOL, _sign(lambda s: lambda a, b: a ^ s < b ^ s)),
+    "bvsle": Op(2, 2, "bv", BOOL, _sign(lambda s: lambda a, b: a ^ s <= b ^ s)),
+    "bvsgt": Op(2, 2, "bv", BOOL, _sign(lambda s: lambda a, b: a ^ s > b ^ s)),
+    "bvsge": Op(2, 2, "bv", BOOL, _sign(lambda s: lambda a, b: a ^ s >= b ^ s)),
 }
 
 
@@ -492,7 +501,11 @@ def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) ->
         xs = [ev(a, env) for a in args]
         spec = OPS.get(op)
         if spec is not None:
-            return spec.lift(*xs) if spec.operand == "bv" else spec.value(*xs)
+            if spec.operand != "bv":
+                return spec.value(*xs)
+            w = xs[0].width
+            out = op_value(op, w, defs, _OP_VALUES)(*[x.value for x in xs])
+            return out if spec.result is BOOL else BV(w, out)
         f = defs.get(op)
         if f is not None:
             bound = {name: x for (name, _), x in zip(f.params, xs)}
@@ -515,17 +528,25 @@ _JOIN = {
 }
 
 
+# every OPS entry's value by (op, width), shared by all callers of op_value,
+# evaluate's own cache
+_OP_VALUES: dict[tuple[str, int | None], Callable[..., Value]] = {}
+
+
 def op_value(op: str, width: int | None, defs: Mapping[str, FunDef],
              cache: dict) -> Callable[..., Value]:
     """op's value at raw values, kept in cache by (op, width): an OPS entry,
-    with width bound for a bit-vector operator, or a defined function's
+    with width bound once for a bit-vector operator (in _OP_VALUES, so
+    every evaluator applies the one function), or a defined function's
     body, compiled once and called positionally."""
     value = cache.get((op, width))
     if value is None:
         spec = OPS.get(op)
         if spec is not None:
-            value = (functools.partial(spec.value, width)
-                     if spec.operand == "bv" else spec.value)
+            value = _OP_VALUES.get((op, width))
+            if value is None:
+                value = _OP_VALUES[(op, width)] = (
+                    spec.value(width) if spec.operand == "bv" else spec.value)
         elif op in defs:
             body = compile_term(defs[op].body, defs[op].params, defs)
             value = lambda *xs: body(xs)  # noqa: E731

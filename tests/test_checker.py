@@ -315,6 +315,20 @@ TWO_WIDTHS = """(set-logic BV)
 (constraint (ite (bvslt y #x0) (bvuge (f x) (bvlshr x #x01)) true))
 (check-synth)
 """
+# constraints that read only x (the grid's outer universal), only y (its
+# inner one), neither, and both; on the grid each of the four is the one
+# reported for some of the seeded candidates
+PROJECTED = """(set-logic LIA)
+(define-fun first ((a Int) (b Int)) Int a)
+(synth-fun f ((a Int) (b Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (=> (> (f x 1) 0) (< (div x (f x 1)) 6)))
+(constraint (or (= y 0) (< (mod (f 2 y) y) 3)))
+(constraint (>= (first (f 1 2) (div 1 (- (f 2 1) 1))) -9))
+(constraint (< (f x y) 12))
+(check-synth)
+"""
 NO_UNIVERSALS = """(set-logic LIA)
 (define-fun first ((a Int) (b Int)) Int a)
 (synth-fun f () Int)
@@ -393,6 +407,10 @@ DIFFERENTIAL = {
                    [ExhaustiveSmall(bv_width_cap=8), sample_stages(5, 300)]),
     "no_universals": (NO_UNIVERSALS, lambda: erring_grammar(()),
                       [ExhaustiveSmall(), sample_stages(7, 40)]),
+    # on the grid, the first three are evaluated once per distinct value of
+    # what they read
+    "projected": (PROJECTED, lambda: erring_grammar(("a", "b")),
+                  [ExhaustiveSmall(), sample_stages(9, 300)]),
 }
 
 
@@ -449,6 +467,44 @@ def test_first_violation_on_a_block_boundary_of_the_grid(k):
     s = failing_at(p, grid[k], grid[k + 1])
     got = assert_three_paths_agree(p, s, EX8)
     assert got == CounterExample(dict(zip("xy", grid[k])), 1)
+
+
+def projected_boundary(x_only_first):
+    """Constraint x_only (index 0 or 1) reads only x, the other both x and
+    y; the candidate sets f to 2 on a whole row of x, where x_only fails,
+    and to 1 at one point, where only the other fails."""
+    both = "(constraint (not (= (f x y) 1)))"
+    x_only = "(constraint (< (f x 0) 2))"
+    return read_problem("(set-logic LIA)\n"
+                        "(synth-fun f ((x Int) (y Int)) Int)\n"
+                        "(declare-var x Int)\n(declare-var y Int)\n"
+                        + "\n".join([x_only, both] if x_only_first
+                                    else [both, x_only])
+                        + "\n(check-synth)\n")
+
+
+@pytest.mark.parametrize("x_only_first", [True, False])
+@pytest.mark.parametrize("row", [-1, 1])
+@pytest.mark.parametrize("k", [15, 16, 47, 48, 111, 112, 239, 240])
+def test_projected_violation_near_a_block_boundary_of_the_grid(
+        k, row, x_only_first):
+    """Point k, the last or the first of a block, is where the constraint
+    that reads both universals fails; the one that reads only x fails from
+    the first point of the row of x before or after k's on. The earlier of
+    the two is reported, as on the per-point path."""
+    p = projected_boundary(x_only_first)
+    grid = list(itertools.product(range(-8, 9), repeat=2))
+    bx, by = grid[k]
+    rx = bx + row
+    s = sol(p, "(define-fun f ((x Int) (y Int)) Int "
+               f"(ite (= x {rx}) 2 (ite (and (= x {bx}) (= y {by})) 1 0)))")
+    got = assert_three_paths_agree(p, s, EX8)
+    at = (rx + 8) * 17  # the first point of x's row
+    if 0 <= at < k:
+        want = CounterExample(dict(zip("xy", grid[at])), 1 - x_only_first)
+    else:
+        want = CounterExample(dict(zip("xy", grid[k])), int(x_only_first))
+    assert got == want
 
 
 def first_new(seed, lo, hi, k, fresh=lambda point: True):

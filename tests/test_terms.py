@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 from conftest import let_grammar, load, term
 from syguskit.grammar import Enumerator, make_grammar
 from syguskit.terms import (BOOL, BV, INT, OPS, TNT, Apply, DivisionByZero,
-                            FunDef, FunSort, Let, Lit, SortError, THole,
-                            UndeclaredSymbol, Var, bitvec, compile_term,
+                            FunDef, FunSort, Let, Lit, Pointwise, SortError,
+                            THole, UndeclaredSymbol, Var, bitvec, compile_term,
                             evaluate, expand, free_vars, infer_sort,
                             raw_value, substitute, term_size, value_sort)
 
@@ -257,6 +257,57 @@ def test_operator_table_entry(op):
     for args in outside:
         with pytest.raises(SortError):
             infer_sort(Apply(op, tuple(Lit(x) for x in args)), {})
+
+
+def edge_rows(w):
+    """Raw operands -> value at width w for every operator whose value
+    depends on the width, over all ones (m), the sign bit (s), s - 1 and
+    the width itself as a shift: wrap-around, division by zero, shifts by at
+    least w, and the sign bit in comparisons. At w = 1, m = s = 1 and
+    s - 1 = 0."""
+    m, s = (1 << w) - 1, 1 << (w - 1)
+    return {
+        "bvadd": [((m, 1), 0), ((s - 1, 1), s), ((m, m), m - 1)],
+        "bvsub": [((0, 1), m), ((s, 1), s - 1), ((0, m), 1)],
+        "bvmul": [((m, m), 1), ((m, s), s), ((s, 0), 0)],
+        "bvneg": [((s,), s), ((1,), m), ((0,), 0)],
+        "bvnot": [((0,), m), ((s,), s - 1), ((m,), 0)],
+        "bvudiv": [((m, 0), m), ((0, 0), m), ((m, m), 1)],
+        "bvurem": [((m, 0), m), ((s, 0), s), ((m, m), 0)],
+        # a negative dividend over zero gives 1, a non-negative one all ones
+        "bvsdiv": [((s, m), s), ((s, 0), 1), ((s - 1, 0), m)],
+        "bvsrem": [((s, m), 0), ((s, 0), s), ((m, 0), m)],
+        "bvshl": [((1, w), 0), ((m, w - 1), s), ((1, m), 0)],
+        "bvlshr": [((m, w), 0), ((s, w - 1), 1), ((m, m), 0)],
+        "bvshr": [((m, w), 0), ((s, w - 1), 1)],
+        "bvashr": [((s, w), m), ((s, m), m), ((s - 1, w), 0),
+                   ((s, w - 1), m)],
+        "bvslt": [((s, s - 1), T), ((s - 1, s), F), ((m, 0), T)],
+        "bvsle": [((s, s), T), ((0, m), F), ((m, m), T)],
+        "bvsgt": [((0, m), T), ((s, s - 1), F), ((s - 1, s), T)],
+        "bvsge": [((s - 1, s), T), ((m, 0), F), ((s, s), T)],
+        # the unsigned comparisons ignore the sign bit
+        "bvult": [((s, s - 1), F), ((s - 1, s), T)],
+        "bvuge": [((m, s), T), ((0, m), F)],
+    }
+
+
+@pytest.mark.parametrize("w", [1, 32, 64])
+@pytest.mark.parametrize("op", sorted(edge_rows(8)))
+def test_operator_at_width_edges(op, w):
+    """evaluate, compile_term and Pointwise.apply give each row's value and
+    type: the three share one function per (op, width), so these rows pin
+    it independently of that function."""
+    for xs, want in edge_rows(w)[op]:
+        assert all(0 <= x < 1 << w for x in xs), (op, w, xs)
+        t = Apply(op, tuple(Lit(BV(w, x)) for x in xs))
+        full = want if isinstance(want, bool) else BV(w, want)
+        got = evaluate(t, {})
+        assert got == full and type(got) is type(full), (op, w, xs, got)
+        got = compile_term(t, [])(())
+        assert got == want and type(got) is type(want), (op, w, xs, got)
+        got = Pointwise((), {}).apply(op, [(x,) for x in xs], w)
+        assert got == (want,) and type(got[0]) is type(want), (op, w, xs)
 
 
 # ---------------------------------------------------------------------------
