@@ -133,9 +133,9 @@ def _cmd_classify(args) -> int:
     print(f"{'benchmark':40} {'category':18} {'invocation':10} "
           f"{'unknowns':8} track")
     for path, category, fs in rows:
-        print(f"{Path(path).name:40} {category:18} "
-              f"{fs.invocation.value:10} {fs.unknown_count:<8} "
-              f"{fs.track.value}")
+        what = fs if isinstance(fs, str) else (
+            f"{fs.invocation.value:10} {fs.unknown_count:<8} {fs.track.value}")
+        print(f"{Path(path).name:40} {category:18} {what}")
     return 0
 
 

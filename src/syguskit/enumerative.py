@@ -156,11 +156,11 @@ class Bank(Enumerator):
             # the body reads bound names: only the whole let has a signature
             for t in self._enum_tpl(tpl, size, no_zero):
                 self._poll()
-                yield t, self.pointwise.leaf(t)
+                yield t, self.pointwise(t)
         elif size == 1:
             for t in ([Lit(v) for v in self._hole_pool(tpl.sort, no_zero)]
                       if isinstance(tpl, THole) else [tpl]):
-                yield t, self.pointwise.leaf(t)
+                yield t, self.pointwise(t)
 
     def _poll(self):
         if next(self._polls) % 4096 == 0 and self._deadline is not None \

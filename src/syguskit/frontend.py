@@ -21,6 +21,7 @@ by substitution; grammar productions keep it structurally.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -29,7 +30,7 @@ from .sexpr import BV, BadToken, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, INT, OPS, Apply, FunDef, FunSort, Let, Lit, Sort,
                     SortError, SygusError, Template, Term, THole, TNT,
                     UndeclaredSymbol, Var, apply_fundef, apply_sort, bitvec,
-                    expand, substitute, term_size, value_sort)
+                    expand, substitute, subterms, term_size, value_sort)
 
 
 class UnknownCommand(SygusError):
@@ -167,6 +168,11 @@ def parse_term(sx: SExpr, variables: Mapping[str, Sort],
     return _template_term(tpl), sort
 
 
+# the most nodes a constraint or definition body's let may desugar to: a
+# chain of lets that each use the name before twice doubles at each level
+MAX_LET_SIZE = 100_000
+
+
 def _template_term(t: Template) -> Term:
     """The term a nonterminal-free production denotes: `let` is substituted
     away and `(- n)` over a literal becomes the literal -n; every other
@@ -177,8 +183,16 @@ def _template_term(t: Template) -> Term:
             return Lit(-args[0].value)
         return t if args == t.args else Apply(t.op, args)
     if isinstance(t, Let):
-        return substitute(_template_term(t.body),
-                          {n: _template_term(d) for n, d in t.bindings})
+        body = _template_term(t.body)
+        defs = {n: _template_term(d) for n, d in t.bindings}
+        # the body has no let left, so each use of a name takes its definition
+        uses = Counter(s.name for s in subterms(body) if isinstance(s, Var))
+        size = term_size(body) + sum(uses[n] * (term_size(d) - 1)
+                                     for n, d in defs.items())
+        if size > MAX_LET_SIZE:
+            raise SygusError(f"let desugars to {size} nodes, above the "
+                             f"maximum of {MAX_LET_SIZE}")
+        return substitute(body, defs)
     if isinstance(t, THole):
         raise UndeclaredSymbol("Constant: a constant hole outside a grammar")
     return t

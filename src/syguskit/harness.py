@@ -252,10 +252,7 @@ def run_suite(directory, solver_ids: Sequence[str], limits: RunLimits,
     unknown = [sid for sid in solver_ids if sid not in SOLVERS]
     if unknown:
         raise UnknownSolver(f"unknown solver id: {', '.join(unknown)}")
-    root = Path(directory)
-    paths = sorted(root.rglob("*.sl"))
-    if not paths:
-        raise EmptySuite(f"no .sl files under {root}")
+    root, paths = _suite(directory)
     tasks = [(path, sid) for path in paths for sid in solver_ids]
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
         records = list(pool.map(
@@ -264,17 +261,29 @@ def run_suite(directory, solver_ids: Sequence[str], limits: RunLimits,
     return aggregate(records, solver_ids)
 
 
-def classify_suite(directory) -> list[tuple[str, str, FeatureSet]]:
+def classify_suite(directory) -> list[tuple[str, str, FeatureSet | str]]:
+    """(path, category, features) per .sl file under directory; a file that
+    does not load has its "parse failure: ..." message for features."""
+    root, paths = _suite(directory)
+    out = []
+    for path in paths:
+        try:
+            problem = load_problem(path)
+        except (SygusError, OSError) as e:
+            features = f"parse failure: {e}"
+        else:
+            features = classify_features(problem)
+        out.append((str(path), _category_of(path, root), features))
+    return out
+
+
+def _suite(directory) -> tuple[Path, list[Path]]:
+    """The suite's root and its .sl files, in order; EmptySuite if none."""
     root = Path(directory)
     paths = sorted(root.rglob("*.sl"))
     if not paths:
         raise EmptySuite(f"no .sl files under {root}")
-    out = []
-    for path in paths:
-        problem = load_problem(path)
-        out.append((str(path), _category_of(path, root),
-                    classify_features(problem)))
-    return out
+    return root, paths
 
 
 # ---------------------------------------------------------------------------

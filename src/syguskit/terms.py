@@ -18,20 +18,22 @@ greatest arity, its operand and result sorts, its value function (for a
 bit-vector operator, a function of the width that returns the function of
 masked unsigned ints at that width), and whether it is commutative.
 `apply_sort` types an application from it (for `infer_sort` and the
-frontend); `op_value` binds a bit-vector operator's width once per width
-and gives `evaluate`, `Pointwise` and `compile_term` the one function per
-(op, width) they compute values with; only the lazy ite/and/or/=> are
-evaluated in place.
+frontend); `op_value` is the one cache of OPS values: it binds a bit-vector
+operator's width once per width and gives `evaluate`, `Pointwise` and
+`compile_term` the one function per (op, width) they compute values with.
+Only ite/and/or/=> are evaluated in place, and defined functions by their
+bodies.
 
 `evaluate` is the reference tree walk over BV values. The other two
 evaluators work on raw values (a bit-vector as its masked int, its width
 fixed by its sort). `Pointwise` evaluates a term over many rows at once, an
 application's column composed from its arguments' columns with ERR marking
-the rows where evaluation raised: the enumerative bank's and the scorer's
-signatures over bindings, and the checker's blocks of grid or sample
-points. `compile_term` turns a term once into a closure over one tuple of
-raw values, for the scorer's constraint skeletons and single points (an
-example the skeletons cannot decide, an SMT model).
+the rows where evaluation raised, and only and/or/=> evaluating an operand
+on fewer rows: the enumerative bank's and the scorer's signatures over
+bindings, and the checker's blocks of grid or sample points. `compile_term`
+turns a term once into a closure over one tuple of raw values, for the
+scorer's constraint skeletons and single points (an example the skeletons
+cannot decide, an SMT model).
 """
 
 from __future__ import annotations
@@ -504,7 +506,7 @@ def evaluate(t: Term, v: Valuation, defs: Mapping[str, FunDef] | None = None) ->
             if spec.operand != "bv":
                 return spec.value(*xs)
             w = xs[0].width
-            out = op_value(op, w, defs, _OP_VALUES)(*[x.value for x in xs])
+            out = op_value(op, w)(*[x.value for x in xs])
             return out if spec.result is BOOL else BV(w, out)
         f = defs.get(op)
         if f is not None:
@@ -528,32 +530,13 @@ _JOIN = {
 }
 
 
-# every OPS entry's value by (op, width), shared by all callers of op_value,
-# evaluate's own cache
-_OP_VALUES: dict[tuple[str, int | None], Callable[..., Value]] = {}
-
-
-def op_value(op: str, width: int | None, defs: Mapping[str, FunDef],
-             cache: dict) -> Callable[..., Value]:
-    """op's value at raw values, kept in cache by (op, width): an OPS entry,
-    with width bound once for a bit-vector operator (in _OP_VALUES, so
-    every evaluator applies the one function), or a defined function's
-    body, compiled once and called positionally."""
-    value = cache.get((op, width))
-    if value is None:
-        spec = OPS.get(op)
-        if spec is not None:
-            value = _OP_VALUES.get((op, width))
-            if value is None:
-                value = _OP_VALUES[(op, width)] = (
-                    spec.value(width) if spec.operand == "bv" else spec.value)
-        elif op in defs:
-            body = compile_term(defs[op].body, defs[op].params, defs)
-            value = lambda *xs: body(xs)  # noqa: E731
-        else:
-            raise UndeclaredSymbol(op)
-        cache[(op, width)] = value
-    return value
+@functools.cache
+def op_value(op: str, width: int | None) -> Callable[..., Value]:
+    """The OPS entry op's value at raw values, with width bound for a
+    bit-vector operator; made once per (op, width) and kept, so every
+    evaluator applies the one function."""
+    spec = OPS[op]
+    return spec.value(width) if spec.operand == "bv" else spec.value
 
 
 def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
@@ -566,7 +549,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
     ite/and/or/=> stay lazy."""
     defs = defs or {}
     funs = {name: f.fun_sort for name, f in defs.items()}
-    values: dict = {}
+    bodies: dict[str, Callable[..., bool | int]] = {}
 
     def comp(t: Term, env: list[tuple[str, Sort]]):
         """(closure, sort) of t over tuples laid out as env; a later entry
@@ -596,8 +579,14 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
         join = _JOIN.get(op)
         if join is not None:
             return functools.reduce(lambda b, a: join(a, b), fns[::-1]), sort
-        value = op_value(op, pairs[0][1].width if pairs else None, defs,
-                         values)
+        if op in OPS:
+            value = op_value(op, pairs[0][1].width)
+        elif op in bodies:
+            value = bodies[op]
+        else:
+            f = defs[op]
+            body = comp(f.body, list(f.params))[0]
+            value = bodies[op] = lambda *xs: body(xs)
         if len(fns) == 1:
             a, = fns
             return (lambda e: value(a(e))), sort
@@ -634,14 +623,15 @@ class Pointwise:
     bit-vector operator applies at its first operand's width, through
     op_value.
 
-    Rows are a list of bindings, for signatures (__call__, leaf, apply), or
-    any columns a caller lays out (column), for the checker's blocks of
-    points. In a walk of a term, ite/and/or/=> evaluate a later operand
-    only on the rows the earlier ones leave open, and a let or a defined
+    Rows are a list of bindings, for signatures (__call__, apply), or any
+    columns a caller lays out (column), for the checker's blocks of points.
+    An ite is ERR where its condition is, else its taken branch's value, so
+    an untaken branch's ERR is swallowed. In a walk of a term, and/or/=>
+    evaluate a later operand only on the rows the earlier ones leave open,
+    so there a later operand's ERR is never reached, and a let or a defined
     function is ERR on a row where a definition or an argument is, as in
     evaluate; a defined function's body is walked over its arguments'
-    columns. apply composes columns already computed, so there an untaken
-    branch's ERR is swallowed instead."""
+    columns."""
 
     def __init__(self, bindings: Sequence[Mapping[str, Value]],
                  defs: Mapping[str, FunDef]):
@@ -657,15 +647,6 @@ class Pointwise:
         # to 2,000 of them)
         self.env = {n: (tuple([raw_value(b[n]) for b in self.bindings]), s)
                     for n, s in self.sorts.items()}
-        self._values: dict[tuple[str, int | None], Callable[..., Value]] = {}
-
-    def leaf(self, t: Term) -> tuple:
-        """The signature of a variable, a literal or a let."""
-        if isinstance(t, Var):
-            return self.env[t.name][0] if self.bindings else ()
-        if isinstance(t, Lit):
-            return (raw_value(t.value),) * len(self.bindings)
-        return self(t)
 
     def apply(self, op: str, sigs: Sequence[tuple],
               width: int | None = None) -> tuple:
@@ -681,8 +662,7 @@ class Pointwise:
             return tuple([_connective(op, xs) for xs in zip(*sigs)])
         if op not in OPS:
             return self._call(op, sigs, n)
-        value = (self._values.get((op, width))
-                 or op_value(op, width, self.defs, self._values))
+        value = op_value(op, width)
         for s in sigs:
             if ERR in s:
                 break
@@ -732,13 +712,9 @@ class Pointwise:
             ds = [self.column(d, env, n) for _, d in t.bindings]
             inner = {**env, **{name: d for (name, _), d
                                in zip(t.bindings, ds)}}
-            return self._unless_err(t.body, inner, n, [c for c, _ in ds])
+            col, sort = self.column(t.body, inner, n)
+            return _strict(col, [c for c, _ in ds]), sort
         op, args = t.op, t.args
-        if op == "ite":
-            rows = _split(self.column(args[0], env, n)[0], range(n))
-            (a, sort), (b, _) = [self._on(u, env, n, r)
-                                 for u, r in zip(args[1:], rows)]
-            return _scatter(n, zip(rows, (a, b))), sort
         if op in ("and", "or", "=>"):
             return self._connective(op, args, env, n), BOOL
         cols = [self.column(a, env, n) for a in args]
@@ -746,7 +722,7 @@ class Pointwise:
         if spec is None:
             return (self._call(op, [c for c, _ in cols], n),
                     self.defs[op].ret)
-        sort = cols[0][1]
+        sort = cols[-1][1]  # an ite's branches have its sort
         return (self.apply(op, [c for c, _ in cols], sort.width),
                 sort if spec.result is None else spec.result)
 
@@ -765,8 +741,12 @@ class Pointwise:
                 out[i] = value
             if not rows:
                 return tuple(out)
-        return _scatter(n, [(rows, self._on(args[-1], env, n, rows)[0])],
-                        out)
+        last = self._on(args[-1], env, n, rows)[0]
+        if len(rows) == n:
+            return last
+        for i, x in zip(rows, last):
+            out[i] = x
+        return tuple(out)
 
     def _call(self, op: str, sigs: Sequence[tuple], n: int) -> tuple:
         """A defined function's column: its body's over its arguments',
@@ -775,17 +755,7 @@ class Pointwise:
         if f is None:
             raise UndeclaredSymbol(op)
         env = {name: (c, s) for (name, s), c in zip(f.params, sigs)}
-        return self._unless_err(f.body, env, n, sigs)[0]
-
-    def _unless_err(self, t: Term, env: Mapping[str, tuple[tuple, Sort]],
-                    n: int, cols: Sequence[tuple]) -> tuple[tuple, Sort]:
-        """t's column over the rows where none of cols is ERR, and ERR on
-        the others."""
-        if not any(ERR in c for c in cols):
-            return self.column(t, env, n)
-        rows = [i for i, xs in enumerate(zip(*cols)) if ERR not in xs]
-        col, sort = self._on(t, env, n, rows)
-        return _scatter(n, [(rows, col)]), sort
+        return _strict(self.column(f.body, env, n)[0], sigs)
 
     def _on(self, t: Term, env: Mapping[str, tuple[tuple, Sort]], n: int,
             rows: Sequence[int]) -> tuple[tuple, Sort]:
@@ -808,16 +778,12 @@ def _split(col: tuple, rows: Sequence[int]) -> tuple[list[int], list[int]]:
             list(itertools.compress(rows, map(operator.not_, col))))
 
 
-def _scatter(n: int, parts, out: list | None = None) -> tuple:
-    """n rows from (rows, column) parts over out (ERR by default); a part
-    that covers every row is returned as it is."""
-    out = [ERR] * n if out is None else out
-    for rows, col in parts:
-        if len(rows) == n:
-            return col
-        for i, x in zip(rows, col):
-            out[i] = x
-    return tuple(out)
+def _strict(col: tuple, cols: Sequence[tuple]) -> tuple:
+    """col with ERR on every row where one of cols is ERR."""
+    errs = [c for c in cols if ERR in c]
+    if not errs:
+        return col
+    return tuple([ERR if ERR in xs else x for x, *xs in zip(col, *errs)])
 
 
 def _connective(op: str, xs: tuple):

@@ -63,6 +63,18 @@ def deep_problem(depth: int) -> str:
             f"(constraint (>= (f x) {body}))\n(check-synth)\n")
 
 
+def let_chain(levels: int) -> str:
+    """A one-unknown LIA problem whose constraint nests `levels` lets, each
+    binding the sum of the name before with itself, so desugaring it doubles
+    the term at each level: about 2 ** (levels + 1) nodes."""
+    body = "(= (f x) x{})".format(levels)
+    for k in range(levels, 0, -1):
+        prev = f"x{k - 1}" if k > 1 else "x"
+        body = f"(let ((x{k} (+ {prev} {prev}))) {body})"
+    return ("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+            f"(declare-var x Int)\n(constraint {body})\n(check-synth)\n")
+
+
 def let_grammar():
     """S over x and 1 with +, a one-binding and a two-binding let; the second
     let's body holds a nonterminal, so its bindings' sizes vary with the

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (DATA, NO_LOGIC, WIDE_LSZ, deep_problem,
-                      fake_solver_script)
+                      fake_solver_script, let_chain)
 from test_frontend import CROSS_UNKNOWN_GRAMMAR, LITERAL_EQ_GRAMMAR
 from syguskit.sexpr import MAX_DEPTH
 
@@ -71,6 +71,20 @@ def test_bit_vector_width_above_the_cap_is_an_input_error(tmp_path):
     assert r.stdout == ""
     assert r.stderr.strip() == (
         "error: bit-vector width 4294967295 is above the maximum of 64")
+
+
+def test_let_chain_past_the_desugaring_bound_is_an_input_error(tmp_path):
+    # each level doubles the desugared term; 17 levels pass 100,000 nodes
+    chain = tmp_path / "chain.sl"
+    chain.write_text(let_chain(17))
+    r = cli("parse", str(chain))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: let desugars to ")
+    assert r.stderr.strip().endswith("above the maximum of 100000")
+    chain.write_text(let_chain(3))
+    r = cli("parse", str(chain))
+    assert r.returncode == 0, r.stderr
+    assert "(+ (+ (+ x x) (+ x x)) (+ (+ x x) (+ x x)))" in r.stdout
 
 
 def test_nesting_limit_file_parses_prints_and_checks(tmp_path):
@@ -311,6 +325,17 @@ def test_classify_prints_table():
     assert r.returncode == 0
     assert "s8.sl" in r.stdout
     assert "lia" in r.stdout and "inv" in r.stdout
+
+
+def test_classify_gives_a_bad_file_its_row_and_goes_on(tmp_path):
+    (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    (tmp_path / "bad.sl").write_text("(set-logic LIA)\n(synth-fun")
+    r = cli("classify", str(tmp_path))
+    assert r.returncode == 0, r.stderr
+    bad, max2 = r.stdout.splitlines()[1:]
+    assert bad.split()[:2] == ["bad.sl", "(root)"]
+    assert bad.endswith("parse failure: unmatched '(' (at offset 16)")
+    assert max2.split() == ["max2.sl", "(root)", "single", "1", "lia"]
 
 
 def test_classify_names_a_symlinked_benchmark_by_where_it_is_found(

@@ -5,7 +5,7 @@ import pytest
 
 import stub_suite
 from conftest import (DATA, NO_LOGIC, WIDE_LSZ, deep_problem,
-                      fake_solver_script)
+                      fake_solver_script, let_chain)
 from syguskit.cegis import Exhausted, Solved, TimedOut
 from syguskit.checker import ExhaustiveSmall, ExternalSMT, Layered, Valid
 from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
@@ -95,9 +95,10 @@ def _with_bound(numeral: str) -> bytes:
     # int() raised ValueError on both, which aborted the whole suite
     (_with_bound("9" * 4301), "numeral of 4301 digits is too long"),
     (_with_bound("\u00b2"), "malformed numeral '\u00b2'"),
-    (WIDE_LSZ.encode(), "width 4294967295 is above the maximum of 64")],
+    (WIDE_LSZ.encode(), "width 4294967295 is above the maximum of 64"),
+    (let_chain(17).encode(), "above the maximum of 100000")],
     ids=["deep_nesting", "non_utf8", "overlong_numeral", "superscript_digit",
-         "bit_vector_width_above_64"])
+         "bit_vector_width_above_64", "let_chain_past_the_bound"])
 def test_unparsable_file_is_one_parse_failure_record(tmp_path, monkeypatch,
                                                      data, message):
     # "bad.sl" sorts before "max2.sl"

@@ -26,6 +26,7 @@ from syguskit.frontend import read_problem
 from syguskit.grammar import Enumerator
 from syguskit.stochastic import StochConfig, solve_stochastic
 from syguskit.terms import BOOL, BV, INT, SygusError, Var
+from test_terms import ops_grammar
 
 NESTED = """(set-logic LIA)
 (synth-fun f ((x Int)) Int)
@@ -254,6 +255,9 @@ SIG_CASES = {
     "div": lambda: (div_grammar(), {"seven": SEVEN}, ()),
     # 8- and 4-bit nonterminals joined only through Bool comparisons
     "two_widths": lambda: (two_width_grammar(), {}, (BV(4, 9), BV(8, 0x80))),
+    # every OPS entry, ite over Int, Bool and (BitVec 8) included; the hole
+    # 0 makes Int div/mod err on every row
+    "ops": lambda: (ops_grammar(), {}, (0, BV(8, 0))),
 }
 
 

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts the README documents: each runs on max2 with
 a budget of a few seconds and writes only under a temporary directory."""
 
+import json
 import os
 import re
 import shutil
@@ -104,3 +105,24 @@ def test_seed_study_reports_a_bad_input_as_an_error(tmp_path, name, message):
                         returncode=2)
     assert stderr.startswith("error: ") and message in stderr
     assert "Traceback" not in stderr
+
+
+def test_identity_prints_the_same_digest_on_each_run(tmp_path):
+    first = run_script("identity.py", "max2", cwd=tmp_path)
+    assert run_script("identity.py", "max2", cwd=tmp_path) == first
+    digest = json.loads(first)
+    assert sorted(digest) == ["check", "enum", "problem", "stoch"]
+    assert digest["problem"] == "max2"
+    for solver in ("enum", "stoch"):
+        calls = digest[solver]["calls"]
+        assert calls[-1][1] == "Valid(certified=False)"
+        assert all(v.startswith("CounterExample(") for _, v in calls[:-1])
+        assert digest[solver]["outcome"].startswith("(define-fun max2 ")
+    assert sorted(digest["check"]) == ["max2", "max2-wrong"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [("max3",), ("max2", "--seed", "1")])
+def test_identity_rejects_a_bad_argument(tmp_path, args):
+    stderr = run_script("identity.py", *args, cwd=tmp_path, returncode=2)
+    assert "usage: " in stderr and "Traceback" not in stderr
