@@ -4,18 +4,18 @@ its outcomes, example sets and constant pools; and the one candidate scorer.
 Counterexamples are valuations of the problem's universal variables. For
 every example and every syntactically distinct invocation of an unknown, the
 argument terms are evaluated at the example to bind the unknown's parameters;
-a term's signature is its output vector over these induced bindings, in the
-raw values terms.compile_term uses (a bit-vector as its masked int), composed
-from its arguments' signatures (terms.Pointwise, whose column composition
-the checker also uses); signature() is the reference tree walk, over BV
-values. Both solvers ask Scorer which examples a candidate gets wrong: the
-enumerative solver hands it the signatures from its banks, the stochastic
-one the bodies, whose signatures Scorer composes per unknown, node by node
-(Pointwise). Scorer compiles the conjunction of
-its constraint skeletons once (terms.compile_term) and scores an example on
-its raw point and the candidate's slot values; an example the skeletons cannot
-decide is scored on the verifier's own compiled constraints
-(checker.compiled_constraints), so a candidate's meaning is the verifier's.
+a term's signature is its output vector over these induced bindings, in raw
+values (a bit-vector as its masked int), composed from its arguments'
+signatures (terms.Pointwise, whose column composition the checker also
+uses); signature() is the reference tree walk, over BV values. Both solvers
+ask Scorer which examples a candidate gets wrong: the enumerative solver
+hands it the signatures from its banks, the stochastic one the bodies, whose
+signatures Scorer composes per unknown, node by node (Pointwise). Scorer
+compiles the conjunction of its constraint skeletons once (terms.compile_term)
+and scores an example on its raw point and the candidate's slot values; an
+example the skeletons cannot decide is scored as the verifier scores a point
+(checker._violated_index on the substituted constraints), so a candidate's
+meaning is the verifier's.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 from . import checker
-from .checker import (CounterExample, Valid, _violated_index,
-                      compiled_constraints, default_strategy)
+from .checker import (CounterExample, Valid, default_strategy,
+                      substituted_constraints)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import CandidateSolution, SynthProblem
 from .sexpr import print_sexpr
@@ -232,10 +232,10 @@ class Scorer:
     example is scored on these skeletons from the candidate's signatures over
     the induced bindings, one per unknown in p.unknowns' order. Where a slot
     is ERR or an invocation has no binding, the example is scored on the
-    checker's compiled constraints with the bodies substituted, as the
-    verifier scores it: an argument counts only where the body reads it, an
-    error only where it is reached. naive: some example has an invocation
-    without a binding, so signatures must not prune.
+    constraints with the bodies substituted, as the verifier scores a
+    point: an argument counts only where the body reads it, an error only
+    where it is reached. naive: some example has an invocation without a
+    binding, so signatures must not prune.
 
     stages() splits the skeletons by the last unknown each invokes, for a
     walk that binds the unknowns one at a time; what a stage rejects, wrong()
@@ -338,9 +338,9 @@ class Scorer:
                     yield ei
                 continue
             if whole is None:
-                whole = compiled_constraints(self.p,
-                                             make_solution(self.p, bodies))
-            if _violated_index(whole, raw) is not None:
+                whole = substituted_constraints(self.p,
+                                                make_solution(self.p, bodies))
+            if checker._violated_index(self.p, whole, raw) is not None:
                 yield ei
 
 

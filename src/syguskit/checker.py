@@ -19,9 +19,8 @@ in order of first occurrence, so the earliest violating projection leads
 back to the earliest violating point. A point where evaluation raises (Int
 division by zero) counts as falsified. A counterexample is the earliest
 violated point and, at it, the first constraint violated; its valuation, and
-only it, is built as a dict of Values. The constraints compiled per point
-(compiled_constraints) decide the scorer's undecided examples and an SMT
-model.
+only it, is built as a dict of Values. A single point (the scorer's
+undecided examples, an SMT model) is a one-point block (_violated_index).
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
 from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, ERR, INT, Apply, DivisionByZero, FunDef, Lit,
-                    Pointwise, Sort, SygusError, Term, Value, Var,
-                    compile_term, evaluate, expand, free_vars, raw_value,
-                    value_sort)
+                    Pointwise, Sort, SygusError, Term, Value, Var, evaluate,
+                    expand, free_vars, raw_value, value_sort)
 
 
 class UnsupportedLogic(SygusError):
@@ -186,18 +184,6 @@ def falsified(constraint: Term, valuation: Mapping[str, Value],
         return True
 
 
-def _violated_index(compiled: Sequence[Callable], point: tuple) -> int | None:
-    """The first constraint, compiled over the universals, that is false or
-    raises at the raw point."""
-    for i, c in enumerate(compiled):
-        try:
-            if not c(point):
-                return i
-        except DivisionByZero:
-            return i
-    return None
-
-
 def substituted_constraints(p: SynthProblem, s: CandidateSolution) -> list[Term]:
     return [expand(c, s.funcs) for c in p.constraints]
 
@@ -293,13 +279,12 @@ def _check_points(p: SynthProblem, constraints: Sequence[Term],
     return Valid(certified=False) if checked else Unknown(UnknownReason.BUDGET)
 
 
-def compiled_constraints(p: SynthProblem,
-                         s: CandidateSolution) -> list[Callable]:
-    """The substituted constraints compiled over the universals: the one
-    meaning of a candidate at a raw point, which the solvers' scorer shares."""
-    params = list(p.universals.items())
-    return [compile_term(c, params, p.defined_funs)
-            for c in substituted_constraints(p, s)]
+def _violated_index(p: SynthProblem, constraints: Sequence[Term],
+                    point: tuple) -> int | None:
+    """The first constraint that is false or raises at the raw point: the
+    one meaning of a candidate there, which the solvers' scorer shares."""
+    r = _check_points(p, constraints, [point])
+    return r.constraint_index if isinstance(r, CounterExample) else None
 
 
 def check_semantic(p: SynthProblem, s: CandidateSolution,
@@ -493,7 +478,7 @@ def _check_external(p: SynthProblem, s: CandidateSolution,
                         p.universals)
     if model is None:
         return Unknown(UnknownReason.SOLVER_UNKNOWN)
-    idx = _violated_index(compiled_constraints(p, s),
+    idx = _violated_index(p, substituted_constraints(p, s),
                           tuple(map(raw_value, model.values())))
     if idx is None:
         # model does not actually falsify anything we can evaluate

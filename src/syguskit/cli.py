@@ -1,9 +1,9 @@
 """Command line interface.
 
-Exit codes are part of the contract: 0 success/solved, 1 check failed or not
-solved, 2 usage or input error. Solutions go to stdout as `define-fun` lines,
-diagnostics to stderr. SYGUSKIT_SMT provides the default external SMT solver
-command for `check` and `solve`.
+Exit codes are part of the contract: 0 success/solved, 1 check failed, not
+solved or stdout closed early (`| head`), 2 usage or input error. Solutions
+go to stdout as `define-fun` lines, diagnostics to stderr. SYGUSKIT_SMT
+provides the default external SMT solver command for `check` and `solve`.
 """
 
 from __future__ import annotations
@@ -186,7 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader went away (`| head`): the rest goes to os.devnull,
+        # so that the flush at exit does not fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (SygusError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -30,10 +30,10 @@ fixed by its sort). `Pointwise` evaluates a term over many rows at once, an
 application's column composed from its arguments' columns with ERR marking
 the rows where evaluation raised, and only and/or/=> evaluating an operand
 on fewer rows: the enumerative bank's and the scorer's signatures over
-bindings, and the checker's blocks of grid or sample points. `compile_term`
-turns a term once into a closure over one tuple of raw values, for the
-scorer's constraint skeletons and single points (an example the skeletons
-cannot decide, an SMT model).
+bindings, and the checker's blocks of grid or sample points, a single
+point being a block of one. `compile_term` turns a let-free term once into
+a closure over one tuple of raw values, for the scorer's constraint
+skeletons and the defined functions they call.
 """
 
 from __future__ import annotations
@@ -542,33 +542,27 @@ def op_value(op: str, width: int | None) -> Callable[..., Value]:
 def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
                  defs: Mapping[str, FunDef] | None = None
                  ) -> Callable[[tuple], bool | int]:
-    """Compile a sort-correct term into a closure over a tuple of raw values
-    of params, in order; the closure gives evaluate's value, a bit-vector as
-    its masked int. Widths are fixed here, each defined function body is
-    compiled once and called positionally, a let extends the tuple, and
+    """Compile a sort-correct, let-free term (a constraint or a defined
+    function's body, as the frontend desugars them) into a closure over a
+    tuple of raw values of params, in order; the closure gives evaluate's
+    value, a bit-vector as its masked int. Widths are fixed here, each
+    defined function body is compiled once and called positionally, and
     ite/and/or/=> stay lazy."""
     defs = defs or {}
     funs = {name: f.fun_sort for name, f in defs.items()}
     bodies: dict[str, Callable[..., bool | int]] = {}
 
-    def comp(t: Term, env: list[tuple[str, Sort]]):
-        """(closure, sort) of t over tuples laid out as env; a later entry
-        hides an earlier one of the same name."""
+    def comp(t: Term, env: Mapping[str, tuple[int, Sort]]):
+        """(closure, sort) of t over tuples whose entry env[name][0] holds
+        the variable name, of sort env[name][1]."""
         if isinstance(t, Var):
-            at = [i for i, (name, _) in enumerate(env) if name == t.name]
-            if not at:
+            if t.name not in env:
                 raise UndeclaredSymbol(t.name)
-            return operator.itemgetter(at[-1]), env[at[-1]][1]
+            i, sort = env[t.name]
+            return operator.itemgetter(i), sort
         if isinstance(t, Lit):
             v = raw_value(t.value)
             return (lambda e: v), value_sort(t.value)
-        if isinstance(t, Let):
-            # parallel: the definitions see the outer env
-            ds = [comp(d, env) for _, d in t.bindings]
-            body, sort = comp(t.body, env + [(name, s) for (name, _), (_, s)
-                                             in zip(t.bindings, ds)])
-            fns = [fn for fn, _ in ds]
-            return (lambda e: body(e + tuple([d(e) for d in fns]))), sort
         op = t.op
         pairs = [comp(a, env) for a in t.args]
         fns = [fn for fn, _ in pairs]
@@ -585,7 +579,8 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
             value = bodies[op]
         else:
             f = defs[op]
-            body = comp(f.body, list(f.params))[0]
+            at = {name: (i, s) for i, (name, s) in enumerate(f.params)}
+            body = comp(f.body, at)[0]
             value = bodies[op] = lambda *xs: body(xs)
         if len(fns) == 1:
             a, = fns
@@ -595,8 +590,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
             return (lambda e: value(a(e), b(e))), sort
         return (lambda e: value(*[f(e) for f in fns])), sort
 
-    return comp(t, list(params))[0]
-
+    return comp(t, {name: (i, s) for i, (name, s) in enumerate(params)})[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               Invocation, Layered, RandomSample, Unknown,
                               UnknownReason, Valid, _violated_index,
                               check_semantic, check_syntactic,
-                              classify_features, compiled_constraints,
-                              default_strategy, emit_smtlib, falsified,
-                              grid_points, int_drawer, parse_model,
+                              classify_features, default_strategy,
+                              emit_smtlib, falsified, grid_points,
+                              int_drawer, parse_model,
                               substituted_constraints)
 from syguskit.frontend import (load_problem, parse_solution, read_problem,
                                term_to_sexpr)
@@ -380,10 +380,10 @@ def sample_stages(seed, count):
 
 def per_point(p, s):
     """violated() for reference_check: the per-point path, _violated_index
-    over the compiled constraints at the raw point."""
-    compiled = compiled_constraints(p, s)
+    over the substituted constraints at the raw point."""
+    constraints = substituted_constraints(p, s)
     return lambda point: _violated_index(
-        compiled, tuple(raw_value(v) for v in point.values()))
+        p, constraints, tuple(raw_value(v) for v in point.values()))
 
 
 def assert_three_paths_agree(p, s, strat):
@@ -578,6 +578,21 @@ def test_external_model_not_falsifying_is_unknown(max2, tmp_path):
     cmd = fake_solver_script(tmp_path, out)
     v = check_semantic(max2, max2_sol(max2, "x"), ExternalSMT(cmd))
     assert v == Unknown(UnknownReason.SOLVER_UNKNOWN)
+
+
+def test_external_model_where_a_constraint_divides_by_zero(tmp_path):
+    # at x = 2, y = 0 constraint 0 holds and constraint 1 divides by zero,
+    # which counts as violated, as on the grid
+    p = read_problem("(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+                     "(declare-var x Int)\n(declare-var y Int)\n"
+                     "(constraint (>= (f x) 0))\n"
+                     "(constraint (= (div (f x) y) 1))\n(check-synth)\n")
+    s = sol(p, "(define-fun f ((x Int)) Int x)")
+    cmd = fake_solver_script(tmp_path, "sat\n((x 2) (y 0))\n")
+    v = check_semantic(p, s, ExternalSMT(cmd))
+    assert v == CounterExample({"x": 2, "y": 0}, 1)
+    assert [falsified(c, v.valuation, p.defined_funs)
+            for c in substituted_constraints(p, s)] == [False, True]
 
 
 @pytest.mark.parametrize("model", ["((x #x05) (y 3))", "((x true) (y 3))"],

@@ -349,3 +349,40 @@ def test_classify_names_a_symlinked_benchmark_by_where_it_is_found(
     assert r.returncode == 0, r.stderr
     row, = r.stdout.splitlines()[1:]
     assert row.split()[:2] == ["max2.sl", "integers"]
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away; fileno() is a file's
+    descriptor, so the test can see where it points afterwards."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_1_without_an_error_line(tmp_path, capsys,
+                                                      monkeypatch):
+    from syguskit import cli as cli_module
+    out = tmp_path / "stdout"
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        code = cli_module.main(["classify", str(PKG / "benchmarks")])
+        # the descriptor now points at os.devnull
+        os.write(fd, b"left over")
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert "error:" not in capsys.readouterr().err
+    assert out.read_bytes() == b""
+
+
+def test_a_missing_file_still_exits_2(tmp_path, capsys):
+    from syguskit import cli as cli_module
+    assert cli_module.main(["parse", str(tmp_path / "missing.sl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -97,13 +97,29 @@ THREE = """(set-logic LIA)
 (constraint (or (< y 0) (>= (h (div x y)) (g 1))))
 (check-synth)"""
 
+# lets in a constraint and in the defined function it calls, each binding a
+# name that hides another (y for x, g's c - a for a), which the frontend
+# desugars, so the skeletons compile_term sees are let-free; the bodies keep
+# their grammar's let, and (div S S) makes some of them err
+LETS = """(set-logic LIA)
+(define-fun g ((a Int) (b Int)) Int
+  (let ((c (+ a b))) (let ((a (- c a))) (div c a))))
+(synth-fun f ((x Int) (y Int)) Int
+  ((S Int (x y 0 1 (+ S S) (div S S) (let ((z S)) (+ z S)) (ite B S S)))
+   (B Bool ((<= S S)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (let ((d (f x y)) (x y)) (or (= x 0) (>= (g d x) (div d x)))))
+(check-synth)"""
+
 PROBLEMS = {"max2": lambda: load("max2.sl"), "s8": lambda: load("s8.sl"),
             "nested": lambda: read_problem(NESTED),
             "guarded": lambda: read_problem(GUARDED),
             "guarded_arg": lambda: read_problem(GUARDED_ARG),
             "div": lambda: read_problem(DIV),
             "unreached": lambda: read_problem(UNREACHED),
-            "three": lambda: read_problem(THREE)}
+            "three": lambda: read_problem(THREE),
+            "lets": lambda: read_problem(LETS)}
 
 
 def whole_wrong(p, bodies, E):

@@ -8,11 +8,12 @@ import hypothesis.strategies as st
 
 from conftest import let_grammar, load, term
 from syguskit.grammar import Enumerator, make_grammar
-from syguskit.terms import (BOOL, BV, INT, OPS, TNT, Apply, DivisionByZero,
-                            FunDef, FunSort, Let, Lit, Pointwise, SortError,
-                            THole, UndeclaredSymbol, Var, bitvec, compile_term,
-                            evaluate, expand, free_vars, infer_sort,
-                            raw_value, substitute, term_size, value_sort)
+from syguskit.terms import (BOOL, BV, ERR, INT, OPS, TNT, Apply,
+                            DivisionByZero, FunDef, FunSort, Let, Lit,
+                            Pointwise, SortError, THole, UndeclaredSymbol, Var,
+                            bitvec, compile_term, evaluate, expand, free_vars,
+                            infer_sort, raw_value, subterms, substitute,
+                            term_size, value_sort)
 
 BV32 = bitvec(32)
 
@@ -368,6 +369,9 @@ def diff_case(name):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32), size=st.integers(1, 11))
 def test_compiled_term_matches_evaluate(name, data, seed, size):
+    """compile_term, given a let-free term as the scorer gives it, and a
+    one-row Pointwise column, given any term, agree with evaluate: its value
+    as a raw value, and where it raises, a raise and ERR."""
     g, defs, enumr = diff_case(name)
     nt = data.draw(st.sampled_from(sorted(g.rules)))
     if enumr.count(nt, size) == 0:
@@ -377,16 +381,22 @@ def test_compiled_term_matches_evaluate(name, data, seed, size):
     point = {n: data.draw(BV8_VALUES if s == W8 else
                           st.booleans() if s == BOOL else INT_VALUES)
              for n, s in params}
-    f = compile_term(t, params, defs)
     raw = tuple(raw_value(v) for v in point.values())
+    f = (None if any(isinstance(s, Let) for s in subterms(t))
+         else compile_term(t, params, defs))
+    col = Pointwise((), defs).column(
+        t, {n: ((x,), s) for (n, s), x in zip(params, raw)}, 1)[0]
     try:
         want = evaluate(t, point, defs)
     except DivisionByZero:
-        with pytest.raises(DivisionByZero):
-            f(raw)
+        if f is not None:
+            with pytest.raises(DivisionByZero):
+                f(raw)
+        assert col == (ERR,), t
         return
-    got = f(raw)
-    assert got == raw_value(want) and type(got) is type(raw_value(want)), t
+    want = raw_value(want)
+    got = [*col] if f is None else [f(raw), *col]
+    assert all(x == want and type(x) is type(want) for x in got), t
 
 
 @pytest.mark.parametrize("text", [
@@ -401,10 +411,11 @@ def test_compiled_connectives_are_lazy(text):
     assert got == want and type(got) is type(want)
 
 
-def test_compiled_let_is_parallel_and_shadows():
+def test_column_let_is_parallel_and_shadows():
     t = Let((("a", Var("b")), ("b", Lit(1))),
             Let((("a", Apply("+", (Var("a"), Var("b")))),), Var("a")))
-    assert compile_term(t, [("b", INT)])((10,)) == evaluate(t, {"b": 10})
+    col, sort = Pointwise((), {}).column(t, {"b": ((10,), INT)}, 1)
+    assert col == (evaluate(t, {"b": 10}),) == (11,) and sort == INT
 
 
 # ---------------------------------------------------------------------------
