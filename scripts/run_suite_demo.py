@@ -4,8 +4,9 @@ reports in every supported format.
 
 Usage: python scripts/run_suite_demo.py [--timeout 60] [--parallel 4]
 
-A suite with no `.sl` file, an unknown solver id or a timeout too long to
-wait for gives one `error: ...` line and exit status 2.
+A suite with no `.sl` file, an unknown, repeated or empty list of solver
+ids or a timeout too long to wait for gives one `error: ...` line and exit
+status 2.
 """
 
 import argparse
@@ -28,7 +29,7 @@ def main() -> int:
     ap.add_argument("--out", default=str(ROOT / "out"))
     args = ap.parse_args()
 
-    solver_ids = [s for s in args.solvers.split(",") if s]
+    solver_ids = [s.strip() for s in args.solvers.split(",") if s.strip()]
     try:
         report = run_suite(args.suite, solver_ids,
                            RunLimits(wallclock_s=args.timeout),

@@ -29,7 +29,7 @@ from . import checker
 from .checker import (CounterExample, Valid, default_strategy,
                       substituted_constraints)
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
-from .frontend import CandidateSolution, SynthProblem
+from .frontend import CandidateSolution, SynthProblem, unknown_invocations
 from .sexpr import print_sexpr
 from .terms import (BV, ERR, Apply, DivisionByZero, FunDef, Lit, Pointwise,
                     SygusError, Term, UndeclaredSymbol, Value, Var,
@@ -171,17 +171,7 @@ def pool_with_examples(base: Sequence[Value], E: ExampleSet) -> tuple[Value, ...
 
 
 # ---------------------------------------------------------------------------
-# Examples, invocations, signatures
-
-
-def unknown_invocations(p: SynthProblem) -> dict[str, list[tuple[Term, ...]]]:
-    """Syntactically distinct argument tuples per unknown, in constraint order."""
-    apps: dict[str, dict[tuple[Term, ...], None]] = {n: {} for n in p.unknowns}
-    for c in p.constraints:
-        for t in subterms(c):
-            if isinstance(t, Apply) and t.op in apps:
-                apps[t.op].setdefault(t.args, None)
-    return {n: list(tuples) for n, tuples in apps.items()}
+# Examples, induced bindings, signatures
 
 
 def induced_bindings(p: SynthProblem, unknown: str,

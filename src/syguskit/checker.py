@@ -35,8 +35,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .frontend import (CandidateSolution, GrammarOrigin, SynthProblem, Track,
-                       term_to_sexpr)
+from .frontend import CandidateSolution, SynthProblem, Track, unknown_invocations
 from .grammar import derives
 from .sexpr import BV, SExpr, print_sexpr, read_sexprs
 from .terms import (BOOL, ERR, INT, Apply, DivisionByZero, FunDef, Lit,
@@ -499,17 +498,14 @@ class Invocation(enum.Enum):
 class FeatureSet:
     invocation: Invocation
     unknown_count: int
-    grammar_origins: dict[str, GrammarOrigin]
     track: Track
 
 
 def classify_features(p: SynthProblem) -> FeatureSet:
-    from .cegis import unknown_invocations  # cegis imports this module
     apps = unknown_invocations(p)
     single = all(len(tuples) <= 1 for tuples in apps.values())
     return FeatureSet(
         invocation=Invocation.SINGLE if single else Invocation.MULTIPLE,
         unknown_count=len(p.unknowns),
-        grammar_origins={n: u.origin for n, u in p.unknowns.items()},
         track=p.track,
     )

@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .cegis import Exhausted, Solved
+from .cegis import Exhausted, Solved, describe_point
 from .checker import (CheckStrategy, CounterExample, ExhaustiveSmall,
-                      ExternalSMT, Layered, RandomSample, Unknown, Valid,
+                      ExternalSMT, Layered, RandomSample, Valid,
                       check_semantic, check_syntactic, default_strategy)
 from .enumerative import EnumConfig, solve_enumerative
 from .frontend import (load_problem, parse_solution, print_problem,
@@ -79,7 +79,6 @@ def _cmd_check(args) -> int:
         print("semantic: valid" + ("" if verdict.certified else " (on budget)"))
         return 0
     if isinstance(verdict, CounterExample):
-        from .cegis import describe_point
         print(f"semantic: counterexample {describe_point(verdict.valuation)} "
               f"violates constraint {verdict.constraint_index}")
         return 1
@@ -116,6 +115,8 @@ def _cmd_bench(args) -> int:
     fmt = Path(args.report).suffix.lstrip(".").lower() if args.report else None
     if fmt is not None and fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
+    if fmt is not None and not Path(args.report).parent.is_dir():
+        raise ValueError(f"no directory for report {args.report}")
     report = run_suite(args.dir, solver_ids, limits,
                        parallelism=args.parallel)
     for sid in report.solver_ids:

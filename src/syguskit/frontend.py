@@ -124,6 +124,16 @@ def fun_sorts(*tables: Mapping) -> dict[str, FunSort]:
     return {n: f.fun_sort for funs in tables for n, f in funs.items()}
 
 
+def unknown_invocations(p: SynthProblem) -> dict[str, list[tuple[Term, ...]]]:
+    """Syntactically distinct argument tuples per unknown, in constraint order."""
+    apps: dict[str, dict[tuple[Term, ...], None]] = {n: {} for n in p.unknowns}
+    for c in p.constraints:
+        for t in subterms(c):
+            if isinstance(t, Apply) and t.op in apps:
+                apps[t.op].setdefault(t.args, None)
+    return {n: list(tuples) for n, tuples in apps.items()}
+
+
 # ---------------------------------------------------------------------------
 # Sorts
 
@@ -243,8 +253,7 @@ def _fit(tpl: Template, s: Sort, want: Sort | None,
                                  _fit(b, s, want, sx[3])[0])), want
         if isinstance(tpl, Let):
             return Let(tpl.bindings, _fit(tpl.body, s, want, sx[2])[0]), want
-    raise SortError(f"expected {want}, got {s}: {print_sexpr(sx)}",
-                    expected=want, found=s)
+    raise SortError(f"expected {want}, got {s}: {print_sexpr(sx)}")
 
 
 def parse_template(sx: SExpr, nts: Mapping[str, Sort],

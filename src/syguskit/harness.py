@@ -20,6 +20,7 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -252,6 +253,11 @@ def run_suite(directory, solver_ids: Sequence[str], limits: RunLimits,
     unknown = [sid for sid in solver_ids if sid not in SOLVERS]
     if unknown:
         raise UnknownSolver(f"unknown solver id: {', '.join(unknown)}")
+    if not solver_ids:
+        raise SygusError("no solver id given")
+    repeated = [sid for sid, n in Counter(solver_ids).items() if n > 1]
+    if repeated:
+        raise SygusError(f"solver id given twice: {', '.join(repeated)}")
     root, paths = _suite(directory)
     tasks = [(path, sid) for path in paths for sid in solver_ids]
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:

@@ -51,11 +51,7 @@ class SygusError(Exception):
 
 
 class SortError(SygusError):
-    def __init__(self, msg: str, term=None, expected=None, found=None):
-        super().__init__(msg)
-        self.term = term
-        self.expected = expected
-        self.found = found
+    pass
 
 
 class UndeclaredSymbol(SygusError):
@@ -390,7 +386,7 @@ OPS: dict[str, Op] = {
 
 
 def apply_sort(op: str, sorts: Sequence[Sort],
-               funs: Mapping[str, Sort | FunSort], term=None) -> Sort:
+               funs: Mapping[str, Sort | FunSort]) -> Sort:
     """Result sort of op applied to operands of the given sorts; funs gives
     the signatures of the functions outside OPS."""
     spec = OPS.get(op)
@@ -400,29 +396,25 @@ def apply_sort(op: str, sorts: Sequence[Sort],
             raise UndeclaredSymbol(op)
         if len(sorts) != len(sig.params):
             raise SortError(f"{op} expects {len(sig.params)} arguments, "
-                            f"got {len(sorts)}", term=term)
+                            f"got {len(sorts)}")
         for s, want in zip(sorts, sig.params):
             if s != want:
-                raise SortError(f"argument of {op} has wrong sort", term=term,
-                                expected=want, found=s)
+                raise SortError(f"argument of {op} has wrong sort")
         return sig.ret
     if len(sorts) < spec.lo or (spec.hi is not None and len(sorts) > spec.hi):
-        raise SortError(f"{op} applied to {len(sorts)} arguments", term=term)
+        raise SortError(f"{op} applied to {len(sorts)} arguments")
     shared = spec.operand
     if isinstance(shared, str):
         if shared == "ite":
             if sorts[0] != BOOL:
-                raise SortError("ite condition must be Bool", term=term,
-                                expected=BOOL, found=sorts[0])
+                raise SortError("ite condition must be Bool")
             sorts = sorts[1:]
         elif shared == "bv" and not sorts[0].is_bv:
-            raise SortError(f"{op} expects bit-vectors", term=term,
-                            found=sorts[0])
+            raise SortError(f"{op} expects bit-vectors")
         shared = sorts[0]
     for s in sorts:
         if s != shared:
-            raise SortError(f"{op} expects {shared}, got {s}", term=term,
-                            expected=shared, found=s)
+            raise SortError(f"{op} expects {shared}, got {s}")
     return shared if spec.result is None else spec.result
 
 
@@ -440,7 +432,7 @@ def infer_sort(t: Template, ctx: Mapping[str, Sort | FunSort],
         if s is None:
             raise UndeclaredSymbol(t.name)
         if isinstance(s, FunSort):
-            raise SortError(f"{t.name} is a function, not a variable", term=t)
+            raise SortError(f"{t.name} is a function, not a variable")
         return s
     if isinstance(t, Lit):
         return value_sort(t.value)
@@ -457,7 +449,7 @@ def infer_sort(t: Template, ctx: Mapping[str, Sort | FunSort],
     if isinstance(t, THole):
         return t.sort
     return apply_sort(t.op, [infer_sort(a, ctx, nts, funs) for a in t.args],
-                      funs, t)
+                      funs)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +558,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
         op = t.op
         pairs = [comp(a, env) for a in t.args]
         fns = [fn for fn, _ in pairs]
-        sort = apply_sort(op, [s for _, s in pairs], funs, t)
+        sort = apply_sort(op, [s for _, s in pairs], funs)
         if op == "ite":
             c, a, b = fns
             return (lambda e: a(e) if c(e) else b(e)), sort

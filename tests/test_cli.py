@@ -238,6 +238,32 @@ def test_bench_unknown_solver_is_an_input_error(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("solvers, err", [
+    ("enum,enum", "error: solver id given twice: enum\n"),
+    (",", "error: no solver id given\n")], ids=["repeated", "empty"])
+def test_bench_refuses_a_repeated_or_empty_solver_list(tmp_path, solvers, err):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    r = cli("bench", str(suite), "--solvers", solvers, "--timeout", "30")
+    assert r.returncode == 2
+    assert "solved" not in r.stdout
+    assert r.stderr == err
+
+
+def test_bench_checks_the_report_directory_before_running(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "max2.sl").write_text((DATA / "max2.sl").read_text())
+    report = tmp_path / "missing" / "out.csv"
+    r = cli("bench", str(suite), "--solvers", "enum", "--timeout", "30",
+            "--report", str(report))
+    assert r.returncode == 2
+    assert "solved" not in r.stdout
+    assert r.stderr == f"error: no directory for report {report}\n"
+    assert not report.parent.exists()
+
+
 def test_run_suite_checks_solver_ids_before_running(tmp_path, monkeypatch):
     from syguskit import harness
     (tmp_path / "max2.sl").write_text((DATA / "max2.sl").read_text())

@@ -12,6 +12,7 @@ from syguskit.harness import (EmptySuite, RunLimits, SIZE_BUCKETS,
                               aggregate, bucket, classify_suite,
                               register_solver, render_report,
                               report_from_json, run_benchmark, run_suite)
+from syguskit.terms import SygusError
 
 LIMITS = RunLimits(wallclock_s=60.0, grace_s=1.0)
 
@@ -240,6 +241,18 @@ def test_aggregation_is_order_invariant(suite_dir):
 def test_empty_suite_raises(tmp_path):
     with pytest.raises(EmptySuite):
         run_suite(tmp_path, ["stubA"], LIMITS)
+
+
+@pytest.mark.parametrize("ids, match", [
+    ([], "no solver id given"),
+    (["recorder", "stubA", "recorder"], "solver id given twice: recorder")],
+    ids=["empty", "repeated"])
+def test_run_suite_refuses_an_empty_or_repeated_id_list(suite_dir, ids, match):
+    calls = []
+    register_solver("recorder", lambda problem, budget_s: calls.append(problem))
+    with pytest.raises(SygusError, match=match):
+        run_suite(suite_dir, ids, LIMITS)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
