@@ -28,10 +28,11 @@ Sampling is the stochastic solver's inner loop, so an Enumerator keeps its
 tables once built, one table per key: per (nonterminal, size, divisor flag)
 the productions with a derivation, their counts and own nodes, per hole sort
 its pool, and per (template, size) its derivation count, slots, path steps
-and a tree of its slots' size choices and weights, which count() and
-sample() both read. They change no draw: every rng call is the one the plain
-recurrences make. sample() gives a Derivation, the term and a flat
-pre-order tuple of its nonterminal instances with their paths from the
+and a tree of its slots' size choices and cumulative weights, which count()
+and sample() both read. They change no draw: randbelow and weighted are
+randrange and choices without their argument checks, so every value and rng
+state is the plain recurrences'. sample() gives a Derivation, the term and a
+flat pre-order tuple of its nonterminal instances with their paths from the
 root, so a move replaces an instance by splicing that tuple.
 """
 
@@ -40,8 +41,9 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
@@ -139,6 +141,21 @@ class Grammar:
                       else tuple(compositions(budget, [int(m) for m in mins])))
             hit = self._plans[key] = (slots, splits)
         return hit
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n), n > 0, without its argument checks: CPython's
+    Random._randbelow rejection loop, so the value and rng state match."""
+    k = n.bit_length()
+    while (r := rng.getrandbits(k)) >= n:
+        pass
+    return r
+
+
+def weighted(rng: random.Random, cum: Sequence[int]) -> int:
+    """rng.choices(range(len(cum)), cum_weights=cum)[0] without its argument
+    checks: bisect random() times the total into the cumulative weights."""
+    return bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
 
 
 def compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -400,7 +417,7 @@ class Enumerator:
         total, menu = self._menu(nt, size, no_zero)
         if total == 0:
             raise SygusError(f"no derivation of {nt} at size {size}")
-        pick = rng.randrange(total)
+        pick = randbelow(rng, total)
         for p, c, own in menu:
             if pick < c:
                 entries.append((path, nt, size, no_zero, own))
@@ -410,13 +427,14 @@ class Enumerator:
 
     def _sample_tpl(self, tpl: Template, size: int, no_zero: bool,
                     rng: random.Random, path: Path, entries: list) -> Term:
-        if isinstance(tpl, (Var, Lit)):
-            return tpl
-        if isinstance(tpl, THole):
-            vals = self._hole_pool(tpl.sort, no_zero)
-            return Lit(vals[rng.randrange(len(vals))])
-        if isinstance(tpl, TNT):
+        kind = type(tpl)  # the node classes have no subclasses
+        if kind is TNT:
             return self._draw(tpl.nt, size, no_zero, rng, path, entries)
+        if kind is Var or kind is Lit:
+            return tpl
+        if kind is THole:
+            vals = self._hole_pool(tpl.sort, no_zero)
+            return Lit(vals[randbelow(rng, len(vals))])
         _, slots, steps, tree = self._sampler(tpl, size)
         return assemble(tpl, [
             self._sample_tpl(c, s, nz, rng, path + (step,), entries)
@@ -427,10 +445,10 @@ class Enumerator:
         """(derivations, slots, path steps, size tree) of an application or
         let template at size, the one table per (template, size) that both
         count() and sample() read. The size tree holds, for the first slot,
-        its sizes with a derivation, their weights and the tree of the later
-        slots under each size: a slot's size s is weighted by the derivations
-        of that slot at s times those of the later slots in the remaining
-        budget."""
+        its sizes with a derivation, their cumulative weights (the root's
+        last is the count) and the tree of the later slots under each size:
+        a slot's size s is weighted by the derivations of that slot at s
+        times those of the later slots in the remaining budget."""
         key = (id(tpl), size)
         hit = self._samplers.get(key)
         if hit is None:
@@ -454,27 +472,27 @@ class Enumerator:
 
     @staticmethod
     def _draw_sizes(tree: tuple | None, rng: random.Random) -> list[int]:
-        """Child sizes drawn slot by slot down a size tree; the rng is
-        consulted only on a real choice."""
+        """Child sizes drawn slot by slot down a size tree by weighted(); the
+        rng is consulted only on a real choice."""
         sizes: list[int] = []
         while tree is not None:
-            choices, weights, later = tree
+            choices, cum, later = tree
             s = (choices[0] if len(choices) == 1
-                 else rng.choices(choices, weights)[0])
+                 else choices[weighted(rng, cum)])
             sizes.append(s)
             tree = later[s]
         return sizes
 
 
 def _size_tree(rows: list, i: int, n: int) -> tuple | None:
-    """Slot i's sizes with a derivation, their weights (the suffix counts of
-    _sampler's rows summed per size) and, per size, the tree of the later
-    slots over the rows with that size; None past the last slot."""
+    """Slot i's sizes with a derivation, the running sums of their weights
+    (the suffix counts of _sampler's rows per size) and, per size, the tree
+    of the later slots over the rows with that size; None past the last."""
     if i == n:
         return None
     weights: dict[int, int] = {}
     for split, suffix in rows:
         weights[split[i]] = weights.get(split[i], 0) + suffix[i]
-    return (tuple(weights), tuple(weights.values()),
+    return (tuple(weights), tuple(accumulate(weights.values())),
             {s: _size_tree([r for r in rows if r[0][i] == s], i + 1, n)
              for s in weights})

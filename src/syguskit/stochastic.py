@@ -18,7 +18,8 @@ Proposals often repeat, so the walk keeps the wrong counts of the last
 WRONG_MEMO bodies it scored until the next counterexample; the scorer
 composes any other body's signature node by node, with no memo.
 
-Reproducible: one Random(seed) drives sampling, mutation, and acceptance.
+Reproducible: one Random(seed), seed an int, drives sampling, mutation and
+acceptance, with randrange's and choices' draws (grammar.randbelow, weighted).
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import accumulate, cycle
 
 from .cegis import (BudgetExpired, Deadline, Proposals, Scorer, SolveOutcome,
                     cegis, count_wrong)
 from .checker import CheckStrategy
 from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
-from .grammar import Derivation, Enumerator, term_replace
+from .grammar import Derivation, Enumerator, term_replace, weighted
 from .terms import SygusError, Term
 
 
@@ -56,11 +57,11 @@ class StochConfig:
 
 def mutate(d: Derivation, enumr: Enumerator, rng: random.Random) -> Derivation:
     """One size-preserving edit: resample the subtree under an instance chosen
-    uniformly over the parse tree (weights = nodes each instance contributed)
-    and splice the replacement's entries over the instance and its
-    descendants."""
+    uniformly over the parse tree (cumulative weights of the nodes each
+    instance contributed, drawn by grammar.weighted) and splice the
+    replacement's entries over the instance and its descendants."""
     entries = d.entries
-    pick = rng.choices(range(len(entries)), [e[4] for e in entries])[0]
+    pick = weighted(rng, list(accumulate(e[4] for e in entries)))
     path, nt, size, no_zero, _ = entries[pick]
     new = enumr.sample(nt, size, rng, no_zero, path)
     end, depth = pick + 1, len(path)
@@ -75,12 +76,15 @@ def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
         raise SygusError("the stochastic solver handles a single unknown")
     if not (math.isfinite(cfg.beta) and cfg.beta > 0):
         raise SygusError("beta must be positive and finite")
-    if cfg.moves_per_size < 0:
-        raise SygusError("moves_per_size must be nonnegative")
-    if not cfg.size_schedule or \
-            list(cfg.size_schedule) != sorted(cfg.size_schedule):
-        raise SygusError("size schedule must be a nonempty nondecreasing sweep")
-    return cegis(p, cfg, _walk, cfg.size_schedule[-1])
+    if not isinstance(cfg.seed, int):
+        raise SygusError("seed must be an int, so the walk can be replayed")
+    if not isinstance(cfg.moves_per_size, int) or cfg.moves_per_size < 0:
+        raise SygusError("moves_per_size must be a nonnegative int")
+    sizes = cfg.size_schedule
+    if not sizes or not all(isinstance(s, int) for s in sizes) or \
+            list(sizes) != sorted(sizes):
+        raise SygusError("size schedule must be nonempty, nondecreasing ints")
+    return cegis(p, cfg, _walk, sizes[-1])
 
 
 def _walk(p: SynthProblem, cfg: StochConfig, deadline: Deadline,

@@ -3,12 +3,16 @@ import logging
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
-from conftest import load, term
-from syguskit.frontend import default_grammar
+from conftest import BENCHMARKS, load, term
+from syguskit.cegis import base_constant_pool
+from syguskit.frontend import default_grammar, load_problem
 from syguskit.grammar import (Enumerator, UnknownNonterminal, derives,
-                              make_grammar)
+                              make_grammar, randbelow, weighted)
+from syguskit.stochastic import StochConfig
 from syguskit.terms import (BV, INT, TNT, Apply, Let, Lit, THole, Var, bitvec,
                             term_size)
 
@@ -321,3 +325,48 @@ def test_slot_nodes_account_for_every_parse_tree_node():
         node = e.sample("StartInt", 9, rng)
         total = sum(own for *_, own in node.entries)
         assert total == term_size(node.term) == 9
+
+
+# ---------------------------------------------------------------------------
+# the rng helpers draw what randrange and choices draw
+
+
+SEEDS = st.integers(0, 2**64)
+
+
+@given(SEEDS, st.integers(0, 70), st.sampled_from([-1, 0, 1]))
+def test_randbelow_is_randrange(seed, k, delta):
+    n = max(1, 2**k + delta)  # 1, powers of two, 2**k +- 1, up to 2**70 + 1
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert randbelow(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+@given(SEEDS, st.lists(st.one_of(st.integers(0, 9), st.integers(0, 2**70)),
+                       min_size=1, max_size=8).filter(any))
+@example(0, [5])
+@example(1, [0, 3, 0, 2, 0])
+def test_weighted_is_choices(seed, weights):
+    cum = list(itertools.accumulate(weights))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        pick = weighted(ours, cum)
+        assert pick == theirs.choices(range(len(weights)), weights)[0]
+        assert weights[pick] > 0
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("path", ["integers/max2.sl", "bitvectors/hd17_w8.sl",
+                                  "bitvectors/lsz_w8.sl",
+                                  "compileropts/qm_loop_1.sl"])
+def test_size_tree_totals_are_derivation_counts(path):
+    # the stochastic workloads' grammars, over the walk's first pool
+    p = load_problem(BENCHMARKS / path)
+    (u,) = p.unknowns.values()
+    e = Enumerator(u.grammar, base_constant_pool(p))
+    for size in StochConfig().size_schedule:
+        e.count(u.grammar.start, size)
+    assert e._samplers
+    for total, _, _, tree in e._samplers.values():
+        assert (tree[1][-1] if tree[1] else 0) == total

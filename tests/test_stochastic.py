@@ -131,6 +131,23 @@ def test_negative_moves_per_size_rejected(max2):
                                            budget_s=1))
 
 
+@pytest.mark.parametrize("bad, match", [
+    ({"size_schedule": (3.5,)}, "size schedule"),
+    ({"size_schedule": (3, 5.0)}, "size schedule"),
+    ({"moves_per_size": 10.5}, "moves_per_size"),
+    ({"moves_per_size": "5"}, "moves_per_size"),
+    ({"seed": None}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "1"}, "seed"),
+])
+def test_config_values_of_the_wrong_type_rejected(max2, bad, match):
+    # a float size or move count would reach range(); a None seed draws
+    # from the OS, and the walk could not be replayed
+    with pytest.raises(SygusError, match=match):
+        solve_stochastic(max2, StochConfig(**{"seed": 0, "budget_s": 1,
+                                              **bad}))
+
+
 def test_tiny_budget_times_out(max2):
     out = solve_stochastic(max2, StochConfig(seed=0, budget_s=0.001))
     assert out == TimedOut(0.001)
