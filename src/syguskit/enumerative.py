@@ -38,8 +38,8 @@ from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it
 from .checker import falsified  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
 from .grammar import Enumerator, compositions, walk_splits
-from .terms import (OPS, TNT, Apply, FunDef, Let, Lit, Pointwise, Template,
-                    Term, THole, Value)
+from .terms import (OPS, TNT, Apply, FunDef, Let, Lit, Pointwise, SygusError,
+                    Template, Term, THole, Value)
 from .terms import evaluate  # noqa: F401 (perfbench/tracing.py wraps it)
 
 
@@ -169,6 +169,8 @@ class Bank(Enumerator):
 
 
 def solve_enumerative(p: SynthProblem, cfg: EnumConfig) -> SolveOutcome:
+    if not isinstance(cfg.max_size, int):
+        raise SygusError("max_size must be an int")
     return cegis(p, cfg, _propose, cfg.max_size)
 
 

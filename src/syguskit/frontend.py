@@ -3,7 +3,8 @@
 Parses the three competition tracks (general, conditional linear arithmetic,
 invariant synthesis), desugars the invariant-track constructs into the three
 verification conditions, attaches the track-default grammar to grammarless
-unknowns, and prints problems and solutions back to canonical text.
+unknowns, and prints problems and solutions back to canonical text, which
+reads back as the same problem or solution.
 
 A grammar production is a term whose leaves may also be a nonterminal or a
 constant hole, so one parser, parse_template, serves productions and terms
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .grammar import Grammar, make_grammar
 from .sexpr import BV, BadToken, SExpr, print_sexpr, read_sexprs
@@ -71,12 +72,6 @@ class Track(enum.Enum):
     INV = "inv"
 
 
-class GrammarOrigin(enum.Enum):
-    EXPLICIT = "explicit"
-    DEFAULT_LIA = "default-lia"
-    DEFAULT_INV_BOOL = "default-inv-bool"
-
-
 Params = tuple[tuple[str, Sort], ...]
 
 
@@ -86,7 +81,7 @@ class UnknownFun:
     params: Params
     ret: Sort
     grammar: Grammar | None
-    origin: GrammarOrigin
+    explicit: bool  # the input gave the grammar
 
     @property
     def fun_sort(self) -> FunSort:
@@ -103,9 +98,6 @@ class SynthProblem:
     track: Track
     primed: tuple[str, ...] = ()
     inv_components: tuple[str, str, str, str] | None = None  # inv pre trans post
-
-    def fun_sorts(self) -> dict[str, FunSort]:
-        return fun_sorts(self.defined_funs, self.unknowns)
 
 
 @dataclass
@@ -392,16 +384,6 @@ def default_grammar(params: Params, ret: Sort) -> Grammar:
     return make_grammar(start, rules, dict(params))
 
 
-def attach_default_grammar(u: UnknownFun) -> UnknownFun:
-    """Fill in the track-default grammar for a grammarless unknown."""
-    if u.grammar is not None:
-        return u
-    origin = (GrammarOrigin.DEFAULT_INV_BOOL if u.ret == BOOL
-              else GrammarOrigin.DEFAULT_LIA)
-    g = default_grammar(u.params, u.ret)
-    return UnknownFun(u.name, u.params, u.ret, g, origin)
-
-
 # ---------------------------------------------------------------------------
 # Problem parsing
 
@@ -420,6 +402,14 @@ def _parse_params(sx: SExpr) -> Params:
     return tuple(out)
 
 
+def _check_fresh(name: str, *tables: Container[str]):
+    """Refuse a name that a built-in operator or one of the tables has."""
+    if name in OPS:
+        raise DuplicateDeclaration(f"{name} is a built-in operator")
+    if any(name in t for t in tables):
+        raise DuplicateDeclaration(name)
+
+
 def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
     logic: str | None = None
     defined: dict[str, FunDef] = {}
@@ -432,8 +422,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
     saw_check = False
 
     def declare(name: str):
-        if name in defined or name in unknowns or name in universals:
-            raise DuplicateDeclaration(name)
+        _check_fresh(name, defined, unknowns, universals)
 
     for cmd in cmds:
         if saw_check:
@@ -453,8 +442,8 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
                 raise UnknownCommand(print_sexpr(cmd))
             name, params, ret = cmd[1], _parse_params(cmd[2]), parse_sort(cmd[3])
             declare(name)
-            body, _ = parse_term(cmd[4], dict(params),
-                                 fun_sorts(defined, unknowns), ret)
+            # like a grammar, a body may call defined functions, no unknown
+            body, _ = parse_term(cmd[4], dict(params), fun_sorts(defined), ret)
             defined[name] = FunDef(name, params, ret, body)
         elif head in ("declare-var", "declare-primed-var"):
             if len(cmd) != 3 or not isinstance(cmd[1], str):
@@ -479,8 +468,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
                     raise SortError(f"grammar of {name} starts at "
                                     f"{grammar.start_sort}, function returns {ret}")
             unknowns[name] = UnknownFun(name, params, ret, grammar,
-                                        GrammarOrigin.EXPLICIT if grammar
-                                        else GrammarOrigin.DEFAULT_LIA)
+                                        grammar is not None)
         elif head == "synth-inv":
             if len(cmd) != 3 or not isinstance(cmd[1], str):
                 raise UnknownCommand(print_sexpr(cmd))
@@ -490,8 +478,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             declare(name)
             inv_name = name
             # invariants are predicates: Bool return, default grammar
-            unknowns[name] = UnknownFun(name, params, BOOL, None,
-                                        GrammarOrigin.DEFAULT_INV_BOOL)
+            unknowns[name] = UnknownFun(name, params, BOOL, None, False)
         elif head == "constraint":
             if len(cmd) != 2:
                 raise UnknownCommand(print_sexpr(cmd))
@@ -531,7 +518,7 @@ def parse_problem(cmds: Sequence[SExpr]) -> SynthProblem:
             if track == Track.GENERAL:
                 raise UnsupportedDefaultSort(
                     f"{name} has no grammar and the logic is not LIA")
-            unknowns[name] = attach_default_grammar(u)
+            u.grammar = default_grammar(u.params, u.ret)
 
     return SynthProblem(logic, defined, unknowns, universals, constraints,
                         track, tuple(primed), inv_constraint)
@@ -619,24 +606,23 @@ def _params_to_sexpr(params: Params) -> SExpr:
 
 
 def print_problem(p: SynthProblem) -> str:
-    """Canonical text; INV problems are printed back in sugared form."""
+    """Canonical text that reads back as p. An INV problem is printed back in
+    sugared form: its plain constraints, then the inv-constraint, whose three
+    verification conditions end p.constraints."""
     lines = [f"(set-logic {p.logic})"]
     for f in p.defined_funs.values():
         lines.append(print_sexpr(["define-fun", f.name, _params_to_sexpr(f.params),
                                   sort_to_sexpr(f.ret), term_to_sexpr(f.body)]))
+    inv = p.inv_components
     for u in p.unknowns.values():
-        if u.origin == GrammarOrigin.DEFAULT_INV_BOOL:
-            lines.append(print_sexpr(["synth-inv", u.name,
-                                      _params_to_sexpr(u.params)]))
-        elif u.origin == GrammarOrigin.DEFAULT_LIA:
-            lines.append(print_sexpr(["synth-fun", u.name,
-                                      _params_to_sexpr(u.params),
-                                      sort_to_sexpr(u.ret)]))
+        params = _params_to_sexpr(u.params)
+        if inv is not None and u.name == inv[0]:
+            sx = ["synth-inv", u.name, params]
         else:
-            lines.append(print_sexpr(["synth-fun", u.name,
-                                      _params_to_sexpr(u.params),
-                                      sort_to_sexpr(u.ret),
-                                      grammar_to_sexpr(u.grammar)]))
+            sx = ["synth-fun", u.name, params, sort_to_sexpr(u.ret)]
+            if u.explicit:
+                sx.append(grammar_to_sexpr(u.grammar))
+        lines.append(print_sexpr(sx))
     primed_names = {n for b in p.primed for n in (b, b + "!")}
     for base in p.primed:
         lines.append(print_sexpr(["declare-primed-var", base,
@@ -644,11 +630,10 @@ def print_problem(p: SynthProblem) -> str:
     for name, sort in p.universals.items():
         if name not in primed_names:
             lines.append(print_sexpr(["declare-var", name, sort_to_sexpr(sort)]))
-    if p.inv_components is not None:
-        lines.append(print_sexpr(["inv-constraint", *p.inv_components]))
-    else:
-        for c in p.constraints:
-            lines.append(print_sexpr(["constraint", term_to_sexpr(c)]))
+    for c in p.constraints[:-3] if inv is not None else p.constraints:
+        lines.append(print_sexpr(["constraint", term_to_sexpr(c)]))
+    if inv is not None:
+        lines.append(print_sexpr(["inv-constraint", *inv]))
     lines.append("(check-synth)")
     return "\n".join(lines) + "\n"
 
@@ -674,8 +659,7 @@ def parse_solution(text: str, problem: SynthProblem) -> CandidateSolution:
         body = expand(body, helpers)
         u = problem.unknowns.get(name)
         if u is None:
-            if name in helpers or name in problem.defined_funs:
-                raise DuplicateDeclaration(name)
+            _check_fresh(name, helpers, problem.defined_funs)
             helpers[name] = FunDef(name, params, ret, body)
             continue
         if name in funcs:

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (DATA, NO_LOGIC, WIDE_LSZ, deep_problem,
                       fake_solver_script, let_chain)
-from test_frontend import CROSS_UNKNOWN_GRAMMAR, LITERAL_EQ_GRAMMAR
+from test_frontend import (BOOL_CLIA, CROSS_UNKNOWN_GRAMMAR,
+                           LITERAL_EQ_GRAMMAR)
 from syguskit.sexpr import MAX_DEPTH
 
 PKG = Path(__file__).parent.parent
@@ -30,6 +31,18 @@ def test_parse_echoes_canonical_form():
     assert r.returncode == 0
     assert r.stdout.startswith("(set-logic LIA)")
     assert r.stdout.strip().endswith("(check-synth)")
+
+
+def test_parse_output_parses_to_itself(tmp_path):
+    first = tmp_path / "bool_clia.sl"
+    first.write_text(BOOL_CLIA)
+    r = cli("parse", str(first))
+    assert r.returncode == 0, r.stderr
+    again = tmp_path / "again.sl"
+    again.write_text(r.stdout)
+    r2 = cli("parse", str(again))
+    assert r2.returncode == 0, r2.stderr
+    assert r2.stdout == r.stdout
 
 
 def test_parse_failure_exit_2(tmp_path):

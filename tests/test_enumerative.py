@@ -17,7 +17,8 @@ from syguskit.enumerative import (Bank, BudgetExpired, EnumConfig,
                                   solve_enumerative)
 from syguskit.frontend import read_problem
 from syguskit.grammar import compositions
-from syguskit.terms import BV, INT, Apply, FunDef, FunSort, Lit, Var
+from syguskit.terms import (BV, INT, Apply, FunDef, FunSort, Lit, SygusError,
+                            Var)
 
 EX8 = ExhaustiveSmall()
 
@@ -352,6 +353,13 @@ def test_contradictory_constraints_exhaust():
     (check-synth)""")
     out = solve_enumerative(p, EnumConfig(max_size=5, budget_s=30))
     assert out == Exhausted(5)
+
+
+@pytest.mark.parametrize("max_size", [2.5, None, "8"])
+def test_max_size_of_the_wrong_type_rejected(max2, max_size):
+    # range() in the proposer would raise a bare TypeError
+    with pytest.raises(SygusError, match="max_size"):
+        solve_enumerative(max2, EnumConfig(max_size=max_size, budget_s=1))
 
 
 def test_budget_exhaustion():

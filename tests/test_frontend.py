@@ -5,18 +5,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import DATA, data_text, load, term
+from conftest import BENCHMARKS, DATA, data_text, load, term
 from syguskit import frontend
 from syguskit.frontend import (ArityMismatch, CandidateSolution,
-                               DuplicateDeclaration, GrammarOrigin,
+                               DuplicateDeclaration,
                                MissingCheckSynth, MissingComponent,
                                MissingUnknown, SignatureMismatch, Track,
                                UnknownCommand, UnsupportedDefaultSort,
-                               MAX_BV_WIDTH, attach_default_grammar,
-                               default_grammar, parse_solution, parse_sort,
+                               MAX_BV_WIDTH, default_grammar, fun_sorts,
+                               parse_solution, parse_sort,
                                parse_term, print_problem,
-                               print_solution, read_problem, term_to_sexpr,
-                               UnknownFun)
+                               print_solution, read_problem, term_to_sexpr)
 from syguskit.grammar import Enumerator
 from syguskit.sexpr import BV, print_sexpr, read_sexprs
 from syguskit.terms import (BOOL, INT, TNT, Apply, FunSort, Let, Lit,
@@ -37,13 +36,13 @@ def test_max2_shape(max2):
     assert [s for _, s in u.params] == [INT, INT]
     assert list(max2.universals.values()) == [INT, INT]
     assert len(max2.constraints) == 3
-    ctx = {**max2.universals, **max2.fun_sorts()}
+    ctx = {**max2.universals, **fun_sorts(max2.defined_funs, max2.unknowns)}
     assert all(infer_sort(c, ctx) == BOOL for c in max2.constraints)
 
 
 def test_lsz32_shape(lsz32):
     u = lsz32.unknowns["f"]
-    assert u.origin == GrammarOrigin.EXPLICIT
+    assert u.explicit
     # x, 0, 1 and four operator alternatives, as listed
     assert len(u.grammar.rules["Start"].productions) == 7
     assert list(lsz32.universals.values()) == [bitvec(32), bitvec(32)]
@@ -66,6 +65,51 @@ def test_duplicate_declaration():
     (declare-var x Int)
     (check-synth)"""
     with pytest.raises(DuplicateDeclaration):
+        read_problem(text)
+
+
+# a function named like a built-in operator would be the built-in in some
+# layers (the evaluators look in OPS first) and the function in others
+BUILT_IN_NAMED = {
+    "define-fun": """(set-logic LIA)
+    (define-fun + ((a Int) (b Int)) Int (- a b))
+    (synth-fun f ((x Int)) Int)
+    (declare-var x Int)
+    (constraint (= (f x) (+ x x)))
+    (check-synth)""",
+    "synth-fun": """(set-logic LIA)
+    (synth-fun + ((x Int) (y Int)) Int ((S Int (x y 0 1 (- S S)))))
+    (declare-var x Int)
+    (declare-var y Int)
+    (constraint (= (+ x y) (- x y)))
+    (check-synth)""",
+    "synth-inv": """(set-logic LIA)
+    (synth-inv and ((i Int)))
+    (declare-primed-var i Int)
+    (define-fun pre ((i Int)) Bool (= i 0))
+    (define-fun trans ((i Int) (i! Int)) Bool (= i! i))
+    (define-fun post ((i Int)) Bool (>= i 0))
+    (inv-constraint and pre trans post)
+    (check-synth)""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUILT_IN_NAMED))
+def test_built_in_operator_name_rejected(command):
+    with pytest.raises(DuplicateDeclaration, match="built-in operator"):
+        read_problem(BUILT_IN_NAMED[command])
+
+
+def test_definition_calling_an_unknown_rejected():
+    # a definition body is inlined where no unknown is resolved, and it is
+    # printed before the unknowns are declared
+    text = """(set-logic LIA)
+    (synth-fun f ((x Int)) Int)
+    (define-fun g ((x Int)) Int (f x))
+    (declare-var x Int)
+    (constraint (= (g x) (+ x 1)))
+    (check-synth)"""
+    with pytest.raises(UndeclaredSymbol):
         read_problem(text)
 
 
@@ -272,6 +316,46 @@ def test_every_data_file_roundtrips(name):
     assert p1 == p2
 
 
+BOOL_CLIA = """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Bool)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) (<= x y)))
+(check-synth)
+"""
+LOOP_SUM = (BENCHMARKS / "invariants" / "loop_sum.sl").read_text()
+
+# shapes the corpus lacks: only the synth-inv prints as one, only an explicit
+# grammar is printed, and plain constraints sit beside an inv-constraint
+ROUNDTRIP_SHAPES = {
+    "grammarless-bool-lia": BOOL_CLIA,
+    "bool-synth-fun-beside-synth-inv": LOOP_SUM.replace(
+        "(check-synth)",
+        "(synth-fun g ((i Int)) Bool)\n(constraint (g i))\n(check-synth)"),
+    "loop-sum-with-plain-constraint": LOOP_SUM.replace(
+        "(check-synth)", "(constraint (>= i0 0))\n(check-synth)"),
+    "explicit-bool-grammar-lia": """(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Bool ((B Bool ((<= I I) (not B))) (I Int (x y 0))))
+(synth-fun h ((x Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) (<= x y)))
+(constraint (= (h x) x))
+(check-synth)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDTRIP_SHAPES))
+def test_shapes_the_corpus_lacks_roundtrip(name):
+    p1 = read_problem(ROUNDTRIP_SHAPES[name])
+    text = print_problem(p1)
+    p2 = read_problem(text)
+    assert p2 == p1
+    assert print_problem(p2) == text
+    assert len(p2.constraints) == len(p1.constraints)
+
+
 # (= 0 1) and (= false true) are distinct productions: 0 is not false
 LITERAL_EQ_GRAMMAR = """(set-logic LIA)
 (synth-fun f ((x Int)) Bool ((B Bool ((= 0 1) (= false true) (< x 0)))))
@@ -306,7 +390,7 @@ def test_let_binding_hides_a_nullary_function_applied_as_a_call():
 def test_type_soundness_over_corpus():
     for f in sorted(DATA.glob("*.sl")):
         p = read_problem(f.read_text())
-        ctx = {**p.universals, **p.fun_sorts()}
+        ctx = {**p.universals, **fun_sorts(p.defined_funs, p.unknowns)}
         for c in p.constraints:
             assert infer_sort(c, ctx) == BOOL
 
@@ -336,7 +420,7 @@ def test_inv_desugaring_counts(inv_loop):
     u = inv_loop.unknowns["inv-f"]
     assert [s for _, s in u.params] == [INT] * 4
     assert u.ret == BOOL
-    assert u.origin == GrammarOrigin.DEFAULT_INV_BOOL
+    assert not u.explicit
     assert u.grammar.start == "StartBool"
 
 
@@ -349,7 +433,8 @@ def test_inductive_constraint_contains_decrement(inv_loop):
 def test_no_sugar_remains_and_unknown_has_grammar(inv_loop):
     assert inv_loop.unknowns["inv-f"].grammar is not None
     for c in inv_loop.constraints:
-        infer_sort(c, {**inv_loop.universals, **inv_loop.fun_sorts()})
+        infer_sort(c, {**inv_loop.universals,
+                       **fun_sorts(inv_loop.defined_funs, inv_loop.unknowns)})
 
 
 def test_trans_arity_mismatch():
@@ -409,10 +494,8 @@ def test_synth_inv_starts_at_bool(inv_loop):
 
 
 def test_bv_parameter_unsupported():
-    u = UnknownFun("f", (("x", bitvec(8)),), bitvec(8), None,
-                   GrammarOrigin.DEFAULT_LIA)
     with pytest.raises(UnsupportedDefaultSort):
-        attach_default_grammar(u)
+        default_grammar((("x", bitvec(8)),), bitvec(8))
 
 
 def test_grammarless_non_lia_logic_rejected():
@@ -469,6 +552,13 @@ def test_helper_definitions_are_inlined(max2):
     sol = parse_solution(text, max2)
     assert sol.funcs["max2"].body == term("(ite (>= x y) x y)",
                                           {"x": INT, "y": INT})
+
+
+def test_helper_named_like_a_built_in_rejected(max2):
+    text = ("(define-fun + ((a Int) (b Int)) Int (- a b))\n"
+            "(define-fun max2 ((x Int) (y Int)) Int (+ x y))")
+    with pytest.raises(DuplicateDeclaration, match="built-in operator"):
+        parse_solution(text, max2)
 
 
 def test_duplicate_solution_rejected(max2):
