@@ -32,7 +32,7 @@ import math
 import random
 import shlex
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .frontend import CandidateSolution, SynthProblem, Track, unknown_invocations
@@ -80,11 +80,21 @@ VerificationResult = Union[Valid, CounterExample, Unknown]
 # Strategies
 
 
+def _refuse_non_ints(strat) -> None:
+    """A strategy's fields are ints: a bound or count of another type would
+    fail deep in the check, and a seed of None would not replay."""
+    for f in fields(strat):
+        if not isinstance(getattr(strat, f.name), int):
+            raise SygusError(f"{type(strat).__name__}.{f.name} must be an int")
+
+
 @dataclass(frozen=True)
 class ExhaustiveSmall:
     int_lo: int = -8
     int_hi: int = 8
     bv_width_cap: int = 10
+
+    __post_init__ = _refuse_non_ints
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,8 @@ class RandomSample:
     # narrow enough that equality-guarded premises get hit by collisions
     int_lo: int = -20
     int_hi: int = 20
+
+    __post_init__ = _refuse_non_ints
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Enumerative CEGIS, a proposer for cegis.cegis: size-ordered search with
 observational-equivalence pruning against the current counterexample set.
 
-A Bank is the grammar's sized walk over one unknown's grammar, carrying
-(term, signature) pairs: a signature is a term's raw output vector over the
-induced parameter bindings (terms.Pointwise), and an application's is
+A Bank is the grammar's sized walk over one unknown's grammar, down each
+template's size tree (Grammar.split_plan), carrying (term, signature)
+pairs: a signature is a term's raw output vector over the induced
+parameter bindings (terms.Pointwise), and an application's is
 composed from its slots' kept signatures before its term is built. A pruned
 bank keeps the first term of each signature in its (nonterminal, size) and
 builds no other, and of a commutative operator (terms.OPS) over two slots of
@@ -120,7 +121,7 @@ class Bank(Enumerator):
         at size, but for applications whose signature is in skip: their
         terms are never built."""
         if isinstance(tpl, Apply):
-            slots, splits = self.g.split_plan(tpl, size)
+            slots, tree = self.g.split_plan(tpl, size)
 
             def inst(i: int, s: int) -> list[tuple[Term, tuple]]:
                 c, nz = slots[i]
@@ -134,20 +135,22 @@ class Bank(Enumerator):
 
             def untwinned() -> Iterator[tuple]:
                 """walk_splits but for (op b a) where (op a b) came first:
-                sizes s1 <= s2, and at s1 = s2 item i with items j >= i."""
-                for s1, s2 in splits:
-                    if s1 <= s2:
-                        left, right = inst(0, s1), inst(1, s2)
-                        for i, a in enumerate(left):
-                            for b in (right[i:] if s1 == s2 else right):
-                                yield a, b
+                down the tree's two levels, sizes s1 <= s2, and at s1 = s2
+                item i with items j >= i."""
+                for s1, later in tree.items():
+                    for s2 in later:
+                        if s1 <= s2:
+                            left, right = inst(0, s1), inst(1, s2)
+                            for i, a in enumerate(left):
+                                for b in (right[i:] if s1 == s2 else right):
+                                    yield a, b
 
             # a commuted twin has the signature of the pair before it, so a
             # pruning bank would drop it
             twins = (self.prune and spec is not None and spec.commutative
                      and len(slots) == 2 and slots[0] == slots[1]
                      and isinstance(slots[0][0], TNT))
-            for chosen in untwinned() if twins else walk_splits(splits, inst):
+            for chosen in untwinned() if twins else walk_splits(tree, inst):
                 self._poll()
                 sig = apply(op, [s for _, s in chosen], width)
                 if sig not in skip:

@@ -18,22 +18,25 @@ reachable production contributes exactly once to counts and enumeration.
 Every walk by term size (counting, enumeration and sampling) shares a size
 among a template's children through one split plan: Grammar.split_plan(tpl,
 size) gives the child slots of an application or let template, each flagged
-when it is a div/mod divisor, and every composition of the remaining size
-into those slots with each child at least its least derivable size, in
-lexicographic order. Plans depend on the grammar alone and are memoized on
-it; walk_splits expands a plan slot by slot. enumerative.Bank walks the same
-plans over (term, signature) pairs, keeping one per signature.
+when it is a div/mod divisor, and a size tree of the remaining size, one
+recursion (size_tree) over those slots with each child at least its least
+derivable size: the first slot's sizes, ascending, each mapped to the tree
+of the later slots. Plans depend on the grammar alone and are memoized on
+it; walk_splits follows a plan's tree slot by slot, and its leaves are the
+compositions in lexicographic order. enumerative.Bank walks the same trees
+over (term, signature) pairs, keeping one per signature.
 
 Sampling is the stochastic solver's inner loop, so an Enumerator keeps its
-tables once built, one table per key: per (nonterminal, size, divisor flag)
-the productions with a derivation, their counts and own nodes, per hole sort
-its pool, and per (template, size) its derivation count, slots, path steps
-and a tree of its slots' size choices and cumulative weights, which count()
-and sample() both read. They change no draw: randbelow and weighted are
-randrange and choices without their argument checks, so every value and rng
-state is the plain recurrences'. sample() gives a Derivation, the term and a
-flat pre-order tuple of its nonterminal instances with their paths from the
-root, so a move replaces an instance by splicing that tuple.
+tables once built, one table per key: per (nonterminal, size, and at size 1
+the divisor flag) the productions with a derivation, their counts and own
+nodes, per hole sort its pool, and per (template, size) its derivation
+count, slots, path steps and its plan's tree weighed: each slot's sizes with
+a derivation and their cumulative weights, which count() and sample() both
+read. They change no draw: randbelow and weighted are randrange and choices
+without their argument checks, so every value and rng state is the plain
+recurrences'. sample() gives a Derivation, the term and a flat pre-order
+tuple of its nonterminal instances with their paths from the root, so a
+move replaces an instance by splicing that tuple.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
@@ -120,11 +122,11 @@ class Grammar:
         return hit
 
     def split_plan(self, tpl: Apply | Let, size: int) -> tuple:
-        """(slots, splits) of an application or let template at `size`: slots
-        are (child, divisor flag), a let's bindings before its body; splits
-        are the compositions of the size left after the template's own nodes,
-        each child at least its least size, in lexicographic order. Keyed by
-        template identity: walkers pass only this grammar's own templates."""
+        """(slots, tree) of an application or let template at `size`: slots
+        are (child, divisor flag), a let's bindings before its body; tree is
+        size_tree of the size left after the template's own nodes, each child
+        at least its least size. Keyed by template identity: walkers pass
+        only this grammar's own templates."""
         key = (id(tpl), size)
         hit = self._plans.get(key)
         if hit is None:
@@ -137,9 +139,8 @@ class Grammar:
                 slots += ((tpl.body, False),)
                 budget = size - 1 - len(tpl.bindings)
             mins = [term_size(c, self.min_sizes()) for c, _ in slots]
-            splits = (() if math.inf in mins
-                      else tuple(compositions(budget, [int(m) for m in mins])))
-            hit = self._plans[key] = (slots, splits)
+            tree = {} if math.inf in mins else size_tree(budget, mins)
+            hit = self._plans[key] = (slots, tree)
         return hit
 
 
@@ -158,36 +159,38 @@ def weighted(rng: random.Random, cum: Sequence[int]) -> int:
     return bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
 
 
-def compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def size_tree(total: int, mins: Sequence[int]) -> dict | None:
     """Every way to write total as len(mins) parts, part i at least mins[i],
-    in lexicographic order."""
+    as a tree: the first part's sizes, ascending, each mapped to the tree of
+    the later parts; None past the last part, {} when total has no way."""
     if not mins:
-        if total == 0:
-            yield ()
-        return
-    for s in range(mins[0], total - sum(mins[1:]) + 1):
-        for rest in compositions(total - s, mins[1:]):
-            yield (s,) + rest
+        return None if total == 0 else {}
+    lo = mins[0] if len(mins) > 1 else max(mins[0], total)  # the last takes all
+    return {s: size_tree(total - s, mins[1:])
+            for s in range(lo, total - sum(mins[1:]) + 1)}
 
 
-def walk_splits(splits: Sequence[tuple[int, ...]],
-                inst: Callable[[int, int], Iterable],
+def walk_splits(tree: dict | None, inst: Callable[[int, int], Iterable],
                 chosen: tuple = ()) -> Iterator[tuple]:
-    """Child tuples along a plan's splits, slot by slot: each size of the next
-    slot in ascending order, each item of inst(slot, size) at that size, then
-    the later slots under the splits that extend it."""
-    i = len(chosen)
-    if splits and i == len(splits[0]):
+    """Child tuples down a size tree, slot by slot: each size of the next slot
+    in ascending order, each item of inst(slot, size) at that size, then the
+    later slots under that size."""
+    if tree is None:
         yield chosen
         return
-    for s, group in groupby(splits, itemgetter(i)):
-        group = tuple(group)
-        if i == len(group[0]) - 1:  # the last slot: no generator per item
+    i = len(chosen)
+    for s, later in tree.items():
+        if later is None:  # the last slot: no generator per item
             for item in inst(i, s):
                 yield chosen + (item,)
             continue
         for item in inst(i, s):
-            yield from walk_splits(group, inst, chosen + (item,))
+            yield from walk_splits(later, inst, chosen + (item,))
+
+
+def compositions(total: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The leaves of size_tree(total, mins), in lexicographic order."""
+    return walk_splits(size_tree(total, mins), lambda i, s: (s,))
 
 
 def assemble(tpl: Apply | Let, pieces: Sequence[Term]) -> Term:
@@ -314,10 +317,11 @@ class Enumerator:
 
     enumerate() materializes de-duplicated term lists per (nonterminal, size)
     and is meant for small sizes; count() and sample() use raw derivation
-    counts and stay cheap at any size. All three follow the grammar's split
-    plans: a template's count sums, over its splits, the product of its
-    slots' counts, and sample() draws a split slot by slot by those counts,
-    both read from _sampler's one table per (template, size).
+    counts and stay cheap at any size. All three walk the size trees of the
+    grammar's split plans: a template's count sums, over the tree's splits,
+    the product of its slots' counts, and sample() draws a size slot by slot
+    down the tree by those counts, both read from _sampler's one table per
+    (template, size).
     """
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
@@ -353,7 +357,7 @@ class Enumerator:
     def _menu(self, nt: str, size: int, no_zero: bool) -> tuple[int, tuple]:
         """(derivations, the productions of nt with a derivation at size,
         each with its count and own nodes, in closed_productions order)."""
-        key = (nt, size, no_zero)
+        key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
         hit = self._menus.get(key)
         if hit is None:
             zero = dict.fromkeys(self.g.rules, 0)
@@ -397,9 +401,9 @@ class Enumerator:
         elif isinstance(tpl, TNT):
             yield from self.enumerate(tpl.nt, size, no_zero)
         else:
-            slots, splits = self.g.split_plan(tpl, size)
+            slots, tree = self.g.split_plan(tpl, size)
             inst = lambda i, s: self._enum_tpl(slots[i][0], s, slots[i][1])
-            for pieces in walk_splits(splits, inst):
+            for pieces in walk_splits(tree, inst):
                 yield assemble(tpl, pieces)
 
     # -- uniform sampling (by derivation count) -----------------------------
@@ -444,30 +448,34 @@ class Enumerator:
     def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
         """(derivations, slots, path steps, size tree) of an application or
         let template at size, the one table per (template, size) that both
-        count() and sample() read. The size tree holds, for the first slot,
-        its sizes with a derivation, their cumulative weights (the root's
-        last is the count) and the tree of the later slots under each size:
-        a slot's size s is weighted by the derivations of that slot at s
-        times those of the later slots in the remaining budget."""
+        count() and sample() read. One recursion weighs the plan's tree: a
+        slot's size s weighs the slot's derivations at s times the total of
+        the later slots' tree under s, and the size tree holds, for the first
+        slot, its sizes of nonzero weight, their cumulative weights (the
+        root's last is the count) and the weighed tree under each size."""
         key = (id(tpl), size)
         hit = self._samplers.get(key)
         if hit is None:
-            slots, splits = self.g.split_plan(tpl, size)
-            rows = []  # (split, suffix): suffix[i] counts slots i.. at split
-            for split in splits:
-                suffix = [1]
-                for (c, nz), s in zip(reversed(slots), reversed(split)):
-                    n = self._count_tpl(c, s, nz)
-                    if not n:
-                        break
-                    suffix.append(n * suffix[-1])
-                else:
-                    rows.append((split, suffix[::-1]))
+            slots, plan = self.g.split_plan(tpl, size)
+
+            def weigh(tree: dict | None, i: int) -> tuple[int, tuple | None]:
+                """(derivations of slots i.. down tree, their size tree)."""
+                if tree is None:
+                    return 1, None
+                weights, later = {}, {}
+                for s, sub in tree.items():
+                    if n := self._count_tpl(slots[i][0], s, slots[i][1]):
+                        m, t = weigh(sub, i + 1)
+                        if m:
+                            weights[s], later[s] = n * m, t
+                return sum(weights.values()), (
+                    tuple(weights), tuple(accumulate(weights.values())), later)
+
             steps = (tuple(range(len(slots))) if isinstance(tpl, Apply)
                      else tuple([("d", i) for i in range(len(tpl.bindings))]
                                 + [("b",)]))
-            hit = self._samplers[key] = (sum(r[1][0] for r in rows), slots,
-                                         steps, _size_tree(rows, 0, len(slots)))
+            total, tree = weigh(plan, 0)
+            hit = self._samplers[key] = (total, slots, steps, tree)
         return hit
 
     @staticmethod
@@ -483,16 +491,3 @@ class Enumerator:
             tree = later[s]
         return sizes
 
-
-def _size_tree(rows: list, i: int, n: int) -> tuple | None:
-    """Slot i's sizes with a derivation, the running sums of their weights
-    (the suffix counts of _sampler's rows per size) and, per size, the tree
-    of the later slots over the rows with that size; None past the last."""
-    if i == n:
-        return None
-    weights: dict[int, int] = {}
-    for split, suffix in rows:
-        weights[split[i]] = weights.get(split[i], 0) + suffix[i]
-    return (tuple(weights), tuple(accumulate(weights.values())),
-            {s: _size_tree([r for r in rows if r[0][i] == s], i + 1, n)
-             for s in weights})

@@ -20,7 +20,7 @@ from syguskit.frontend import (load_problem, parse_solution, read_problem,
                                term_to_sexpr)
 from syguskit.grammar import Enumerator
 from syguskit.sexpr import read_sexprs
-from syguskit.terms import BOOL, BV, INT, bitvec, raw_value
+from syguskit.terms import BOOL, BV, INT, SygusError, bitvec, raw_value
 
 EX8 = ExhaustiveSmall()  # Int in [-8, 8]
 
@@ -154,6 +154,22 @@ def test_sampling_an_empty_int_range_is_unknown(max2):
                      "(constraint (= f 3))\n(check-synth)\n")
     assert check_semantic(p, sol(p, "(define-fun f () Int 4)"),
                           empty) == CounterExample({}, 0)
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: RandomSample(2.5, 0), "count"),
+    (lambda: RandomSample(100, None), "seed"),
+    (lambda: RandomSample(10, 0, int_lo=0.5), "int_lo"),
+    (lambda: RandomSample(10, 0, int_hi="20"), "int_hi"),
+    (lambda: ExhaustiveSmall(-1.5, 2), "int_lo"),
+    (lambda: ExhaustiveSmall(-2, None), "int_hi"),
+    (lambda: ExhaustiveSmall(bv_width_cap=None), "bv_width_cap"),
+], ids=["count", "seed", "int_lo", "int_hi", "grid_lo", "grid_hi", "bv_cap"])
+def test_strategy_field_that_is_not_an_int_rejected(max2, make, field):
+    # a float bound or count failed deep in the check, and a seed of None
+    # gave a verdict that could not be replayed
+    with pytest.raises(SygusError, match=field):
+        check_semantic(max2, max2_sol(max2, "x"), make())
 
 
 def test_problem_without_universals_checks_its_one_point():

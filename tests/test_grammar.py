@@ -9,9 +9,10 @@ from hypothesis import example, given
 
 from conftest import BENCHMARKS, load, term
 from syguskit.cegis import base_constant_pool
-from syguskit.frontend import default_grammar, load_problem
-from syguskit.grammar import (Enumerator, UnknownNonterminal, derives,
-                              make_grammar, randbelow, weighted)
+from syguskit.frontend import default_grammar, load_problem, read_problem
+from syguskit.grammar import (Enumerator, Grammar, Rule, UnknownNonterminal,
+                              compositions, derives, make_grammar, randbelow,
+                              walk_splits, weighted)
 from syguskit.stochastic import StochConfig
 from syguskit.terms import (BV, INT, TNT, Apply, Let, Lit, THole, Var, bitvec,
                             term_size)
@@ -217,6 +218,24 @@ def test_counts_bound_enumeration_for_default_grammar():
         assert e.count("StartInt", size) >= len(e.enumerate("StartInt", size))
 
 
+def test_one_count_table_per_key():
+    # the divisor flag matters only at size 1, where the holes are
+    p = read_problem("(set-logic LIA)\n(synth-fun f ((x Int)) Int ((S Int "
+                     "(x 0 1 (Constant Int) (+ S S) (div S S)))))\n"
+                     "(constraint (= (f 1) 1))\n(check-synth)\n")
+    e = Enumerator(p.unknowns["f"].grammar, (0, 1, 2))
+    # derivations by the grammar's recurrence: x, 0, 1 and the pool's holes
+    # at size 1, then (+ S S) and (div S S) over every split
+    plain, divisor = [0, 6], [0, 5]
+    for n in range(2, 10):
+        plain.append(sum(plain[a] * (plain[n - 1 - a] + divisor[n - 1 - a])
+                         for a in range(1, n - 1)))
+        divisor.append(plain[n])
+    assert [e.count("S", n) for n in range(1, 10)] == plain[1:]
+    assert [e.count("S", n, True) for n in range(1, 10)] == divisor[1:]
+    assert not [k for k in e._menus if k[2] and k[1] > 1]
+
+
 # ---------------------------------------------------------------------------
 # minimum derivable sizes
 
@@ -368,5 +387,72 @@ def test_size_tree_totals_are_derivation_counts(path):
     for size in StochConfig().size_schedule:
         e.count(u.grammar.start, size)
     assert e._samplers
-    for total, _, _, tree in e._samplers.values():
+    for (_, size), (total, slots, steps, tree) in e._samplers.items():
         assert (tree[1][-1] if tree[1] else 0) == total
+        # slot i's size s weighs, summed over the splits through that node,
+        # the product of the counts of slot i and the later slots
+        own = 1 + sum(isinstance(st, tuple) and st[0] == "d" for st in steps)
+        weights = {}
+        for split in itertools.product(range(1, size), repeat=len(slots)):
+            if sum(split) == size - own:
+                counts = [e._count_tpl(c, s, nz)
+                          for (c, nz), s in zip(slots, split)]
+                for i in range(len(split)):
+                    node = weights.setdefault(split[:i], {})
+                    node[split[i]] = (node.get(split[i], 0)
+                                      + math.prod(counts[i:]))
+        nodes = [((), tree)]
+        for prefix, (sizes, cum, later) in nodes:
+            want = {s: w for s, w in weights.get(prefix, {}).items() if w}
+            assert dict(zip(sizes, cum)) == dict(zip(
+                want, itertools.accumulate(want.values())))
+            nodes += [(prefix + (s,), later[s]) for s in sizes
+                      if later[s] is not None]
+
+
+# ---------------------------------------------------------------------------
+# the split plan against brute force
+
+
+PLANS = (st.lists(st.integers(1, 3), max_size=4), st.integers(0, 10))
+
+
+@given(*PLANS)
+def test_compositions_are_the_sorted_product(mins, total):
+    brute = sorted(c for c in itertools.product(range(total + 1),
+                                                repeat=len(mins))
+                   if sum(c) == total and all(map(int.__ge__, c, mins)))
+    assert list(compositions(total, mins)) == brute
+
+
+@given(*PLANS)
+@example([], 0)
+@example([], 3)  # no slot, and no split
+def test_walk_splits_follows_the_plan(mins, total):
+    # N1, N2, N3 have least sizes 1, 2, 3 and two derivations at each size
+    # from there; the template's slots take mins
+    rules = {"N1": Rule(INT, (Var("x"), Var("y"), Apply("g", (TNT("N1"),)))),
+             "N2": Rule(INT, (Apply("g", (TNT("N1"),)),)),
+             "N3": Rule(INT, (Apply("g", (TNT("N2"),)),))}
+    tpl = Apply("h", tuple(TNT(f"N{m}") for m in mins))
+    g = Grammar("S", {"S": Rule(INT, (tpl,)), **rules})
+    slots, tree = g.split_plan(tpl, total + 1)
+    assert slots == tuple((TNT(f"N{m}"), False) for m in mins)
+    calls = []
+
+    def inst(i, s):
+        calls.append((i, s))
+        return [(i, s, "a"), (i, s, "b")]
+
+    got = list(walk_splits(tree, inst))
+    asked, splits = set(calls), list(compositions(total, mins))
+    # slot by slot: a size, then an item at it, then the later slots
+    want = sorted((t for c in splits
+                   for t in itertools.product(*(inst(i, s)
+                                                for i, s in enumerate(c)))),
+                  key=lambda t: [k for _, s, item in t for k in (s, item)])
+    assert got == want
+    # the walk asks for no size that lies on no split
+    assert asked <= {(i, s) for c in splits for i, s in enumerate(c)}
+    # the count weighs the same tree, no slot at all included
+    assert Enumerator(g).count("S", total + 1) == len(splits) * 2 ** len(mins)
