@@ -13,7 +13,9 @@ With no PROBLEM every problem below is run (a few minutes). Per problem:
   (perfbench/workloads.py) under ExhaustiveSmall, unless its grid is past
   default_strategy's bound, and under both of default_strategy's
   RandomSample stages.
-No time is printed. An unknown PROBLEM gives exit status 2.
+No time is printed. syguskit is imported from this checkout's src/, never
+from an installed copy: exit status 2 names the path it came from instead.
+An unknown PROBLEM also gives exit status 2.
 """
 
 import argparse
@@ -21,17 +23,16 @@ import json
 import sys
 from pathlib import Path
 
-import syguskit.checker as checker
-from syguskit.cegis import Solved
-from syguskit.checker import ExhaustiveSmall, RandomSample
-from syguskit.enumerative import EnumConfig, solve_enumerative
-from syguskit.frontend import (load_problem, parse_solution, print_solution,
-                               term_to_sexpr)
-from syguskit.sexpr import print_sexpr
-from syguskit.stochastic import StochConfig, solve_stochastic
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import syguskit.checker as checker  # noqa: E402
+from syguskit.cegis import Solved  # noqa: E402
+from syguskit.checker import ExhaustiveSmall, RandomSample  # noqa: E402
+from syguskit.enumerative import EnumConfig, solve_enumerative  # noqa: E402
+from syguskit.frontend import (load_problem, parse_solution,  # noqa: E402
+                               print_solution, term_to_sexpr)
+from syguskit.sexpr import print_sexpr  # noqa: E402
+from syguskit.stochastic import StochConfig, solve_stochastic  # noqa: E402
 from workloads import CANDIDATES  # noqa: E402
 
 # name: (file, solvers); a solve that outlasts the budget reads TimedOut
@@ -104,6 +105,11 @@ def main() -> int:
     ap.add_argument("problems", nargs="*", metavar="PROBLEM",
                     help=f"one of {', '.join(PROBLEMS)}")
     args = ap.parse_args()
+    src = Path(checker.__file__).resolve().parent.parent
+    if src != ROOT / "src":
+        print(f"identity.py: syguskit imported from {src}, not from "
+              f"{ROOT / 'src'}", file=sys.stderr)
+        return 2
     unknown = [n for n in args.problems if n not in PROBLEMS]
     if unknown:
         ap.error(f"unknown problem: {', '.join(unknown)}")

@@ -21,6 +21,8 @@ division by zero) counts as falsified. A counterexample is the earliest
 violated point and, at it, the first constraint violated; its valuation, and
 only it, is built as a dict of Values. A single point (the scorer's
 undecided examples, an SMT model) is a one-point block (_violated_index).
+A sampled point zips one C-level stream of draws per universal, row-major,
+so the rng is consumed exactly as drawing one point after another would.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import math
 import random
 import shlex
 import subprocess
+import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .frontend import CandidateSolution, SynthProblem, Track, unknown_invocations
 from .grammar import derives
@@ -199,33 +202,32 @@ def substituted_constraints(p: SynthProblem, s: CandidateSolution) -> list[Term]
     return [expand(c, s.funcs) for c in p.constraints]
 
 
-def _drawer(sort: Sort, rng: random.Random,
-            strat: RandomSample) -> Callable[[], Value]:
-    """Draws one raw value of sort."""
-    if sort == INT:
-        return int_drawer(rng, strat.int_lo, strat.int_hi)
-    if sort == BOOL:
-        return lambda: rng.random() < 0.5
-    return functools.partial(rng.getrandbits, sort.width)
+def sample_points(universals: Mapping[str, Sort], strat: RandomSample,
+                  rng: random.Random) -> Iterator[tuple]:
+    """strat's raw points, endlessly: one C-level stream per universal,
+    zipped row-major, so rng is consumed as randint(int_lo, int_hi),
+    random() < 0.5 and getrandbits(width) drawing each point in turn."""
+    streams = [_ints(rng, strat.int_lo, strat.int_hi) if sort == INT
+               else map((0.5).__gt__, itertools.starmap(
+                   rng.random, itertools.repeat(()))) if sort == BOOL
+               else map(rng.getrandbits, itertools.repeat(sort.width))
+               for sort in universals.values()]
+    return zip(*streams) if streams else itertools.repeat(())
+
+
+def _ints(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
+    """rng.randint(lo, hi) again and again, at C level: CPython's
+    Random._randbelow loop, so the draws and rng's state are randint's."""
+    n = hi - lo + 1
+    if n <= 0:  # raises as randint does
+        return itertools.starmap(rng.randint, itertools.repeat((lo, hi)))
+    return map(lo.__add__, filter(n.__gt__, map(
+        rng.getrandbits, itertools.repeat(n.bit_length()))))
 
 
 def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
-    """rng.randint(lo, hi) without its per-call argument checks: the same
-    getrandbits rejection loop as CPython's Random._randbelow, so the draws
-    and the rng's state after them are those of randint."""
-    n = hi - lo + 1
-    if n <= 0:
-        return functools.partial(rng.randint, lo, hi)  # raises as randint does
-    k = n.bit_length()
-    bits = rng.getrandbits
-
-    def draw() -> int:
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return lo + r
-
-    return draw
+    """rng.randint(lo, hi) without its per-call argument checks."""
+    return functools.partial(next, _ints(rng, lo, hi))
 
 
 FIRST_BLOCK = 16
@@ -237,8 +239,8 @@ def _check_points(p: SynthProblem, constraints: Sequence[Term],
                   grid: bool = False) -> VerificationResult:
     """The first violated raw point, at it the first constraint that is
     false or raises there, else Valid on budget; Unknown when there is no
-    point to examine (no grid for these sorts, an empty Int range, a sample
-    count below one). A problem without universals has one point.
+    point to examine (no grid for these sorts, an empty Int range). A
+    problem without universals has one point.
 
     The points are taken in blocks that grow from FIRST_BLOCK to MAX_BLOCK
     rows, and each constraint is evaluated column-wise over a block
@@ -275,7 +277,8 @@ def _check_points(p: SynthProblem, constraints: Sequence[Term],
                 env = {universals[k][0]: (col, universals[k][1])
                        for k, col in zip(at, zip(*rows))}
                 col = columns.column(c, env, len(rows))[0]
-            bad = [col.index(x) for x in (False, ERR) if x in col]
+            xs = (False,) if type(col) is tuple else (False, ERR)
+            bad = [col.index(x) for x in xs if x in col]
             if bad:
                 first, idx = min(bad), i
                 if at is not None:
@@ -312,12 +315,13 @@ def _check_constraints(p: SynthProblem, s: CandidateSolution,
                              else itertools.product(*domains), grid=True)
 
     if isinstance(strat, RandomSample):
-        if strat.int_lo > strat.int_hi and INT in p.universals.values():
+        if strat.count < 1 or (strat.int_lo > strat.int_hi
+                               and INT in p.universals.values()):
             return Unknown(UnknownReason.BUDGET)
-        rng = random.Random(strat.seed)
-        draws = [_drawer(sort, rng, strat) for sort in p.universals.values()]
-        return _check_points(p, constraints, (tuple([d() for d in draws])
-                                              for _ in range(strat.count)))
+        points = sample_points(p.universals, strat, random.Random(strat.seed))
+        # islice stops at most at sys.maxsize, a count no check reaches
+        return _check_points(p, constraints, itertools.islice(
+            points, min(strat.count, sys.maxsize)))
 
     if isinstance(strat, ExternalSMT):
         return _check_external(p, s, strat)

@@ -31,9 +31,10 @@ application's column composed from its arguments' columns with ERR marking
 the rows where evaluation raised, and only and/or/=> evaluating an operand
 on fewer rows: the enumerative bank's and the scorer's signatures over
 bindings, and the checker's blocks of grid or sample points, a single
-point being a block of one. `compile_term` turns a let-free term once into
-a closure over one tuple of raw values, for the scorer's constraint
-skeletons and the defined functions they call.
+point being a block of one; a plain tuple column never holds ERR, and one
+that may is marked, so no column is scanned for it. `compile_term` turns a
+let-free term once into a closure over one tuple of raw values, for the
+scorer's constraint skeletons and the defined functions they call.
 """
 
 from __future__ import annotations
@@ -601,13 +602,22 @@ class _Err:
 ERR = _Err()
 
 
+class _Erring(tuple):
+    """A column that may hold ERR; a plain tuple column never does."""
+    __slots__ = ()
+
+
 class Pointwise:
     """Raw columns: a term's values over many rows at once, each
     application's composed from its arguments' columns, so a term costs one
     operator application per row and not a tree walk per row. A row where
     evaluation raises holds ERR. Values are compile_term's raw values; a
     bit-vector operator applies at its first operand's width, through
-    op_value.
+    op_value. A plain tuple column never holds ERR; one that may is an
+    _Erring. Leaves are plain, and only these mark: apply's per-row
+    fallback (after DivisionByZero or over a marked operand) and its ite
+    and connectives over a marked operand, _strict, the connectives'
+    scatter, and _on's gather of a marked column.
 
     Rows are a list of bindings, for signatures (__call__, apply), or any
     columns a caller lays out (column), for the checker's blocks of points.
@@ -641,18 +651,20 @@ class Pointwise:
         n = len(sigs[0]) if sigs else len(self.bindings)
         if not n:
             return ()
+        mark = tuple  # _Erring once an operand may hold ERR
+        for s in sigs:
+            if type(s) is not tuple:
+                mark = _Erring
+                break
         if op == "ite":
-            return tuple([ERR if c is ERR else (a if c else b)
-                          for c, a, b in zip(*sigs)])
+            return mark([ERR if c is ERR else (a if c else b)
+                         for c, a, b in zip(*sigs)])
         if op in ("and", "or", "=>"):
-            return tuple([_connective(op, xs) for xs in zip(*sigs)])
+            return mark([_connective(op, xs) for xs in zip(*sigs)])
         if op not in OPS:
             return self._call(op, sigs, n)
         value = op_value(op, width)
-        for s in sigs:
-            if ERR in s:
-                break
-        else:
+        if mark is tuple:
             try:
                 return tuple(list(map(value, *sigs)))
             except DivisionByZero:
@@ -666,7 +678,7 @@ class Pointwise:
                 out.append(value(*xs))
             except DivisionByZero:
                 out.append(ERR)
-        return tuple(out)
+        return _Erring(out)
 
     def width(self, t: Apply, nts: Mapping[str, Sort] | None = None
               ) -> int | None:
@@ -720,19 +732,22 @@ class Pointwise:
         out: list = [ERR] * n
         rows: Sequence[int] = range(n)
         value = op != "and"  # of a row an operand settles, but for ERR
+        mark = tuple
         for a in args[:-1]:
-            true, false = _split(self._on(a, env, n, rows)[0], rows)
+            col = self._on(a, env, n, rows)[0]
+            mark = mark if type(col) is tuple else _Erring
+            true, false = _split(col, rows)
             rows, settled = (false, true) if op == "or" else (true, false)
             for i in settled:
                 out[i] = value
             if not rows:
-                return tuple(out)
+                return mark(out)
         last = self._on(args[-1], env, n, rows)[0]
         if len(rows) == n:
             return last
         for i, x in zip(rows, last):
             out[i] = x
-        return tuple(out)
+        return mark(out) if type(last) is tuple else _Erring(out)
 
     def _call(self, op: str, sigs: Sequence[tuple], n: int) -> tuple:
         """A defined function's column: its body's over its arguments',
@@ -750,14 +765,15 @@ class Pointwise:
             return self.column(t, env, n)
         pick = (operator.itemgetter(*rows) if len(rows) > 1
                 else lambda c: tuple([c[i] for i in rows]))
-        return self.column(t, {name: (pick(c), s)
+        # type(c) keeps a gathered column's mark
+        return self.column(t, {name: (type(c)(pick(c)), s)
                                for name, (c, s) in env.items()}, len(rows))
 
 
 def _split(col: tuple, rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """The entries of rows at which the Bool column col is true, and those
     at which it is false; a row where it is ERR is in neither."""
-    if ERR in col:
+    if type(col) is not tuple:
         return ([i for i, x in zip(rows, col) if x is True],
                 [i for i, x in zip(rows, col) if x is False])
     return (list(itertools.compress(rows, col)),
@@ -766,10 +782,10 @@ def _split(col: tuple, rows: Sequence[int]) -> tuple[list[int], list[int]]:
 
 def _strict(col: tuple, cols: Sequence[tuple]) -> tuple:
     """col with ERR on every row where one of cols is ERR."""
-    errs = [c for c in cols if ERR in c]
+    errs = [c for c in cols if type(c) is not tuple]
     if not errs:
         return col
-    return tuple([ERR if ERR in xs else x for x, *xs in zip(col, *errs)])
+    return _Erring([ERR if ERR in xs else x for x, *xs in zip(col, *errs)])
 
 
 def _connective(op: str, xs: tuple):

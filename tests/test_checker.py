@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import fake_solver_script, load
+import syguskit.checker as checker
 from syguskit.cegis import make_solution
 from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               Invocation, Layered, RandomSample, Unknown,
@@ -14,7 +15,7 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               check_semantic, check_syntactic,
                               classify_features, default_strategy,
                               emit_smtlib, falsified, grid_points,
-                              int_drawer, parse_model,
+                              int_drawer, parse_model, sample_points,
                               substituted_constraints)
 from syguskit.frontend import (load_problem, parse_solution, read_problem,
                                term_to_sexpr)
@@ -130,6 +131,72 @@ def test_int_drawer_of_an_empty_range_raises_as_randint():
         random.Random(0).randint(3, 2)
     with pytest.raises(ValueError):
         int_drawer(random.Random(0), 3, 2)()
+
+
+# universals of every sort the sampler draws, an Int on either side
+MIXED = """(set-logic LIA)
+(synth-fun f () Int)
+(declare-var a Int)
+(declare-var b Bool)
+(declare-var c (BitVec 8))
+(declare-var d Int)
+(constraint (or b (= a (+ d f)) (= c #x00)))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (-20, 20)])
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+def test_sampled_points_are_per_point_draws_in_row_major_order(
+        monkeypatch, lo, hi, seed):
+    """The points a sampled check examines are randint, random() < 0.5 and
+    getrandbits draws, one point after another, and they leave the rng as
+    those draws do."""
+    p = read_problem(MIXED)
+    strat = RandomSample(10_000, seed, int_lo=lo, int_hi=hi)
+    examined = []
+
+    def first_points(p, constraints, points, grid=False):
+        examined.extend(itertools.islice(points, 5_000))
+        return Valid(certified=False)
+
+    monkeypatch.setattr(checker, "_check_points", first_points)
+    check_semantic(p, sol(p, "(define-fun f () Int 0)"), strat)
+    reference = random.Random(seed)
+    want = [(reference.randint(lo, hi), reference.random() < 0.5,
+             reference.getrandbits(8), reference.randint(lo, hi))
+            for _ in range(5_000)]
+    assert examined == want
+    assert all(type(b) is bool for _, b, _, _ in examined)
+    rng = random.Random(seed)
+    assert list(itertools.islice(sample_points(p.universals, strat, rng),
+                                 5_000)) == want
+    assert rng.getstate() == reference.getstate()
+
+
+HD17_D0_WRONG = "(define-fun f ((x (BitVec 32))) (BitVec 32) x)"
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_sample_count_below_one_is_unknown(count):
+    # islice refuses a negative count: it must not reach the sampler
+    p = load("hd-17-d0.sl")
+    assert check_semantic(p, sol(p, HD17_D0_WRONG), RandomSample(
+        count, 0)) == Unknown(UnknownReason.BUDGET)
+
+
+def test_a_sample_count_past_sys_maxsize_still_checks(max2):
+    # islice refuses a count past sys.maxsize; the earliest violated
+    # point is the same whatever count lies beyond it
+    wrong = max2_sol(max2, "x")
+    got = check_semantic(max2, wrong, RandomSample(2**64, 0))
+    assert isinstance(got, CounterExample)
+    assert got == check_semantic(max2, wrong, RandomSample(100, 0))
+    p = load("hd-17-d0.sl")
+    got = check_semantic(p, sol(p, HD17_D0_WRONG), RandomSample(2**64, 0))
+    assert isinstance(got, CounterExample)
+    assert got == check_semantic(p, sol(p, HD17_D0_WRONG),
+                                 RandomSample(100, 0))
 
 
 @pytest.mark.parametrize("strat", [ExhaustiveSmall(1, -1), RandomSample(0, 0),

@@ -136,7 +136,8 @@ def test_check_rejects_wrong_solution(tmp_path):
 
 
 @pytest.mark.parametrize("budget", [["--samples", "0"],
-                                    ["--exhaustive-bound", "-1"]])
+                                    ["--exhaustive-bound", "-1"],
+                                    ["--samples", "-1"]])
 def test_check_that_examined_no_point_is_not_valid(tmp_path, budget):
     sol = tmp_path / "max2.sol"
     sol.write_text("(define-fun max2 ((x Int) (y Int)) Int x)")

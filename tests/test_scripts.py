@@ -122,6 +122,26 @@ def test_identity_prints_the_same_digest_on_each_run(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_identity_imports_syguskit_from_its_own_checkout(tmp_path):
+    # an exported copy runs without PYTHONPATH, and a copy whose src/ holds
+    # no syguskit refuses the one found elsewhere rather than digest it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "identity.py"),
+                        "max2"], cwd=tmp_path, env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0 and json.loads(r.stdout)["problem"] == "max2"
+    for part in ("scripts/identity.py", "perfbench/workloads.py"):
+        (tmp_path / part).parent.mkdir(exist_ok=True)
+        shutil.copy(ROOT / part, tmp_path / part)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    r = subprocess.run([sys.executable, str(tmp_path / "scripts" /
+                                            "identity.py"), "max2"],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"syguskit imported from {(ROOT / 'src').resolve()}" in r.stderr
+
+
 @pytest.mark.parametrize("args", [("max3",), ("max2", "--seed", "1")])
 def test_identity_rejects_a_bad_argument(tmp_path, args):
     stderr = run_script("identity.py", *args, cwd=tmp_path, returncode=2)

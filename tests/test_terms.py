@@ -338,6 +338,27 @@ def ops_grammar():
                         {"x": INT, "y": INT, "b": BOOL, "u": W8, "v": W8})
 
 
+# (g a b) is true where a is below 1, and elsewhere reads b and a again in
+# its later operand, on fewer rows than its arguments' columns have
+G = FunDef("g", (("a", INT), ("b", INT)), BOOL,
+           term("(or (< a 1) (= (mod b a) 1))", {"a": INT, "b": INT}))
+
+
+def erring_grammar():
+    """Int terms over x and y with div and mod by any term, so a zero
+    divisor raises, and a let over any term; and T, g's applications, whose
+    arguments' columns may hold ERR where g's later operand reads them."""
+    s, b, t = TNT("S"), TNT("B"), TNT("T")
+    return make_grammar("S", [
+        ("S", INT, [Var("x"), Var("y"), Lit(0), Lit(1), Apply("div", (s, s)),
+                    Apply("mod", (s, s)), Apply("ite", (b, s, s)),
+                    Let((("z", s),), Apply("+", (Var("z"), s)))]),
+        ("B", BOOL, [Apply("<", (s, s)), Apply("or", (b, b)),
+                     Apply("=>", (b, b, b)), Apply("not", (b,)), t]),
+        ("T", BOOL, [Apply("g", (Var("x"), s)), Apply("g", (s, s))])],
+        {"x": INT, "y": INT}, {"g": G.fun_sort})
+
+
 def problem_grammar(name, unknown):
     p = load(name)
     return p.unknowns[unknown].grammar, p.defined_funs
@@ -351,6 +372,7 @@ DIFF_CASES = {
     "qm_loop": lambda: problem_grammar("qm_loop_1.sl", "qm-loop"),
     "let": lambda: (let_grammar(), {}),
     "ops": lambda: (ops_grammar(), {}),
+    "erring": lambda: (erring_grammar(), {"g": G}),
 }
 # Int zero divisors, the width-8 edges and shift amounts of at least 8
 POOL = (-1, 0, 1, 2, *(BV(8, v) for v in (0, 1, 0x7f, 0x80, 0xff, 8, 9)))
@@ -397,6 +419,102 @@ def test_compiled_term_matches_evaluate(name, data, seed, size):
     want = raw_value(want)
     got = [*col] if f is None else [f(raw), *col]
     assert all(x == want and type(x) is type(want) for x in got), t
+
+
+class Recording(Pointwise):
+    """Pointwise keeping every column its walks make."""
+
+    def __init__(self, bindings, defs):
+        super().__init__(bindings, defs)
+        self.columns = []
+
+    def column(self, t, env, n):
+        col, sort = super().column(t, env, n)
+        self.columns.append(col)
+        return col, sort
+
+
+def expected_column(t, rows, defs):
+    out = []
+    for row in rows:
+        try:
+            out.append(raw_value(evaluate(t, row, defs)))
+        except DivisionByZero:
+            out.append(ERR)
+    return out
+
+
+def assert_no_plain_err(cols, t):
+    # a plain tuple column never holds ERR: only a marked one may
+    for col in cols:
+        assert type(col) is not tuple or all(x is not ERR for x in col), t
+
+
+def assert_same_column(col, want, t):
+    assert_no_plain_err([col], t)
+    assert len(col) == len(want), t
+    assert all(x is y if y is ERR else (x == y and type(x) is type(y))
+               for x, y in zip(col, want)), (t, col, want)
+
+
+def composed(pw, t):
+    """t's column composed node by node from its arguments' (apply), as a
+    bank composes signatures; a leaf's or a let's is walked."""
+    if not isinstance(t, Apply):
+        return pw(t)
+    return pw.apply(t.op, [composed(pw, a) for a in t.args], pw.width(t))
+
+
+@pytest.mark.parametrize("name", list(DIFF_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32), size=st.integers(1, 11))
+def test_pointwise_columns_match_evaluate_row_by_row(name, data, seed, size):
+    """Over 1-40 rows, with zero divisors among the Int values, the column
+    of a term of each nonterminal, and of each of its subterms that reads no
+    bound name, walked or composed, is evaluate's value row by row and ERR
+    where it raises; no plain tuple column the walks make holds ERR."""
+    g, defs, enumr = diff_case(name)
+    values = {W8: BV8_VALUES, BOOL: st.booleans(), INT: INT_VALUES}
+    row = st.fixed_dictionaries({n: values[s] for n, s in g.var_sorts.items()})
+    rows = [data.draw(row) for _ in range(data.draw(st.integers(1, 40)))]
+    pw, rng = Recording(rows, defs), random.Random(seed)
+    for nt in sorted(g.rules):
+        if enumr.count(nt, size) == 0:
+            continue
+        t = enumr.sample(nt, size, rng).term
+        for sub in subterms(t):
+            if free_vars(sub) <= set(g.var_sorts):
+                want = expected_column(sub, rows, defs)
+                assert_same_column(pw(sub), want, sub)
+                assert_same_column(composed(pw, sub), want, sub)
+    assert_no_plain_err(pw.columns, name)
+
+
+@pytest.mark.parametrize("text, gathers", [
+    # a later operand reads a let's definition, then g's arguments, on the
+    # rows the earlier ones leave open
+    ("(let ((z (div x y))) (and (< x 1) (= (mod z 2) 0)))", True),
+    ("(g x (div x y))", True),
+    ("(=> (< x 1) (g (mod y x) (div x y)))", True),
+    # an earlier operand's ERR settles its rows
+    ("(or (< x (div 1 y)) (< y 2))", False),
+    ("(and (< 0 x) (= (div 6 x) 2) (< y (mod 3 y)))", False),
+    # an ite's taken branch's ERR
+    ("(< (ite (< x 1) (div x y) y) 2)", False)])
+def test_a_column_that_may_hold_err_is_marked(text, gathers):
+    """Walked or composed, a term's column is evaluate's, ERR where it
+    raises, and every column that holds ERR is marked, a column gathered on
+    fewer rows included, so its ERR rows are never computed with."""
+    t = term(text, {"x": INT, "y": INT}, {"g": G.fun_sort})
+    rows = [{"x": x, "y": y} for x in (-3, 0, 1, 2, 7) for y in (0, 1, -2)]
+    pw = Recording(rows, {"g": G})
+    want = expected_column(t, rows, {"g": G})
+    assert_same_column(pw(t), want, t)
+    assert_same_column(composed(pw, t), want, t)
+    assert_no_plain_err(pw.columns, t)
+    if gathers:
+        assert any(type(col) is not tuple and len(col) < len(rows)
+                   for col in pw.columns)
 
 
 @pytest.mark.parametrize("text", [
