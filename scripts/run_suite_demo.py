@@ -4,6 +4,8 @@ reports in every supported format.
 
 Usage: python scripts/run_suite_demo.py [--timeout 60] [--parallel 4]
 
+syguskit is imported from this checkout's src/, so no PYTHONPATH is needed.
+
 A suite with no `.sl` file, an unknown, repeated or empty list of solver
 ids or a timeout too long to wait for gives one `error: ...` line and exit
 status 2.
@@ -13,11 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from syguskit.cli import _positive
-from syguskit.harness import RunLimits, render_report, run_suite
-from syguskit.terms import SygusError
-
-ROOT = Path(__file__).parent.parent
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from syguskit.cli import _positive  # noqa: E402
+from syguskit.harness import RunLimits, render_report, run_suite  # noqa: E402
+from syguskit.terms import SygusError  # noqa: E402
 
 
 def main() -> int:

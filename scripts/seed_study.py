@@ -3,18 +3,22 @@
 
 Usage: python scripts/seed_study.py benchmarks/integers/max2.sl --seeds 10
 
+syguskit is imported from this checkout's src/, so no PYTHONPATH is needed.
+
 A file that does not load, or that the stochastic solver does not take,
 gives one `error: ...` line and exit status 2.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from syguskit.cegis import Solved
-from syguskit.cli import _positive
-from syguskit.frontend import load_problem, print_solution
-from syguskit.stochastic import StochConfig, solve_stochastic
-from syguskit.terms import SygusError
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from syguskit.cegis import Solved  # noqa: E402
+from syguskit.cli import _positive  # noqa: E402
+from syguskit.frontend import load_problem, print_solution  # noqa: E402
+from syguskit.stochastic import StochConfig, solve_stochastic  # noqa: E402
+from syguskit.terms import SygusError  # noqa: E402
 
 
 def run_seed(problem, seed: int, args) -> bool:

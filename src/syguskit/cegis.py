@@ -334,9 +334,13 @@ class Scorer:
                 yield ei
 
 
-def count_wrong(scorer: Scorer, bodies: Mapping[str, Term]) -> int:
-    """How many examples the bodies get wrong."""
-    return sum(1 for _ in scorer.wrong(bodies))
+def count_wrong(scorer: Scorer, bodies: Mapping[str, Term],
+                sigs: Sequence[tuple] | None = None) -> int:
+    """How many examples the bodies get wrong. sigs, when given, are the
+    bodies' signatures over scorer.bindings in p.unknowns' order, as
+    Scorer.wrong takes them, so a caller that has composed them already
+    does not have them composed again."""
+    return sum(1 for _ in scorer.wrong(bodies, sigs))
 
 
 def describe_point(point: Mapping[str, Value]) -> str:

@@ -14,9 +14,15 @@ The walk holds a grammar.Derivation: a move splices the replacement's
 instances over the chosen one and its descendants and rebuilds only the
 terms on the replaced path.
 
-Proposals often repeat, so the walk keeps the wrong counts of the last
-WRONG_MEMO bodies it scored until the next counterexample; the scorer
-composes any other body's signature node by node, with no memo.
+Proposals often repeat, and distinct bodies often share an output vector,
+so until the next counterexample the walk keeps the wrong counts of the
+WRONG_MEMO bodies and of the WRONG_MEMO signatures it used last. A body
+missing from the first memo has its signature composed once, node by node
+(cegis.Scorer's Pointwise). A plain-tuple signature holds no ERR, so
+unless the scorer is naive the wrong count depends on the signature alone
+and goes through the second memo. A signature that may hold ERR, or any
+under a naive scorer, is scored with its body, which the scorer then
+reads too.
 
 Reproducible: one Random(seed), seed an int, drives sampling, mutation and
 acceptance, with randrange's and choices' draws (grammar.randbelow, weighted).
@@ -39,8 +45,9 @@ from .grammar import Derivation, Enumerator, term_replace, weighted
 from .terms import SygusError, Term
 
 
-# bodies whose wrong counts the walk keeps until the next counterexample,
-# least recently used dropped first; a proposal often repeats a recent one
+# bodies, and signatures, whose wrong counts the walk keeps until the next
+# counterexample, least recently used dropped first; a proposal often
+# repeats a recent one, and shares its output vector with one more often
 WRONG_MEMO = 512
 
 
@@ -99,8 +106,17 @@ def _walk(p: SynthProblem, cfg: StochConfig, deadline: Deadline,
         return
 
     @functools.lru_cache(maxsize=WRONG_MEMO)
+    def wrong_of_sig(sig: tuple) -> int:
+        # a plain signature holds no ERR, so wrong() reads no body from a
+        # scorer that is not naive
+        return count_wrong(scorer, {}, [sig])
+
+    @functools.lru_cache(maxsize=WRONG_MEMO)
     def wrong_of(body: Term) -> int:
-        return count_wrong(scorer, {name: body})
+        sig = scorer.sig[name](body)
+        if type(sig) is tuple and not scorer.naive:
+            return wrong_of_sig(sig)
+        return count_wrong(scorer, {name: body}, [sig])
 
     for size in cycle(cfg.size_schedule):
         if enumr.count(g.start, size) == 0:
@@ -129,4 +145,5 @@ def _walk(p: SynthProblem, cfg: StochConfig, deadline: Deadline,
                     scorer, pool = reply
                     enumr = Enumerator(g, pool)
                     wrong_of.cache_clear()
+                    wrong_of_sig.cache_clear()
                 wrong = wrong_of(current.term)

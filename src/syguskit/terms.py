@@ -20,7 +20,8 @@ masked unsigned ints at that width), and whether it is commutative.
 `apply_sort` types an application from it (for `infer_sort` and the
 frontend); `op_value` is the one cache of OPS values: it binds a bit-vector
 operator's width once per width and gives `evaluate`, `Pointwise` and
-`compile_term` the one function per (op, width) they compute values with.
+`compile_term` the one function per (op, width) they compute values with;
+given an arity of two, Int `+` and `-` are `operator.add` and `operator.sub`.
 Only ite/and/or/=> are evaluated in place, and defined functions by their
 bodies.
 
@@ -32,7 +33,8 @@ the rows where evaluation raised, and only and/or/=> evaluating an operand
 on fewer rows: the enumerative bank's and the scorer's signatures over
 bindings, and the checker's blocks of grid or sample points, a single
 point being a block of one; a plain tuple column never holds ERR, and one
-that may is marked, so no column is scanned for it. `compile_term` turns a
+that may is marked, so no column is scanned for it but the one an ite
+over a marked operand builds. `compile_term` turns a
 let-free term once into a closure over one tuple of raw values, for the
 scorer's constraint skeletons and the defined functions they call.
 """
@@ -523,11 +525,20 @@ _JOIN = {
 }
 
 
+# Int + and - of two operands, as C-level functions of the same values
+_PAIRWISE = {"+": operator.add, "-": operator.sub}
+
+
 @functools.cache
-def op_value(op: str, width: int | None) -> Callable[..., Value]:
+def op_value(op: str, width: int | None,
+             arity: int | None = None) -> Callable[..., Value]:
     """The OPS entry op's value at raw values, with width bound for a
     bit-vector operator; made once per (op, width) and kept, so every
-    evaluator applies the one function."""
+    evaluator applies the one function. An arity of 2 gives Int + and -
+    as operator.add and operator.sub, which cost about a fifth of OPS'
+    lambdas per row."""
+    if arity == 2 and op in _PAIRWISE:
+        return _PAIRWISE[op]
     spec = OPS[op]
     return spec.value(width) if spec.operand == "bv" else spec.value
 
@@ -567,7 +578,7 @@ def compile_term(t: Term, params: Sequence[tuple[str, Sort]],
         if join is not None:
             return functools.reduce(lambda b, a: join(a, b), fns[::-1]), sort
         if op in OPS:
-            value = op_value(op, pairs[0][1].width)
+            value = op_value(op, pairs[0][1].width, len(fns))
         elif op in bodies:
             value = bodies[op]
         else:
@@ -615,9 +626,10 @@ class Pointwise:
     bit-vector operator applies at its first operand's width, through
     op_value. A plain tuple column never holds ERR; one that may is an
     _Erring. Leaves are plain, and only these mark: apply's per-row
-    fallback (after DivisionByZero or over a marked operand) and its ite
-    and connectives over a marked operand, _strict, the connectives'
-    scatter, and _on's gather of a marked column.
+    fallback (after DivisionByZero or over a marked operand), its ite over
+    a marked operand where a row it takes is ERR, its connectives over a
+    marked operand, _strict, the connectives' scatter, and _on's gather of
+    a marked column.
 
     Rows are a list of bindings, for signatures (__call__, apply), or any
     columns a caller lays out (column), for the checker's blocks of points.
@@ -657,13 +669,18 @@ class Pointwise:
                 mark = _Erring
                 break
         if op == "ite":
-            return mark([ERR if c is ERR else (a if c else b)
-                         for c, a, b in zip(*sigs)])
+            out = [ERR if c is ERR else (a if c else b)
+                   for c, a, b in zip(*sigs)]
+            # a marked operand's ERR may lie only in rows the ite does not
+            # take, and a plain column spares every parent the fallback
+            if mark is not tuple and ERR in out:
+                return _Erring(out)
+            return tuple(out)
         if op in ("and", "or", "=>"):
             return mark([_connective(op, xs) for xs in zip(*sigs)])
         if op not in OPS:
             return self._call(op, sigs, n)
-        value = op_value(op, width)
+        value = op_value(op, width, len(sigs))
         if mark is tuple:
             try:
                 return tuple(list(map(value, *sigs)))

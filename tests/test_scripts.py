@@ -142,6 +142,20 @@ def test_identity_imports_syguskit_from_its_own_checkout(tmp_path):
     assert f"syguskit imported from {(ROOT / 'src').resolve()}" in r.stderr
 
 
+@pytest.mark.parametrize("name, args, out", [
+    ("seed_study.py", (str(MAX2), "--seeds", "1", "--budget", "3"),
+     "seeds solved"),
+    ("run_suite_demo.py", ("--help",), "usage: run_suite_demo.py")])
+def test_script_imports_syguskit_from_its_own_checkout(tmp_path, name, args,
+                                                       out):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                       cwd=tmp_path, env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0 and out in r.stdout, r.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [("max3",), ("max2", "--seed", "1")])
 def test_identity_rejects_a_bad_argument(tmp_path, args):
     stderr = run_script("identity.py", *args, cwd=tmp_path, returncode=2)

@@ -6,12 +6,15 @@ import pytest
 
 from conftest import load, term
 from syguskit.cegis import (ExampleSet, Exhausted, Scorer, Solved, TimedOut,
-                            count_wrong)
+                            base_constant_pool, count_wrong,
+                            pool_with_examples)
 from syguskit.checker import ExhaustiveSmall, Valid, check_semantic
 from syguskit.frontend import default_grammar, read_problem
 from syguskit.grammar import Enumerator, derives
 from syguskit.stochastic import StochConfig, mutate, solve_stochastic
-from syguskit.terms import INT, Lit, SygusError, Var, evaluate, term_size
+from syguskit.terms import (BV, INT, Lit, SygusError, Var, evaluate,
+                            term_size)
+from test_scorer import PROBLEMS
 
 
 def _wrong(p, body, E):
@@ -440,3 +443,113 @@ def test_walk_keeps_entries_of_a_fresh_preorder_walk(case):
             sub = subterm_at(node.term, path)
             assert term_size(sub) == size
             assert derives(g, nt, sub)
+
+
+# ---------------------------------------------------------------------------
+# the walk's memo of wrong counts by signature
+
+
+@pytest.mark.parametrize("problem, value", [
+    ("max2", lambda rng: rng.randint(-4, 4)),
+    ("hd17_w8", lambda rng: BV(8, rng.randrange(256)))])
+def test_bodies_that_share_a_plain_signature_get_equal_wrong_counts(
+        problem, value, request):
+    p = request.getfixturevalue(problem)
+    (name, u), = p.unknowns.items()
+    rng = random.Random(5)
+    E = ExampleSet({n: value(rng) for n in p.universals} for _ in range(4))
+    scorer = Scorer(p, E)
+    assert not scorer.naive
+    g = u.grammar
+    e = Enumerator(g, pool_with_examples(base_constant_pool(p), E))
+    by_sig: dict = {}
+    for _ in range(1500):
+        size = rng.randint(1, 9)
+        if e.count(g.start, size):
+            body = e.sample(g.start, size, rng).term
+            sig = scorer.sig[name](body)
+            assert type(sig) is tuple
+            by_sig.setdefault(sig, set()).add(body)
+    shared = [bodies for bodies in by_sig.values() if len(bodies) > 1]
+    assert len(shared) > 10
+    for sig, bodies in by_sig.items():
+        # the count the walk memoizes by signature reads no body
+        want = count_wrong(scorer, {}, [sig])
+        assert {count_wrong(scorer, {name: b}) for b in bodies} == {want}
+
+
+# (f (mod x 2)) has two bindings, so a counterexample past them leaves
+# every signature's length as it was, while the wrong counts change
+REBOUND = """(set-logic LIA)
+(synth-fun f ((a Int)) Int
+  ((S Int (a 0 1 (+ S S) (- S S) (ite B S S))) (B Bool ((<= S S)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f (mod x 2)) (mod (+ x y) 3)))
+(check-synth)"""
+
+
+class Stop(Exception):
+    pass
+
+
+class CappedTrace(list):
+    """A trace that ends the walk once it holds `cap` moves."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def append(self, move):
+        super().append(move)
+        if len(self) == self.cap:
+            raise Stop
+
+
+def memo_walk(p, seed, cap, monkeypatch):
+    """The walk's trace, at most cap moves, and what the scorer saw at each
+    count_wrong: whether it was naive, and whether the signature it was
+    given may hold ERR."""
+    import syguskit.stochastic as sto
+    seen = []
+
+    def spy(scorer, bodies, sigs=None):
+        seen.append((scorer.naive, type(sigs[0]) is not tuple))
+        return count_wrong(scorer, bodies, sigs)
+
+    monkeypatch.setattr(sto, "count_wrong", spy)
+    trace = CappedTrace(cap)
+    try:
+        out = solve_stochastic(p, StochConfig(seed=seed, budget_s=120,
+                                              trace=trace))
+    except Stop:
+        return None, list(trace), seen
+    assert isinstance(out, Solved)
+    return out.solution, list(trace), seen
+
+
+@pytest.mark.parametrize("problem, seed, cap", [
+    ("max2", 1, None),
+    # its argument (div x y) raises at y = 0, so once such an example
+    # arrives the scorer is naive
+    ("guarded_arg", 0, 8_000),
+    # most bodies past size 4 err at some binding
+    ("div", 0, 8_000),
+    ("rebound", 0, 8_000)])
+def test_the_signature_memo_changes_no_move(problem, seed, cap, monkeypatch):
+    import syguskit.stochastic as sto
+    p = (read_problem(REBOUND) if problem == "rebound"
+         else PROBLEMS[problem]())
+    out, trace, seen = memo_walk(p, seed, cap, monkeypatch)
+    monkeypatch.setattr(sto, "WRONG_MEMO", 0)  # no memo at all
+    bare_out, bare_trace, bare_seen = memo_walk(p, seed, cap, monkeypatch)
+    assert trace == bare_trace
+    assert len(trace) == (cap or len(trace)) > 5_000
+    assert out == bare_out and (out is None) == (cap is not None)
+    # the memos spared most scorings, and the bare walk scored every body
+    assert len(seen) < len(bare_seen) / 2
+    assert len(bare_seen) >= len(trace)
+    if problem == "guarded_arg":
+        assert any(naive for naive, _ in seen)
+    if problem == "div":
+        assert any(marked for _, marked in seen)

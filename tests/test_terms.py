@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -12,8 +13,8 @@ from syguskit.terms import (BOOL, BV, ERR, INT, OPS, TNT, Apply,
                             DivisionByZero, FunDef, FunSort, Let, Lit,
                             Pointwise, SortError, THole, UndeclaredSymbol, Var,
                             bitvec, compile_term, evaluate, expand, free_vars,
-                            infer_sort, raw_value, subterms, substitute,
-                            term_size, value_sort)
+                            infer_sort, op_value, raw_value, subterms,
+                            substitute, term_size, value_sort)
 
 BV32 = bitvec(32)
 
@@ -515,6 +516,44 @@ def test_a_column_that_may_hold_err_is_marked(text, gathers):
     if gathers:
         assert any(type(col) is not tuple and len(col) < len(rows)
                    for col in pw.columns)
+
+
+@pytest.mark.parametrize("text, plain", [
+    # the divisor is 0 only on rows the ite does not take
+    ("(ite (= y 0) 0 (div x y))", True),
+    ("(+ (ite (= y 0) x (mod x y)) 1)", True),
+    # the taken branch errs where x < 1 and y is 0
+    ("(ite (< x 1) (div x y) y)", False),
+    # the condition errs where y is 0
+    ("(ite (< (div x y) 1) x y)", False)])
+def test_an_ite_over_a_marked_operand_is_marked_only_where_it_takes_err(
+        text, plain):
+    t = term(text, {"x": INT, "y": INT})
+    rows = [{"x": x, "y": y} for x in (-3, 0, 1, 2, 7) for y in (0, 1, -2)]
+    pw = Recording(rows, {})
+    want = expected_column(t, rows, {})
+    for col in (pw(t), composed(pw, t)):
+        assert_same_column(col, want, t)
+        assert (type(col) is tuple) is plain
+    # the division under the ite is marked
+    assert any(type(col) is not tuple for col in pw.columns)
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_int_plus_and_minus_match_evaluate_at_every_arity(op, arity):
+    t = term(f"({op} {' '.join(['x', 'y', '3'][:arity])})",
+             {"x": INT, "y": INT})
+    rows = [{"x": x, "y": y} for x in (-7, 0, 3, 2**70) for y in (-1, 0, 5)]
+    want = expected_column(t, rows, {})
+    pw = Pointwise(rows, {})
+    assert_same_column(pw(t), want, t)
+    assert_same_column(composed(pw, t), want, t)
+    f = compile_term(t, [("x", INT), ("y", INT)])
+    assert_same_column([f((r["x"], r["y"])) for r in rows], want, t)
+    # two operands apply the C-level function
+    assert (op_value(op, None, arity) in (operator.add, operator.sub)) \
+        is (arity == 2)
 
 
 @pytest.mark.parametrize("text", [
