@@ -20,7 +20,7 @@ meaning is the verifier's.
 
 from __future__ import annotations
 
-import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
@@ -61,6 +61,12 @@ SolveOutcome = Solved | Exhausted | TimedOut
 
 class BudgetExpired(Exception):
     """A proposer's deadline passed."""
+
+
+def positive_finite(x) -> bool:
+    """x is an int or a float, above 0 and at most the largest float: not a
+    string or None, which math.isfinite would raise a TypeError on."""
+    return isinstance(x, (int, float)) and 0 < x <= sys.float_info.max
 
 
 class Deadline:
@@ -113,7 +119,7 @@ def cegis(p: SynthProblem, cfg, propose: Callable[..., Proposals],
     joins the examples, else None. A body is verified once per example set,
     and not past cfg.budget_s, by cfg.verifier or default_strategy(p).
     Exhausted(limit) when propose returns, TimedOut on BudgetExpired."""
-    if not (math.isfinite(cfg.budget_s) and cfg.budget_s > 0):
+    if not positive_finite(cfg.budget_s):
         raise SygusError("budget_s must be positive and finite")
     deadline = Deadline(cfg.budget_s)
     verifier = cfg.verifier if cfg.verifier is not None else default_strategy(p)

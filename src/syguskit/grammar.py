@@ -32,11 +32,16 @@ the divisor flag) the productions with a derivation, their counts and own
 nodes, per hole sort its pool, and per (template, size) its derivation
 count, slots, path steps and its plan's tree weighed: each slot's sizes with
 a derivation and their cumulative weights, which count() and sample() both
-read. They change no draw: randbelow and weighted are randrange and choices
-without their argument checks, so every value and rng state is the plain
-recurrences'. sample() gives a Derivation, the term and a flat pre-order
-tuple of its nonterminal instances with their paths from the root, so a
-move replaces an instance by splicing that tuple.
+read. sample() does not walk these tables per draw: it calls a draw closure
+built from them once per key and kept beside them. A nonterminal's holds its
+menu's cumulative counts, own nodes and production closures; a template's
+its path steps and weighed tree, each size mapped to its slot's closure; a
+hole's its pool's literals. They change no draw: randbelow and weighted are
+randrange and choices without their argument checks, and the closures call
+them as the plain recurrences do, so every value and rng state is theirs.
+sample() gives a Derivation, the term and a flat pre-order tuple of its
+nonterminal instances with their paths from the root, so a move replaces an
+instance by splicing that tuple.
 """
 
 from __future__ import annotations
@@ -321,7 +326,9 @@ class Enumerator:
     grammar's split plans: a template's count sums, over the tree's splits,
     the product of its slots' counts, and sample() draws a size slot by slot
     down the tree by those counts, both read from _sampler's one table per
-    (template, size).
+    (template, size). sample() draws through closures compiled from those
+    tables on first use (_drawer), one per _menu key and per (template,
+    size), so a draw reads no table.
     """
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
@@ -333,6 +340,7 @@ class Enumerator:
         self._menus: dict[tuple[str, int, bool], tuple[int, tuple]] = {}
         self._pools: dict[tuple[Sort, bool], tuple[Value, ...]] = {}
         self._samplers: dict[tuple[int, int], tuple] = {}
+        self._draws: dict[tuple, Callable] = {}
 
     def _hole_pool(self, sort: Sort, no_zero: bool) -> tuple[Value, ...]:
         key = (sort, no_zero)
@@ -411,39 +419,79 @@ class Enumerator:
     def sample(self, nt: str, size: int, rng: random.Random,
                no_zero: bool = False, prefix: Path = ()) -> Derivation:
         """A derivation of nt at size, uniform over derivations; its entries'
-        paths start with prefix."""
+        paths start with prefix. Drawn by nt's draw closure at size, which
+        makes the rng calls of the plain recursion, in its order: one
+        randbelow(derivations) per instance, then its template's slot sizes
+        (weighted, only where there is a choice), then its slots, left to
+        right."""
         entries: list = []
-        term = self._draw(nt, size, no_zero, rng, prefix, entries)
+        term = self._drawer(nt, size, no_zero)(rng, prefix, entries, no_zero)
         return Derivation(term, tuple(entries))
 
-    def _draw(self, nt: str, size: int, no_zero: bool, rng: random.Random,
-              path: Path, entries: list) -> Term:
-        total, menu = self._menu(nt, size, no_zero)
-        if total == 0:
-            raise SygusError(f"no derivation of {nt} at size {size}")
-        pick = randbelow(rng, total)
-        for p, c, own in menu:
-            if pick < c:
-                entries.append((path, nt, size, no_zero, own))
-                return self._sample_tpl(p, size, no_zero, rng, path, entries)
-            pick -= c
-        raise AssertionError("count/sample recurrences disagree")
+    def _drawer(self, nt: str, size: int, no_zero: bool) -> Callable:
+        """nt's draw closure at size, built once per _menu key (so one serves
+        both divisor flags above size 1): draw(rng, path, entries, no_zero)
+        picks a production by randbelow over the menu's cumulative counts,
+        appends the instance to entries with the flag it is passed, and
+        returns the term of that production's closure."""
+        key = (nt, size, no_zero and size == 1)
+        hit = self._draws.get(key)
+        if hit is None:
+            total, menu = self._menu(*key)
+            if total == 0:
+                raise SygusError(f"no derivation of {nt} at size {size}")
+            cum = tuple(accumulate(c for _, c, _ in menu))
+            prods = [(own, self._tpl_drawer(p, size, key[2]))
+                     for p, _, own in menu]
 
-    def _sample_tpl(self, tpl: Template, size: int, no_zero: bool,
-                    rng: random.Random, path: Path, entries: list) -> Term:
+            def hit(rng, path, entries, no_zero):
+                own, draw = prods[bisect(cum, randbelow(rng, total))]
+                entries.append((path, nt, size, no_zero, own))
+                return draw(rng, path, entries, no_zero)
+            self._draws[key] = hit
+        return hit
+
+    def _tpl_drawer(self, tpl: Template, size: int, no_zero: bool) -> Callable:
+        """The draw closure of a template at size, called as _drawer's. A
+        hole's holds its pool's literals; an application's or let's, built
+        once per (template, size), holds _sampler's size tree with each size
+        mapped to its slot's closure: a real choice is a list [cumulative
+        weights, subtrees] that weighted() picks from, and a leaf is a tuple
+        of every slot's (closure, path step, divisor flag)."""
         kind = type(tpl)  # the node classes have no subclasses
         if kind is TNT:
-            return self._draw(tpl.nt, size, no_zero, rng, path, entries)
+            return self._drawer(tpl.nt, size, no_zero)
         if kind is Var or kind is Lit:
-            return tpl
+            return lambda rng, path, entries, no_zero: tpl
         if kind is THole:
-            vals = self._hole_pool(tpl.sort, no_zero)
-            return Lit(vals[randbelow(rng, len(vals))])
-        _, slots, steps, tree = self._sampler(tpl, size)
-        return assemble(tpl, [
-            self._sample_tpl(c, s, nz, rng, path + (step,), entries)
-            for (c, nz), s, step in zip(slots, self._draw_sizes(tree, rng),
-                                        steps)])
+            lits = tuple(map(Lit, self._hole_pool(tpl.sort, no_zero)))
+            return lambda rng, path, entries, no_zero: \
+                lits[randbelow(rng, len(lits))]
+        key = (id(tpl), size)
+        hit = self._draws.get(key)
+        if hit is None:
+            _, slots, steps, tree = self._sampler(tpl, size)
+
+            def leaves(tree: tuple | None, kids: tuple) -> list | tuple:
+                if tree is None:
+                    return kids
+                sizes, cum, later = tree
+                (c, nz), step = slots[len(kids)], steps[len(kids)]
+                subs = [leaves(later[s], kids + ((self._tpl_drawer(c, s, nz),
+                                                  step, nz),))
+                        for s in sizes]
+                return subs[0] if len(subs) == 1 else [cum, subs]
+
+            root = leaves(tree, ())
+
+            def hit(rng, path, entries, no_zero):
+                node = root
+                while type(node) is list:
+                    node = node[1][weighted(rng, node[0])]
+                return assemble(tpl, [kid(rng, path + (step,), entries, nz)
+                                      for kid, step, nz in node])
+            self._draws[key] = hit
+        return hit
 
     def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
         """(derivations, slots, path steps, size tree) of an application or
@@ -477,17 +525,3 @@ class Enumerator:
             total, tree = weigh(plan, 0)
             hit = self._samplers[key] = (total, slots, steps, tree)
         return hit
-
-    @staticmethod
-    def _draw_sizes(tree: tuple | None, rng: random.Random) -> list[int]:
-        """Child sizes drawn slot by slot down a size tree by weighted(); the
-        rng is consulted only on a real choice."""
-        sizes: list[int] = []
-        while tree is not None:
-            choices, cum, later = tree
-            s = (choices[0] if len(choices) == 1
-                 else choices[weighted(rng, cum)])
-            sizes.append(s)
-            tree = later[s]
-        return sizes
-

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate, cycle
 
 from .cegis import (BudgetExpired, Deadline, Proposals, Scorer, SolveOutcome,
-                    cegis, count_wrong)
+                    cegis, count_wrong, positive_finite)
 from .checker import CheckStrategy
 from .checker import check_semantic  # noqa: F401 (perfbench/tracing.py wraps it)
 from .frontend import SynthProblem
@@ -81,7 +81,7 @@ def mutate(d: Derivation, enumr: Enumerator, rng: random.Random) -> Derivation:
 def solve_stochastic(p: SynthProblem, cfg: StochConfig) -> SolveOutcome:
     if len(p.unknowns) != 1:
         raise SygusError("the stochastic solver handles a single unknown")
-    if not (math.isfinite(cfg.beta) and cfg.beta > 0):
+    if not positive_finite(cfg.beta):
         raise SygusError("beta must be positive and finite")
     if not isinstance(cfg.seed, int):
         raise SygusError("seed must be an int, so the walk can be replayed")

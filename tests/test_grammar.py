@@ -10,12 +10,13 @@ from hypothesis import example, given
 from conftest import BENCHMARKS, load, term
 from syguskit.cegis import base_constant_pool
 from syguskit.frontend import default_grammar, load_problem, read_problem
-from syguskit.grammar import (Enumerator, Grammar, Rule, UnknownNonterminal,
-                              compositions, derives, make_grammar, randbelow,
-                              walk_splits, weighted)
+from syguskit.grammar import (Derivation, Enumerator, Grammar, Rule,
+                              UnknownNonterminal, assemble, compositions,
+                              derives, make_grammar, randbelow, walk_splits,
+                              weighted)
 from syguskit.stochastic import StochConfig
-from syguskit.terms import (BV, INT, TNT, Apply, Let, Lit, THole, Var, bitvec,
-                            term_size)
+from syguskit.terms import (BV, INT, TNT, Apply, Let, Lit, SygusError, THole,
+                            Var, bitvec, term_size)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,110 @@ def test_slot_nodes_account_for_every_parse_tree_node():
         node = e.sample("StartInt", 9, rng)
         total = sum(own for *_, own in node.entries)
         assert total == term_size(node.term) == 9
+
+
+def recursive_sample(e, nt, size, rng, no_zero=False, prefix=()):
+    """The sampler as a recursion over the enumerator's tables, drawing with
+    randrange and choices: a nonterminal instance picks a production by its
+    menu's counts, a template draws all its slots' sizes down its weighed
+    size tree, then each slot's term, left to right."""
+    entries = []
+
+    def draw(nt, size, no_zero, path):
+        total, menu = e._menu(nt, size, no_zero)
+        if total == 0:
+            raise SygusError(f"no derivation of {nt} at size {size}")
+        pick = rng.randrange(total)
+        for p, c, own in menu:
+            if pick < c:
+                entries.append((path, nt, size, no_zero, own))
+                return sample_tpl(p, size, no_zero, path)
+            pick -= c
+        raise AssertionError("count/sample recurrences disagree")
+
+    def sample_tpl(tpl, size, no_zero, path):
+        if isinstance(tpl, TNT):
+            return draw(tpl.nt, size, no_zero, path)
+        if isinstance(tpl, (Var, Lit)):
+            return tpl
+        if isinstance(tpl, THole):
+            vals = e._hole_pool(tpl.sort, no_zero)
+            return Lit(vals[rng.randrange(len(vals))])
+        _, slots, steps, tree = e._sampler(tpl, size)
+        sizes = []
+        while tree is not None:
+            choices, cum, later = tree
+            s = (choices[0] if len(choices) == 1
+                 else rng.choices(choices, cum_weights=cum)[0])
+            sizes.append(s)
+            tree = later[s]
+        pieces = zip(slots, sizes, steps)
+        return assemble(tpl, [sample_tpl(c, s, nz, path + (step,))
+                              for (c, nz), s, step in pieces])
+
+    return Derivation(draw(nt, size, no_zero, prefix), tuple(entries))
+
+
+def sampler_case(case):
+    """(grammar, pool) of a grammar the sampler is checked on."""
+    from conftest import div_grammar, let_grammar
+    from test_stochastic import divisor_grammar
+    if case == "default":
+        return default_grammar((("x", INT), ("y", INT)), INT), (-1, 0, 1, 2)
+    if case in ("let", "div", "divisor"):
+        make = {"let": let_grammar, "div": div_grammar,
+                "divisor": divisor_grammar}[case]
+        return make(), (-1, 0, 1, 2, 3)
+    p = load_problem(BENCHMARKS / case)
+    (u,) = p.unknowns.values()
+    return u.grammar, base_constant_pool(p)
+
+
+@pytest.mark.parametrize("case", [
+    "default", "let", "div", "divisor", "integers/max2.sl",
+    "bitvectors/hd17_w8.sl", "bitvectors/lsz_w8.sl",
+    "compileropts/qm_loop_1.sl"])
+def test_sample_matches_the_recursive_sampler(case):
+    # every nonterminal at sizes 1-11 under both divisor flags, from the
+    # root and under a prefix path: the same terms, entries and rng state
+    g, pool = sampler_case(case)
+    e, oracle = Enumerator(g, pool), Enumerator(g, pool)
+    drawn = 0
+    for nt, size, no_zero in itertools.product(g.rules, range(1, 12),
+                                               (False, True)):
+        if not e.count(nt, size, no_zero):
+            continue
+        for seed, prefix in ((size, ()), (size + 100, (1, ("d", 0)))):
+            rng, want = random.Random(seed), random.Random(seed)
+            for _ in range(6):
+                got = e.sample(nt, size, rng, no_zero, prefix)
+                assert got == recursive_sample(oracle, nt, size, want,
+                                               no_zero, prefix)
+                assert rng.getstate() == want.getstate()
+                drawn += 1
+    assert drawn > 100
+    # a second sample of a key builds no new closure: a build reads the tables
+    built = dict(e._draws)
+    assert (g.start, 11, False) in built
+    e._menu = e._sampler = e._hole_pool = None
+    e.sample(g.start, 11, random.Random(0), True, (0,))
+    assert e._draws == built
+
+
+@pytest.mark.parametrize("case, nt, size", [
+    ("default", "StartInt", 0), ("default", "StartInt", 2),
+    ("bitvectors/hd17_w8.sl", "Start", 4), ("div", "D", 3)])
+def test_sample_without_a_derivation_raises_and_draws_nothing(case, nt, size):
+    g, pool = sampler_case(case)
+    e = Enumerator(g, pool)
+    rng = random.Random(7)
+    state = rng.getstate()
+    for no_zero in (False, True):
+        with pytest.raises(SygusError) as err:
+            e.sample(nt, size, rng, no_zero)
+        assert str(err.value) == f"no derivation of {nt} at size {size}"
+        assert rng.getstate() == state
+    assert not e._draws
 
 
 # ---------------------------------------------------------------------------

@@ -368,10 +368,12 @@ def test_cegis_loop_with_stub_proposers(max2, monkeypatch):
     assert stale is None and again is None
 
 
-@pytest.mark.parametrize("budget_s", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("budget_s", [0.0, -1.0, math.inf, math.nan, "5",
+                                      None])
 def test_the_loop_rejects_a_budget_that_is_not_positive_and_finite(
         max2, budget_s):
-    # a NaN deadline never expires, and a negative one times out at once
+    # a NaN deadline never expires, and a negative one times out at once;
+    # a string or None would be a bare TypeError from math.isfinite
     with pytest.raises(SygusError, match="budget_s"):
         solve_enumerative(max2, EnumConfig(budget_s=budget_s))
     with pytest.raises(SygusError, match="budget_s"):

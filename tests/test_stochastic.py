@@ -121,8 +121,11 @@ def test_large_beta_accepts_no_worse_proposals_without_exp(max2):
         assert accepted == (unif < prob)
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan, "0.5", None,
+                                  pytest.param(10**400, id="10**400")])
 def test_beta_must_be_positive_and_finite(max2, beta):
+    # a string or None would be a bare TypeError from math.isfinite, and an
+    # int past the float range an OverflowError there or in exp
     with pytest.raises(SygusError, match="beta"):
         solve_stochastic(max2, StochConfig(beta=beta, seed=0, budget_s=1))
 
