@@ -28,7 +28,6 @@ so the rng is consumed exactly as drawing one point after another would.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import random
@@ -36,7 +35,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .frontend import CandidateSolution, SynthProblem, Track, unknown_invocations
 from .grammar import derives
@@ -223,11 +222,6 @@ def _ints(rng: random.Random, lo: int, hi: int) -> Iterator[int]:
         return itertools.starmap(rng.randint, itertools.repeat((lo, hi)))
     return map(lo.__add__, filter(n.__gt__, map(
         rng.getrandbits, itertools.repeat(n.bit_length()))))
-
-
-def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
-    """rng.randint(lo, hi) without its per-call argument checks."""
-    return functools.partial(next, _ints(rng, lo, hi))
 
 
 FIRST_BLOCK = 16

@@ -26,22 +26,19 @@ it; walk_splits follows a plan's tree slot by slot, and its leaves are the
 compositions in lexicographic order. enumerative.Bank walks the same trees
 over (term, signature) pairs, keeping one per signature.
 
-Sampling is the stochastic solver's inner loop, so an Enumerator keeps its
-tables once built, one table per key: per (nonterminal, size, and at size 1
-the divisor flag) the productions with a derivation, their counts and own
-nodes, per hole sort its pool, and per (template, size) its derivation
-count, slots, path steps and its plan's tree weighed: each slot's sizes with
-a derivation and their cumulative weights, which count() and sample() both
-read. sample() does not walk these tables per draw: it calls a draw closure
-built from them once per key and kept beside them. A nonterminal's holds its
-menu's cumulative counts, own nodes and production closures; a template's
-its path steps and weighed tree, each size mapped to its slot's closure; a
-hole's its pool's literals. They change no draw: randbelow and weighted are
-randrange and choices without their argument checks, and the closures call
-them as the plain recurrences do, so every value and rng state is theirs.
-sample() gives a Derivation, the term and a flat pre-order tuple of its
-nonterminal instances with their paths from the root, so a move replaces an
-instance by splicing that tuple.
+Counting and sampling are one recurrence, and sampling is the stochastic
+solver's inner loop, so an Enumerator keeps one table for both: per
+(nonterminal, size, and at size 1 the divisor flag) and per (template,
+size), a derivation count and a draw closure built with it. A nonterminal's
+closure holds its productions' cumulative counts, own nodes and closures; a
+template's its path steps and its plan's tree weighed by those counts, each
+size mapped to its slot's closure; a hole's its pool's literals. The
+closures change no draw: randbelow and weighted are randrange and choices
+without their argument checks, and the closures call them as the plain
+recurrences do, so every value and rng state is theirs. sample() gives a
+Derivation, the term and a flat pre-order tuple of its nonterminal
+instances with their paths from the root, so a move replaces an instance by
+splicing that tuple.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
@@ -323,12 +319,9 @@ class Enumerator:
     enumerate() materializes de-duplicated term lists per (nonterminal, size)
     and is meant for small sizes; count() and sample() use raw derivation
     counts and stay cheap at any size. All three walk the size trees of the
-    grammar's split plans: a template's count sums, over the tree's splits,
-    the product of its slots' counts, and sample() draws a size slot by slot
-    down the tree by those counts, both read from _sampler's one table per
-    (template, size). sample() draws through closures compiled from those
-    tables on first use (_drawer), one per _menu key and per (template,
-    size), so a draw reads no table.
+    grammar's split plans. count() and sample() read one table, _draws: per
+    _drawer and _tpl_drawer key, a derivation count and the draw closure
+    built with it, so a draw reads no table.
     """
 
     def __init__(self, g: Grammar, pool: Sequence[Value] = ()):
@@ -337,10 +330,8 @@ class Enumerator:
         self.pool = tuple(v for _, v in dict.fromkeys((type(v), v)
                                                        for v in pool))
         self._terms: dict[tuple[str, int, bool], tuple[Term, ...]] = {}
-        self._menus: dict[tuple[str, int, bool], tuple[int, tuple]] = {}
         self._pools: dict[tuple[Sort, bool], tuple[Value, ...]] = {}
-        self._samplers: dict[tuple[int, int], tuple] = {}
-        self._draws: dict[tuple, Callable] = {}
+        self._draws: dict[tuple, tuple[int, Callable]] = {}
 
     def _hole_pool(self, sort: Sort, no_zero: bool) -> tuple[Value, ...]:
         key = (sort, no_zero)
@@ -356,34 +347,6 @@ class Enumerator:
                         and not (no_zero and v == 0)]
             hit = self._pools[key] = tuple(vals)
         return hit
-
-    # -- counting ----------------------------------------------------------
-
-    def count(self, nt: str, size: int, no_zero: bool = False) -> int:
-        return self._menu(nt, size, no_zero)[0]
-
-    def _menu(self, nt: str, size: int, no_zero: bool) -> tuple[int, tuple]:
-        """(derivations, the productions of nt with a derivation at size,
-        each with its count and own nodes, in closed_productions order)."""
-        key = (nt, size, no_zero and size == 1)  # holes occur only at size 1
-        hit = self._menus.get(key)
-        if hit is None:
-            zero = dict.fromkeys(self.g.rules, 0)
-            menu = () if size < 1 else tuple(
-                (p, c, term_size(p, zero))
-                for p in self.g.closed_productions(nt)
-                if (c := self._count_tpl(p, size, no_zero)))
-            hit = self._menus[key] = (sum(c for _, c, _ in menu), menu)
-        return hit
-
-    def _count_tpl(self, tpl: Template, size: int, no_zero: bool) -> int:
-        if isinstance(tpl, (Var, Lit)):
-            return 1 if size == 1 else 0
-        if isinstance(tpl, THole):
-            return len(self._hole_pool(tpl.sort, no_zero)) if size == 1 else 0
-        if isinstance(tpl, TNT):
-            return self.count(tpl.nt, size, no_zero)
-        return self._sampler(tpl, size)[0]
 
     # -- enumeration -------------------------------------------------------
 
@@ -414,7 +377,10 @@ class Enumerator:
             for pieces in walk_splits(tree, inst):
                 yield assemble(tpl, pieces)
 
-    # -- uniform sampling (by derivation count) -----------------------------
+    # -- counting and uniform sampling (by derivation count) ---------------
+
+    def count(self, nt: str, size: int, no_zero: bool = False) -> int:
+        return self._drawer(nt, size, no_zero)[0]
 
     def sample(self, nt: str, size: int, rng: random.Random,
                no_zero: bool = False, prefix: Path = ()) -> Derivation:
@@ -423,105 +389,95 @@ class Enumerator:
         makes the rng calls of the plain recursion, in its order: one
         randbelow(derivations) per instance, then its template's slot sizes
         (weighted, only where there is a choice), then its slots, left to
-        right."""
+        right. Raises before any draw when nt has no derivation at size."""
+        total, draw = self._drawer(nt, size, no_zero)
+        if not total:
+            raise SygusError(f"no derivation of {nt} at size {size}")
         entries: list = []
-        term = self._drawer(nt, size, no_zero)(rng, prefix, entries, no_zero)
+        term = draw(rng, prefix, entries, no_zero)
         return Derivation(term, tuple(entries))
 
-    def _drawer(self, nt: str, size: int, no_zero: bool) -> Callable:
-        """nt's draw closure at size, built once per _menu key (so one serves
-        both divisor flags above size 1): draw(rng, path, entries, no_zero)
-        picks a production by randbelow over the menu's cumulative counts,
-        appends the instance to entries with the flag it is passed, and
-        returns the term of that production's closure."""
+    def _drawer(self, nt: str, size: int,
+                no_zero: bool) -> tuple[int, Callable]:
+        """(derivations, draw closure) of nt at size, built once per key; the
+        key keeps the divisor flag at size 1 only, where the holes are.
+        draw(rng, path, entries, no_zero) picks one of nt's closed
+        productions with a derivation by randbelow over their cumulative
+        counts, appends the instance to entries with the flag it is passed,
+        and returns the term of that production's closure."""
         key = (nt, size, no_zero and size == 1)
         hit = self._draws.get(key)
         if hit is None:
-            total, menu = self._menu(*key)
-            if total == 0:
-                raise SygusError(f"no derivation of {nt} at size {size}")
-            cum = tuple(accumulate(c for _, c, _ in menu))
-            prods = [(own, self._tpl_drawer(p, size, key[2]))
-                     for p, _, own in menu]
+            zero = dict.fromkeys(self.g.rules, 0)
+            cum, prods, total = [], [], 0
+            for p in self.g.closed_productions(nt) if size >= 1 else ():
+                c, kid = self._tpl_drawer(p, size, key[2])
+                if c:
+                    total += c
+                    cum.append(total)
+                    prods.append((term_size(p, zero), kid))
 
-            def hit(rng, path, entries, no_zero):
-                own, draw = prods[bisect(cum, randbelow(rng, total))]
+            def draw(rng, path, entries, no_zero):
+                own, kid = prods[bisect(cum, randbelow(rng, total))]
                 entries.append((path, nt, size, no_zero, own))
-                return draw(rng, path, entries, no_zero)
-            self._draws[key] = hit
+                return kid(rng, path, entries, no_zero)
+            hit = self._draws[key] = (total, draw)
         return hit
 
-    def _tpl_drawer(self, tpl: Template, size: int, no_zero: bool) -> Callable:
-        """The draw closure of a template at size, called as _drawer's. A
-        hole's holds its pool's literals; an application's or let's, built
-        once per (template, size), holds _sampler's size tree with each size
-        mapped to its slot's closure: a real choice is a list [cumulative
-        weights, subtrees] that weighted() picks from, and a leaf is a tuple
-        of every slot's (closure, path step, divisor flag)."""
+    def _tpl_drawer(self, tpl: Template, size: int,
+                    no_zero: bool) -> tuple[int, Callable]:
+        """(derivations, draw closure) of a template at size, the closure
+        called as _drawer's. A hole's holds its pool's literals. An
+        application's or let's, built once per (template, size), holds its
+        plan's size tree weighed and compiled in one recursion: a slot's
+        size s weighs the slot's derivations at s times the total of the
+        later slots under s, a size of weight 0 is dropped, a real choice is
+        a list [cumulative weights, subtrees] that weighted() picks from, and
+        a leaf is a tuple of every slot's (closure, path step, divisor flag).
+        """
         kind = type(tpl)  # the node classes have no subclasses
         if kind is TNT:
             return self._drawer(tpl.nt, size, no_zero)
         if kind is Var or kind is Lit:
-            return lambda rng, path, entries, no_zero: tpl
+            return int(size == 1), lambda rng, path, entries, no_zero: tpl
         if kind is THole:
-            lits = tuple(map(Lit, self._hole_pool(tpl.sort, no_zero)))
-            return lambda rng, path, entries, no_zero: \
+            lits = (tuple(map(Lit, self._hole_pool(tpl.sort, no_zero)))
+                    if size == 1 else ())
+            return len(lits), lambda rng, path, entries, no_zero: \
                 lits[randbelow(rng, len(lits))]
         key = (id(tpl), size)
         hit = self._draws.get(key)
         if hit is None:
-            _, slots, steps, tree = self._sampler(tpl, size)
+            slots, plan = self.g.split_plan(tpl, size)
+            steps = (tuple(range(len(slots))) if kind is Apply
+                     else tuple([("d", i) for i in range(len(tpl.bindings))]
+                                + [("b",)]))
 
-            def leaves(tree: tuple | None, kids: tuple) -> list | tuple:
+            def weigh(tree: dict | None,
+                      kids: tuple) -> tuple[int, list | tuple]:
+                """(derivations of slots len(kids).. down tree, and that
+                tree compiled)."""
                 if tree is None:
-                    return kids
-                sizes, cum, later = tree
-                (c, nz), step = slots[len(kids)], steps[len(kids)]
-                subs = [leaves(later[s], kids + ((self._tpl_drawer(c, s, nz),
-                                                  step, nz),))
-                        for s in sizes]
-                return subs[0] if len(subs) == 1 else [cum, subs]
+                    return 1, kids
+                total, cum, subs = 0, [], []
+                for s, later in tree.items():
+                    (c, nz), step = slots[len(kids)], steps[len(kids)]
+                    n, kid = self._tpl_drawer(c, s, nz)
+                    if n:
+                        m, sub = weigh(later, kids + ((kid, step, nz),))
+                        if m:
+                            total += n * m
+                            cum.append(total)
+                            subs.append(sub)
+                return total, subs[0] if len(subs) == 1 else [cum, subs]
 
-            root = leaves(tree, ())
+            total, root = weigh(plan, ())
 
-            def hit(rng, path, entries, no_zero):
+            def draw(rng, path, entries, no_zero):
                 node = root
                 while type(node) is list:
                     node = node[1][weighted(rng, node[0])]
                 return assemble(tpl, [kid(rng, path + (step,), entries, nz)
                                       for kid, step, nz in node])
-            self._draws[key] = hit
-        return hit
-
-    def _sampler(self, tpl: Apply | Let, size: int) -> tuple:
-        """(derivations, slots, path steps, size tree) of an application or
-        let template at size, the one table per (template, size) that both
-        count() and sample() read. One recursion weighs the plan's tree: a
-        slot's size s weighs the slot's derivations at s times the total of
-        the later slots' tree under s, and the size tree holds, for the first
-        slot, its sizes of nonzero weight, their cumulative weights (the
-        root's last is the count) and the weighed tree under each size."""
-        key = (id(tpl), size)
-        hit = self._samplers.get(key)
-        if hit is None:
-            slots, plan = self.g.split_plan(tpl, size)
-
-            def weigh(tree: dict | None, i: int) -> tuple[int, tuple | None]:
-                """(derivations of slots i.. down tree, their size tree)."""
-                if tree is None:
-                    return 1, None
-                weights, later = {}, {}
-                for s, sub in tree.items():
-                    if n := self._count_tpl(slots[i][0], s, slots[i][1]):
-                        m, t = weigh(sub, i + 1)
-                        if m:
-                            weights[s], later[s] = n * m, t
-                return sum(weights.values()), (
-                    tuple(weights), tuple(accumulate(weights.values())), later)
-
-            steps = (tuple(range(len(slots))) if isinstance(tpl, Apply)
-                     else tuple([("d", i) for i in range(len(tpl.bindings))]
-                                + [("b",)]))
-            total, tree = weigh(plan, 0)
-            hit = self._samplers[key] = (total, slots, steps, tree)
+            hit = self._draws[key] = (total, draw)
         return hit

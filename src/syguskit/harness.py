@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .cegis import Solved, SolveOutcome, TimedOut
+from .cegis import Solved, SolveOutcome, TimedOut, positive_finite
 from .checker import (CheckStrategy, FeatureSet, Valid, VerificationResult,
                       check_semantic, check_syntactic, classify_features,
                       default_strategy)
@@ -50,10 +50,10 @@ class RunLimits:
     grace_s: float = 5.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.wallclock_s) and self.wallclock_s > 0):
+        if not positive_finite(self.wallclock_s):
             raise ValueError("wallclock_s must be positive and finite, "
                              f"got {self.wallclock_s}")
-        if not (math.isfinite(self.grace_s) and self.grace_s >= 0):
+        if not (self.grace_s == 0 or positive_finite(self.grace_s)):
             raise ValueError("grace_s must be nonnegative and finite, "
                              f"got {self.grace_s}")
         if self.wallclock_s + self.grace_s > threading.TIMEOUT_MAX:

@@ -15,7 +15,7 @@ from syguskit.checker import (CounterExample, ExhaustiveSmall, ExternalSMT,
                               check_semantic, check_syntactic,
                               classify_features, default_strategy,
                               emit_smtlib, falsified, grid_points,
-                              int_drawer, parse_model, sample_points,
+                              parse_model, sample_points,
                               substituted_constraints)
 from syguskit.frontend import (load_problem, parse_solution, read_problem,
                                term_to_sexpr)
@@ -120,8 +120,8 @@ def test_random_sample_is_deterministic(max2):
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
 def test_int_drawer_matches_randint(lo, hi, seed):
     rng, reference = random.Random(seed), random.Random(seed)
-    draw = int_drawer(rng, lo, hi)
-    assert [draw() for _ in range(10_000)] == \
+    ints = checker._ints(rng, lo, hi)
+    assert [next(ints) for _ in range(10_000)] == \
         [reference.randint(lo, hi) for _ in range(10_000)]
     assert rng.getstate() == reference.getstate()
 
@@ -130,7 +130,7 @@ def test_int_drawer_of_an_empty_range_raises_as_randint():
     with pytest.raises(ValueError):
         random.Random(0).randint(3, 2)
     with pytest.raises(ValueError):
-        int_drawer(random.Random(0), 3, 2)()
+        next(checker._ints(random.Random(0), 3, 2))
 
 
 # universals of every sort the sampler draws, an Int on either side
@@ -595,8 +595,8 @@ def first_new(seed, lo, hi, k, fresh=lambda point: True):
     appear there first and pass fresh."""
     while True:
         rng = random.Random(seed)
-        draw = int_drawer(rng, lo, hi)
-        points = [(draw(), draw()) for _ in range(k + 2)]
+        ints = checker._ints(rng, lo, hi)
+        points = [(next(ints), next(ints)) for _ in range(k + 2)]
         if (points[k] not in points[:k] and points[k + 1] not in points[:k + 1]
                 and fresh(points[k]) and fresh(points[k + 1])):
             return seed, points

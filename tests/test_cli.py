@@ -327,7 +327,8 @@ def test_bench_with_an_infinite_timeout_exits_2_without_a_traceback():
     assert r.stdout == "" and "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("wallclock_s", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("wallclock_s", [
+    math.inf, math.nan, 0.0, -1.0, "5", pytest.param(10**400, id="10**400")])
 def test_run_limits_reject_a_budget_that_is_not_positive_and_finite(
         wallclock_s):
     from syguskit.harness import RunLimits
@@ -335,7 +336,7 @@ def test_run_limits_reject_a_budget_that_is_not_positive_and_finite(
         RunLimits(wallclock_s=wallclock_s)
 
 
-@pytest.mark.parametrize("grace_s", [math.inf, math.nan, -0.5, -100.0])
+@pytest.mark.parametrize("grace_s", [math.inf, math.nan, -0.5, -100.0, None])
 def test_run_limits_reject_a_grace_that_is_negative_or_not_finite(grace_s):
     # a negative grace recorded a quick solve as a timeout; inf and nan
     # raised from the thread join

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import math
@@ -234,7 +235,8 @@ def test_one_count_table_per_key():
         divisor.append(plain[n])
     assert [e.count("S", n) for n in range(1, 10)] == plain[1:]
     assert [e.count("S", n, True) for n in range(1, 10)] == divisor[1:]
-    assert not [k for k in e._menus if k[2] and k[1] > 1]
+    flagged = [k for k in e._draws if len(k) == 3 and k[2]]
+    assert flagged and all(size == 1 for _, size, _ in flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -347,46 +349,93 @@ def test_slot_nodes_account_for_every_parse_tree_node():
         assert total == term_size(node.term) == 9
 
 
-def recursive_sample(e, nt, size, rng, no_zero=False, prefix=()):
-    """The sampler as a recursion over the enumerator's tables, drawing with
-    randrange and choices: a nonterminal instance picks a production by its
-    menu's counts, a template draws all its slots' sizes down its weighed
-    size tree, then each slot's term, left to right."""
-    entries = []
+def hole_values(sort, pool, no_zero):
+    """A constant hole's values: false and true for Bool, else the pool's
+    values of its sort once each, in pool order, and no Int 0 in a divisor
+    slot."""
+    if sort.name == "Bool":
+        return [False, True]
+    vals = dict.fromkeys(v for v in pool
+                         if type(v) is not bool and _sortof(v) == sort)
+    return [v for v in vals if not (no_zero and v == 0)]
 
-    def draw(nt, size, no_zero, path):
-        total, menu = e._menu(nt, size, no_zero)
-        if total == 0:
-            raise SygusError(f"no derivation of {nt} at size {size}")
-        pick = rng.randrange(total)
-        for p, c, own in menu:
-            if pick < c:
-                entries.append((path, nt, size, no_zero, own))
-                return sample_tpl(p, size, no_zero, path)
-            pick -= c
-        raise AssertionError("count/sample recurrences disagree")
 
-    def sample_tpl(tpl, size, no_zero, path):
+def recursive_sampler(g, pool):
+    """(count, sample) as plain recursions that read no Enumerator table.
+    A template's count sums, over every split of its size among its
+    split_plan slots, the product of the slots' counts. sample draws with
+    randrange and choices: a nonterminal instance picks a production by the
+    counts, a template draws its slots' sizes one by one, each weighed by
+    the sum over the splits through it of the products of that slot's and
+    the later slots' counts, then each slot's term, left to right."""
+
+    @functools.cache
+    def count_tpl(tpl, size, no_zero):
         if isinstance(tpl, TNT):
-            return draw(tpl.nt, size, no_zero, path)
+            return count(tpl.nt, size, no_zero)
         if isinstance(tpl, (Var, Lit)):
-            return tpl
+            return int(size == 1)
         if isinstance(tpl, THole):
-            vals = e._hole_pool(tpl.sort, no_zero)
-            return Lit(vals[rng.randrange(len(vals))])
-        _, slots, steps, tree = e._sampler(tpl, size)
-        sizes = []
-        while tree is not None:
-            choices, cum, later = tree
-            s = (choices[0] if len(choices) == 1
-                 else rng.choices(choices, cum_weights=cum)[0])
-            sizes.append(s)
-            tree = later[s]
-        pieces = zip(slots, sizes, steps)
-        return assemble(tpl, [sample_tpl(c, s, nz, path + (step,))
-                              for (c, nz), s, step in pieces])
+            return len(hole_values(tpl.sort, pool, no_zero)) * (size == 1)
+        return sum(math.prod(counts) for _, counts in splits(tpl, size))
 
-    return Derivation(draw(nt, size, no_zero, prefix), tuple(entries))
+    def count(nt, size, no_zero=False):
+        return sum(count_tpl(p, size, no_zero)
+                   for p in g.closed_productions(nt)) if size >= 1 else 0
+
+    def splits(tpl, size):
+        """(split, its slots' counts) for every split of tpl's size."""
+        slots, _ = g.split_plan(tpl, size)
+        own = 1 + (len(tpl.bindings) if isinstance(tpl, Let) else 0)
+        return [(split, [count_tpl(c, s, nz)
+                         for (c, nz), s in zip(slots, split)])
+                for split in _splits(size - own, len(slots))]
+
+    def sample(nt, size, rng, no_zero=False, prefix=()):
+        entries = []
+
+        def draw(nt, size, no_zero, path):
+            total = count(nt, size, no_zero)
+            if total == 0:
+                raise SygusError(f"no derivation of {nt} at size {size}")
+            pick = rng.randrange(total)
+            for p in g.closed_productions(nt):
+                c = count_tpl(p, size, no_zero)
+                if pick < c:
+                    own = term_size(p, dict.fromkeys(g.rules, 0))
+                    entries.append((path, nt, size, no_zero, own))
+                    return sample_tpl(p, size, no_zero, path)
+                pick -= c
+            raise AssertionError("count/sample recurrences disagree")
+
+        def sample_tpl(tpl, size, no_zero, path):
+            if isinstance(tpl, TNT):
+                return draw(tpl.nt, size, no_zero, path)
+            if isinstance(tpl, (Var, Lit)):
+                return tpl
+            if isinstance(tpl, THole):
+                vals = hole_values(tpl.sort, pool, no_zero)
+                return Lit(vals[rng.randrange(len(vals))])
+            slots, _ = g.split_plan(tpl, size)
+            chosen = ()
+            for i in range(len(slots)):
+                weights = {}
+                for split, counts in splits(tpl, size):
+                    if split[:i] == chosen:
+                        weights[split[i]] = (weights.get(split[i], 0)
+                                             + math.prod(counts[i:]))
+                sizes = [s for s in sorted(weights) if weights[s]]
+                chosen += (sizes[0] if len(sizes) == 1 else rng.choices(
+                    sizes, [weights[s] for s in sizes])[0],)
+            steps = (list(range(len(slots))) if isinstance(tpl, Apply)
+                     else [("d", i) for i in range(len(slots) - 1)] + [("b",)])
+            return assemble(tpl, [sample_tpl(c, s, nz, path + (step,))
+                                  for (c, nz), s, step
+                                  in zip(slots, chosen, steps)])
+
+        return Derivation(draw(nt, size, no_zero, prefix), tuple(entries))
+
+    return count, sample
 
 
 def sampler_case(case):
@@ -412,27 +461,31 @@ def test_sample_matches_the_recursive_sampler(case):
     # every nonterminal at sizes 1-11 under both divisor flags, from the
     # root and under a prefix path: the same terms, entries and rng state
     g, pool = sampler_case(case)
-    e, oracle = Enumerator(g, pool), Enumerator(g, pool)
+    e = Enumerator(g, pool)
+    count, sample = recursive_sampler(g, pool)
     drawn = 0
     for nt, size, no_zero in itertools.product(g.rules, range(1, 12),
                                                (False, True)):
-        if not e.count(nt, size, no_zero):
+        assert e.count(nt, size, no_zero) == count(nt, size, no_zero)
+        if not count(nt, size, no_zero):
             continue
         for seed, prefix in ((size, ()), (size + 100, (1, ("d", 0)))):
             rng, want = random.Random(seed), random.Random(seed)
             for _ in range(6):
                 got = e.sample(nt, size, rng, no_zero, prefix)
-                assert got == recursive_sample(oracle, nt, size, want,
-                                               no_zero, prefix)
+                assert got == sample(nt, size, want, no_zero, prefix)
                 assert rng.getstate() == want.getstate()
                 drawn += 1
     assert drawn > 100
-    # a second sample of a key builds no new closure: a build reads the tables
-    built = dict(e._draws)
-    assert (g.start, 11, False) in built
-    e._menu = e._sampler = e._hole_pool = None
+    # a second sample of a key builds no new closure
+    built, builds = dict(e._draws), []
+    tpl_drawer = e._tpl_drawer
+    e._tpl_drawer = lambda *key: builds.append(key) or tpl_drawer(*key)
     e.sample(g.start, 11, random.Random(0), True, (0,))
-    assert e._draws == built
+    assert (g.start, 11, False) in built
+    assert e._draws == built and builds == []
+    e.count(g.start, 12)  # the spy sees a build
+    assert builds
 
 
 @pytest.mark.parametrize("case, nt, size", [
@@ -448,7 +501,7 @@ def test_sample_without_a_derivation_raises_and_draws_nothing(case, nt, size):
             e.sample(nt, size, rng, no_zero)
         assert str(err.value) == f"no derivation of {nt} at size {size}"
         assert rng.getstate() == state
-    assert not e._draws
+    assert e._draws[(nt, size, False)][0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -485,34 +538,32 @@ def test_weighted_is_choices(seed, weights):
                                   "bitvectors/lsz_w8.sl",
                                   "compileropts/qm_loop_1.sl"])
 def test_size_tree_totals_are_derivation_counts(path):
-    # the stochastic workloads' grammars, over the walk's first pool
+    # the stochastic workloads' grammars, over the walk's first pool: each
+    # nonterminal's count sums its templates' counts, and a template's is
+    # the sum, over every split of its size, of its slots' count products
     p = load_problem(BENCHMARKS / path)
     (u,) = p.unknowns.values()
-    e = Enumerator(u.grammar, base_constant_pool(p))
-    for size in StochConfig().size_schedule:
-        e.count(u.grammar.start, size)
-    assert e._samplers
-    for (_, size), (total, slots, steps, tree) in e._samplers.items():
-        assert (tree[1][-1] if tree[1] else 0) == total
-        # slot i's size s weighs, summed over the splits through that node,
-        # the product of the counts of slot i and the later slots
-        own = 1 + sum(isinstance(st, tuple) and st[0] == "d" for st in steps)
-        weights = {}
-        for split in itertools.product(range(1, size), repeat=len(slots)):
-            if sum(split) == size - own:
-                counts = [e._count_tpl(c, s, nz)
-                          for (c, nz), s in zip(slots, split)]
-                for i in range(len(split)):
-                    node = weights.setdefault(split[:i], {})
-                    node[split[i]] = (node.get(split[i], 0)
-                                      + math.prod(counts[i:]))
-        nodes = [((), tree)]
-        for prefix, (sizes, cum, later) in nodes:
-            want = {s: w for s, w in weights.get(prefix, {}).items() if w}
-            assert dict(zip(sizes, cum)) == dict(zip(
-                want, itertools.accumulate(want.values())))
-            nodes += [(prefix + (s,), later[s]) for s in sizes
-                      if later[s] is not None]
+    g, pool = u.grammar, base_constant_pool(p)
+    e = Enumerator(g, pool)
+
+    def count(tpl, size, no_zero):
+        if isinstance(tpl, TNT):
+            return e.count(tpl.nt, size, no_zero)
+        if isinstance(tpl, (Var, Lit)):
+            return int(size == 1)
+        if isinstance(tpl, THole):
+            return len(hole_values(tpl.sort, pool, no_zero)) * (size == 1)
+        slots, _ = g.split_plan(tpl, size)
+        own = 1 + (len(tpl.bindings) if isinstance(tpl, Let) else 0)
+        return sum(math.prod(count(c, s, nz)
+                             for (c, nz), s in zip(slots, split))
+                   for split in _splits(size - own, len(slots)))
+
+    for nt, size in itertools.product(g.rules, range(1, max(
+            StochConfig().size_schedule) + 1)):
+        want = sum(count(t, size, False) for t in g.closed_productions(nt))
+        assert e.count(nt, size) == want
+    assert e.count(g.start, 11) > 0
 
 
 # ---------------------------------------------------------------------------
